@@ -12,6 +12,7 @@ loop sampling) are driven by --seed, so reports are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .elliptic import (
     wp_evaluable,
     wp_pair,
 )
-from .errors import EllipticaError
+from .errors import EllipticaError, InvalidArgumentError, NonFiniteResultError
 from .lattice import (
     Lattice,
     classify_lattice,
@@ -38,15 +39,13 @@ from .lattice import (
 )
 from .projective import ProjPoint, point_from_vec
 from .report import SvgCanvas, marching_segments, render_report, to_json_bytes
-from .sphere import is_infinite
+from .sphere import INF
 from .theta import THETA_TRUNC, theta
 
 
 @dataclass
 class RunConfig:
     lattice: Lattice | None
-    trunc: int
-    tol: float
     seed: int
     fmt: str
     out: str | None
@@ -71,17 +70,35 @@ def _pair(v: complex) -> list[float]:
 
 
 def _sphere_json(v: complex):
-    if is_infinite(v):
+    # only the pole value itself prints as "inf"; NaN stays a number and is
+    # refused by the finiteness check
+    if v == INF:
         return "inf"
     return _pair(v)
+
+
+def _nonfinite_field(v, path: str) -> str | None:
+    """Path (such as "p[0]") of the first NaN or infinite number in a report,
+    or None."""
+    if isinstance(v, float):
+        return None if math.isfinite(v) else path
+    if isinstance(v, dict):
+        items = ((f"{path}.{k}" if path else str(k), x) for k, x in v.items())
+    elif isinstance(v, (list, tuple)):
+        items = ((f"{path}[{i}]", x) for i, x in enumerate(v))
+    else:
+        return None
+    for sub, x in items:
+        hit = _nonfinite_field(x, sub)
+        if hit is not None:
+            return hit
+    return None
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--omega1", type=_parse_complex, help="first lattice generator re,im")
     p.add_argument("--omega2", type=_parse_complex, help="second lattice generator re,im")
     p.add_argument("--tau", type=_parse_complex, help="lattice Z + tau Z")
-    p.add_argument("--trunc", type=int, default=THETA_TRUNC, help="theta truncation")
-    p.add_argument("--tol", type=float, default=1e-9, help="tolerance override")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomized choices")
     p.add_argument("--format", dest="fmt", choices=["json", "csv", "svg"], default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
@@ -97,7 +114,7 @@ def _config(args) -> RunConfig:
         if args.omega1 is None or args.omega2 is None:
             raise EllipticaError("--omega1 and --omega2 must be given together")
         lat = make_lattice(args.omega1, args.omega2)
-    return RunConfig(lat, args.trunc, args.tol, args.seed, args.fmt, args.out)
+    return RunConfig(lat, args.seed, args.fmt, args.out)
 
 
 def _require_lattice(cfg: RunConfig) -> Lattice:
@@ -127,7 +144,10 @@ def _cubic_from_args(args, cfg: RunConfig) -> tuple[Cubic, Lattice | None]:
 
 
 def _point_from_pairs(pairs) -> ProjPoint:
-    return point_from_vec(np.array(pairs, dtype=complex))
+    try:
+        return point_from_vec(np.array(pairs, dtype=complex))
+    except ValueError as exc:
+        raise InvalidArgumentError(f"--q: {exc}") from None
 
 
 def _window_of(points) -> float:
@@ -207,13 +227,13 @@ def _cmd_lattice(args, cfg: RunConfig):
 
 def _cmd_theta(args, cfg: RunConfig):
     lat = _require_lattice(cfg)
-    v = theta(args.z, lat, cfg.trunc)
+    v = theta(args.z, lat, args.trunc)
     return {"z": _pair(args.z), "value": _pair(complex(v))}, None, None
 
 
 def _cmd_wp(args, cfg: RunConfig):
     lat = _require_lattice(cfg)
-    p, pp = wp_pair(args.z, lat, trunc=cfg.trunc)
+    p, pp = wp_pair(args.z, lat, trunc=args.trunc)
     return {"z": _pair(args.z), "p": _sphere_json(p), "pprime": _sphere_json(pp)}, None, None
 
 
@@ -285,7 +305,7 @@ def _cmd_hesse_scan(args, cfg: RunConfig):
         for re in np.linspace(-r, r, n):
             for im in np.linspace(-r, r, n):
                 t = complex(re, im)
-                triples = hesse.concurrency_scan(t, cfg.tol if cfg.tol < 1 else 1e-9)
+                triples = hesse.concurrency_scan(t, args.tol if args.tol < 1 else 1e-9)
                 if triples:
                     dets = hesse.concurrency_dets(t)
                     for trip in triples:
@@ -295,9 +315,15 @@ def _cmd_hesse_scan(args, cfg: RunConfig):
         return doc, (["t_re", "t_im", "triple_indices", "det_modulus"], rows), None
     if args.t_raw is None:
         raise EllipticaError("hesse-scan needs --t or --grid/--radius")
+    try:
+        if args.exact:
+            a_s, b_s = args.t_raw.split(",")
+            tq = hesse.QEps(Fraction(a_s), Fraction(b_s))
+        else:
+            t_c = _parse_complex(args.t_raw)
+    except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
+        raise InvalidArgumentError(f"--t {args.t_raw!r}: {exc}") from None
     if args.exact:
-        a_s, b_s = args.t_raw.split(",")
-        tq = hesse.QEps(Fraction(a_s), Fraction(b_s))
         triples = hesse.concurrency_scan_exact(tq)
         t_c = tq.to_complex()
         doc = {
@@ -308,8 +334,7 @@ def _cmd_hesse_scan(args, cfg: RunConfig):
         }
         dets = hesse.concurrency_dets(t_c)
     else:
-        t_c = _parse_complex(args.t_raw)
-        triples = hesse.concurrency_scan(t_c, cfg.tol if cfg.tol < 1 else 1e-9)
+        triples = hesse.concurrency_scan(t_c, args.tol if args.tol < 1 else 1e-9)
         doc = {
             "t": _pair(t_c),
             "exact": False,
@@ -417,10 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     add("lattice", help="normalize, classify and report invariants")
-    sp = add("theta", help="evaluate the Jacobi theta function")
-    sp.add_argument("--z", type=_parse_complex, required=True)
-    sp = add("wp", help="evaluate wp and wp'")
-    sp.add_argument("--z", type=_parse_complex, required=True)
+    for name, hlp in [
+        ("theta", "evaluate the Jacobi theta function"),
+        ("wp", "evaluate wp and wp'"),
+    ]:
+        sp = add(name, help=hlp)
+        sp.add_argument("--z", type=_parse_complex, required=True)
+        sp.add_argument("--trunc", type=int, default=THETA_TRUNC, help="theta truncation")
     for name, hlp in [
         ("build-fn", "build an elliptic function from divisors"),
         ("decompose2", "degree-2 normal form g o wp o translation"),
@@ -448,6 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--exact", action="store_true", help="exact Q(eps) determinants")
     sp.add_argument("--grid", type=int, help="scan an n x n grid of t values")
     sp.add_argument("--radius", type=float, default=8.0, help="grid half-width")
+    sp.add_argument("--tol", type=float, default=1e-9, help="concurrency tolerance")
     sp = add("fiber", help="tangency fiber over a base point")
     sp.add_argument("--t", type=_parse_complex, help="hesse parameter re,im")
     sp.add_argument("--q", type=_parse_complex, nargs=3, required=True,
@@ -465,6 +494,11 @@ def _run(argv: list[str]):
     try:
         cfg = _config(args)
         json_doc, csv_doc, svg_fn = _HANDLERS[args.command](args, cfg)
+        field = _nonfinite_field(json_doc, "") or _nonfinite_field(csv_doc and csv_doc[1], "rows")
+        if field is not None:
+            raise NonFiniteResultError(
+                f"{args.command} computed a non-finite value at {field}", field=field
+            )
         payload = render_report(cfg.fmt, json_doc, csv_doc, svg_fn)
         return 0, payload, cfg.out
     except EllipticaError as exc:

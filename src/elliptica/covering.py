@@ -367,7 +367,7 @@ def _derivative_evaluable(f: EllipticFunction) -> Evaluable:
         v, d = f.values_and_dlog(np.asarray(z, dtype=complex))
         return v * d
 
-    return Evaluable(fp, pair=f.derivative_pair)
+    return Evaluable(fp, f.derivative_pair)
 
 
 def _shifted_evaluable(f: EllipticFunction, v: complex) -> Evaluable:
@@ -379,7 +379,7 @@ def _shifted_evaluable(f: EllipticFunction, v: complex) -> Evaluable:
         with np.errstate(divide="ignore", invalid="ignore"):
             return fv - v, fv * d / (fv - v)
 
-    return Evaluable(g, pair=gpair)
+    return Evaluable(g, gpair)
 
 
 def branch_divisors_direct(f: EllipticFunction, lat: Lattice,

@@ -1,14 +1,16 @@
 """Divisors on the torus, the Jacobi map, the Abel condition, and numerical
 zero location through the argument principle and Newton's identities.
 
-Evaluable functions passed to the contour routines must accept a complex
-ndarray and return values elementwise (all function objects in this package
-do).  Zero location subdivides the fundamental parallelogram into cells,
-integrates f'/f over a circle circumscribing each cell, inverts Newton's
-identities to seed the roots, then Newton-polishes and verifies each root;
-cells whose data is inconsistent (for instance zeros shadowed by poles in
-the same cell) are subdivided, and the whole grid is re-shifted when a cell
-boundary passes too close to a zero or pole.
+The contour routines accept one protocol: an object that is callable
+elementwise on a complex ndarray and has values_and_dlog(z) returning the
+pair (f(z), f'(z)/f(z)).  An EllipticFunction, wp_evaluable(...) and
+reciprocal(...) of either satisfy it; Evaluable(f, pair) builds one from
+two functions.  Zero location subdivides the fundamental parallelogram into
+cells, integrates f'/f over a circle circumscribing each cell, inverts
+Newton's identities to seed the roots, then Newton-polishes and verifies
+each root; cells whose data is inconsistent (for instance zeros shadowed by
+poles in the same cell) are subdivided, and the whole grid is re-shifted
+when a cell boundary passes too close to a zero or pole.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ from .lattice import Lattice, TorusPoint, reduce_mod_lattice, torus_distance
 
 CLUSTER_RADIUS = 1e-5
 CONTOUR_NODES = 128
-FD_STEP_REL = 1e-6
 MIN_MODULUS_REL = 1e-9
+CELL_MIN_MODULUS_REL = 1e-4
 MAX_GRID_SHIFTS = 8
 MAX_CELL_DEPTH = 5
 BASE_SUBDIVISION = 4
@@ -114,39 +116,61 @@ class PowerSums:
         return int(round(self.values[0].real))
 
 
-def _eval_with_dlog(f, z):
-    """(f(z), (f'/f)(z)); prefers a fused values_and_dlog, then an analytic
-    dlog, falling back to central differences."""
-    pair = getattr(f, "values_and_dlog", None)
-    if pair is not None:
-        fz, g = pair(z)
-        return np.asarray(fz), np.asarray(g)
-    fz = np.asarray(f(z))
-    dlog = getattr(f, "dlog", None)
-    if dlog is not None:
-        return fz, np.asarray(dlog(z))
-    h = FD_STEP_REL * max(1.0, float(np.abs(z).max()))
-    fp = (np.asarray(f(z + h)) - np.asarray(f(z - h))) / (2.0 * h)
-    return fz, fp / fz
+def _require_dlog(f) -> None:
+    if not hasattr(f, "values_and_dlog"):
+        raise NonIntegerCountError(
+            "no count integral without f'/f: f has no values_and_dlog"
+        )
 
 
-def _circle_samples(f, center: complex, radius: float, nodes: int, fd_step: float):
-    """(w, f values, f'/f values) on the circle."""
+def _circle_samples(f, center: complex, radius: float, nodes: int, min_modulus: float):
+    """(w, f'/f, median |f|) at `nodes` equispaced points center + w of the
+    circle.
+
+    Raises ContourTooCloseError when |f| on the circle leaves
+    [min_modulus, 1/min_modulus] times its median, the sign of a zero or pole
+    near the contour.
+    """
     angles = 2.0 * np.pi * np.arange(nodes) / nodes
     w = radius * np.exp(1j * angles)
-    z = center + w
-    pair = getattr(f, "values_and_dlog", None)
-    if pair is not None:
-        fz, g = pair(z)
-        return w, np.asarray(fz), np.asarray(g)
-    fz = np.asarray(f(z))
-    dlog = getattr(f, "dlog", None)
-    if dlog is not None:
-        g = np.asarray(dlog(z))
-    else:
-        fp = (np.asarray(f(z + fd_step)) - np.asarray(f(z - fd_step))) / (2.0 * fd_step)
-        g = fp / fz
-    return w, fz, g
+    fz, g = f.values_and_dlog(center + w)
+    mods = np.abs(fz)
+    scale = float(np.median(mods))
+    if scale == 0.0 or not np.isfinite(scale):
+        raise ContourTooCloseError(
+            "degenerate function values on contour", center=center, radius=radius
+        )
+    if mods.min() < min_modulus * scale:
+        raise ContourTooCloseError(
+            "zero too close to contour", center=center, radius=radius
+        )
+    if mods.max() > scale / min_modulus:
+        raise ContourTooCloseError(
+            "pole too close to contour", center=center, radius=radius
+        )
+    return w, np.asarray(g), scale
+
+
+def _counted_samples(f, center: complex, radius: float, nodes: int, min_modulus: float):
+    """(count, w, f'/f, median |f|) at the first node count, doubling from
+    `nodes` up to 16 * nodes, at which the count integral and its half-node
+    (coarser trapezoid) value agree on an integer; NonIntegerCountError when
+    none does."""
+    n = nodes
+    while True:
+        w, g, scale = _circle_samples(f, center, radius, n, min_modulus)
+        s0 = complex(np.mean(g * w))
+        s0_half = complex(np.mean(g[::2] * w[::2]))
+        count = round(s0.real)
+        if abs(s0 - count) <= 0.1 and abs(s0_half - count) <= 0.1:
+            return count, w, g, scale
+        if n >= 16 * nodes:
+            raise NonIntegerCountError(
+                f"count integral {s0} not near an integer",
+                center=center,
+                radius=radius,
+            )
+        n *= 2
 
 
 def _sums_from_samples(w, g, kmax: int) -> list[complex]:
@@ -157,16 +181,12 @@ def _sums_from_samples(w, g, kmax: int) -> list[complex]:
 
 
 class Evaluable:
-    """Pairs an elementwise function with its logarithmic derivative (or a
-    fused evaluator of both) so the contour routines can skip finite
-    differencing."""
+    """An elementwise function f with pair(z) = (f(z), f'(z)/f(z)): the
+    protocol the contour routines accept."""
 
-    def __init__(self, f, dlog=None, pair=None):
+    def __init__(self, f, pair):
         self._f = f
-        if dlog is not None:
-            self.dlog = dlog
-        if pair is not None:
-            self.values_and_dlog = pair
+        self.values_and_dlog = pair
 
     def __call__(self, z):
         return self._f(z)
@@ -183,45 +203,17 @@ def contour_power_sums(
 ) -> PowerSums:
     """Power sums of the zeros of f inside |z - center| = radius.
 
-    Trapezoidal quadrature of (1/2 pi i) * integral of (f'/f) w^p dw with f'
-    by central differences; the node count is doubled until two successive
-    counts agree.  Raises ContourTooCloseError when the circle passes too
-    close to a zero or pole of f, NonIntegerCountError when the count
-    integral is farther than 0.1 from an integer.
+    Trapezoidal quadrature of (1/2 pi i) * integral of (f'/f) w^p dw with
+    f'/f from f.values_and_dlog; the node count is doubled until two
+    successive counts agree.  Raises ContourTooCloseError when the circle
+    passes too close to a zero or pole of f, NonIntegerCountError when the
+    count integral is farther than 0.1 from an integer or f has no
+    values_and_dlog.
     """
     if kmax < 0:
         raise InsufficientSumsError(f"kmax must be >= 0, got {kmax}")
-    fd_step = FD_STEP_REL * radius
-    n = nodes
-    while True:
-        w, fz, g = _circle_samples(f, center, radius, n, fd_step)
-        mods = np.abs(fz)
-        scale = float(np.median(mods))
-        if scale == 0.0 or not np.isfinite(scale):
-            raise ContourTooCloseError(
-                "degenerate function values on contour", center=center, radius=radius
-            )
-        if mods.min() < min_modulus * scale:
-            raise ContourTooCloseError(
-                "zero too close to contour", center=center, radius=radius
-            )
-        if mods.max() > scale / min_modulus:
-            raise ContourTooCloseError(
-                "pole too close to contour", center=center, radius=radius
-            )
-        # the half-node subset is the coarser trapezoid rule: counts must agree
-        s0 = complex(np.mean(g * w))
-        s0_half = complex(np.mean(g[::2] * w[::2]))
-        count = round(s0.real)
-        if abs(s0 - count) <= 0.1 and abs(s0_half - count) <= 0.1:
-            break
-        if n >= 16 * nodes:
-            raise NonIntegerCountError(
-                f"count integral {s0} not near an integer",
-                center=center,
-                radius=radius,
-            )
-        n *= 2
+    _require_dlog(f)
+    count, w, g, _ = _counted_samples(f, center, radius, nodes, min_modulus)
     values = _sums_from_samples(w, g, kmax)
     values[0] = complex(count)
     return PowerSums(tuple(values))
@@ -267,8 +259,7 @@ def _newton_polish(f, z0: complex, mult: int, step_scale: float, max_iter: int =
     best_z, best_r = z0, math.inf
     stale = 0
     for _ in range(max_iter):
-        za = np.array([z])
-        fz_a, g_a = _eval_with_dlog(f, za)
+        fz_a, g_a = f.values_and_dlog(np.array([z]))
         fz = complex(fz_a[0])
         r = abs(fz)
         if r < 0.5 * best_r:
@@ -311,33 +302,16 @@ class _GridRetry(Exception):
     pass
 
 
+# a cell circle that fails like this is a reason to subdivide or re-shift
+_RETRY = (_GridRetry, ContourTooCloseError, NonIntegerCountError)
+
+
 def _cell_circle(lat: Lattice, a0, b0, sa, sb):
     center = lat.from_coords(a0 + sa / 2.0, b0 + sb / 2.0)
     half_diag = 0.5 * max(
         abs(sa * lat.omega1 + sb * lat.omega2), abs(sa * lat.omega1 - sb * lat.omega2)
     )
     return center, 1.07 * half_diag
-
-
-def _net_count_and_sums(f, center, radius, kmax):
-    fd_step = FD_STEP_REL * radius
-    n = CONTOUR_NODES
-    while True:
-        w, fz, g = _circle_samples(f, center, radius, n, fd_step)
-        mods = np.abs(fz)
-        scale = float(np.median(mods))
-        if not np.isfinite(scale) or scale == 0.0:
-            raise _GridRetry()
-        if mods.min() < 1e-4 * scale or mods.max() > 1e4 * scale:
-            raise _GridRetry()
-        s0 = complex(np.mean(g * w))
-        s0_half = complex(np.mean(g[::2] * w[::2]))
-        count = round(s0.real)
-        if abs(s0 - count) <= 0.1 and abs(s0_half - count) <= 0.1:
-            return count, _sums_from_samples(w, g, kmax), scale
-        if n >= 2048:
-            raise _GridRetry()
-        n *= 2
 
 
 _KMAX_CAP = 8
@@ -349,16 +323,12 @@ def _roots_from_sums(count: int, sums: list[complex], center: complex):
     return [center + complex(r) for r in np.roots(monic_from_elementary(sym))]
 
 
-def _sums_at(f, center, radius, kmax, n):
-    """Power sums at a fixed node count (no doubling), with proximity checks."""
-    w, fz, g = _circle_samples(f, center, radius, n, FD_STEP_REL * radius)
-    mods = np.abs(fz)
-    scale = float(np.median(mods))
-    if not np.isfinite(scale) or scale == 0.0:
-        raise _GridRetry()
-    if mods.min() < 1e-4 * scale or mods.max() > 1e4 * scale:
-        raise _GridRetry()
-    return _sums_from_samples(w, g, kmax)
+def _cell_sums(f, center, radius):
+    """(count, power sums 0.._KMAX_CAP, median |f|) on a cell circle."""
+    count, w, g, scale = _counted_samples(
+        f, center, radius, CONTOUR_NODES, CELL_MIN_MODULUS_REL
+    )
+    return count, _sums_from_samples(w, g, _KMAX_CAP), scale
 
 
 def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, found):
@@ -375,8 +345,8 @@ def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, found):
                 )
 
     try:
-        count, sums, scale = _net_count_and_sums(f, center, radius, _KMAX_CAP)
-    except _GridRetry:
+        count, sums, scale = _cell_sums(f, center, radius)
+    except _RETRY:
         # a feature sits too close to this cell's circle; subdividing moves
         # every boundary, so trouble stays local instead of restarting the grid
         if depth >= MAX_CELL_DEPTH:
@@ -408,9 +378,10 @@ def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, found):
         if gross > 0.05:
             return False
         try:
-            hi = _sums_at(f, center, radius, _KMAX_CAP, 768)
-        except _GridRetry:
+            w, g, _ = _circle_samples(f, center, radius, 768, CELL_MIN_MODULUS_REL)
+        except _RETRY:
             return False
+        hi = _sums_from_samples(w, g, _KMAX_CAP)
         return moments_explained(points, start, hi, sign)
 
     if count == 0:
@@ -447,10 +418,8 @@ def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, found):
         # net poles: recover them from 1/f on the same circle and accept the
         # cell as pole-only when they explain every measured f-moment
         try:
-            rcount, rsums, _ = _net_count_and_sums(
-                reciprocal(f), center, radius, _KMAX_CAP
-            )
-        except _GridRetry:
+            rcount, rsums, _ = _cell_sums(reciprocal(f), center, radius)
+        except _RETRY:
             subdivide()
             return
         if rcount == -count and rcount <= _KMAX_CAP:
@@ -497,8 +466,10 @@ def locate_zeros(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int = 0) ->
 
     The pole divisor is obtained by applying the same routine to 1/f.
     Raises SubdivisionFailureError when no admissible subdivision grid is
-    found after the maximum number of seeded shifts.
+    found after the maximum number of seeded shifts, NonIntegerCountError
+    when f has no values_and_dlog.
     """
+    _require_dlog(f)
     rng = np.random.default_rng(seed)
     for attempt in range(MAX_GRID_SHIFTS):
         if attempt == 0:
@@ -511,7 +482,7 @@ def locate_zeros(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int = 0) ->
             for i in range(BASE_SUBDIVISION):
                 for j in range(BASE_SUBDIVISION):
                     _process_cell(f, lat, oa + i * s, ob + j * s, s, s, 0, tol, found)
-        except _GridRetry:
+        except _RETRY:
             continue
         merged = _cluster([z for z, m in found for _ in range(m)], tol)
         return divisor(merged, lat)
@@ -522,23 +493,18 @@ def locate_zeros(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int = 0) ->
 
 def reciprocal(f):
     """Evaluable 1/f for pole location; log derivative flips sign."""
-    pair = getattr(f, "values_and_dlog", None)
-    dlog = getattr(f, "dlog", None)
+    pair = f.values_and_dlog
 
     def g(z):
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / np.asarray(f(z))
 
-    if pair is not None:
-        def rpair(z):
-            v, d = pair(z)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return 1.0 / np.asarray(v), -np.asarray(d)
+    def rpair(z):
+        v, d = pair(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / np.asarray(v), -np.asarray(d)
 
-        return Evaluable(g, pair=rpair)
-    if dlog is None:
-        return g
-    return Evaluable(g, dlog=lambda z: -np.asarray(dlog(z)))
+    return Evaluable(g, rpair)
 
 
 def locate_divisor_pair(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int = 0):

@@ -178,104 +178,60 @@ class EllipticFunction:
     def degree(self) -> int:
         return self.zeros.degree
 
-    def values(self, z):
-        """Raw vectorized evaluation (no pole thresholding)."""
-        z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        u = np.atleast_1d(z) / self.lattice.omega1
+    def _quotient(self, z, order: int):
+        """One pass over the zero and pole lifts at the points z.
+
+        Returns (f, L1, L2): the quotient values and the summed logarithmic
+        derivatives L1 = sum +-m theta'/theta and L2 = sum +-m (theta'/theta)'
+        in the normalized coordinate u = z / omega1, accumulated up to the
+        given derivative order (0, 1 or 2; higher orders stay zero).
+        """
+        u = np.atleast_1d(np.asarray(z, dtype=complex)) / self.lattice.omega1
         h = (1.0 + self.lattice.tau) / 2.0
-        num = np.ones_like(u)
-        lognum = np.zeros_like(u)
-        den = np.ones_like(u)
-        logden = np.zeros_like(u)
-        zlifts, plifts = self._lifts
-        for lift, mult in zlifts:
-            vals, logf = theta_derivs_reduced(u - h - lift, self.lattice, order=0)
-            num = num * vals[0] ** mult
-            lognum = lognum + mult * logf
-        for lift, mult in plifts:
-            vals, logf = theta_derivs_reduced(u - h - lift, self.lattice, order=0)
-            den = den * vals[0] ** mult
-            logden = logden + mult * logf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.scale * (num / den) * np.exp(lognum - logden)
-        return complex(out[0]) if scalar else out
-
-    def __call__(self, z):
-        return self.values(z)
-
-    def values_and_dlog(self, z):
-        """(f(z), f'(z)/f(z)) in one pass; the theta factors are shared."""
-        z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        u = np.atleast_1d(z) / self.lattice.omega1
-        h = (1.0 + self.lattice.tau) / 2.0
-        num = np.ones_like(u)
-        logs = np.zeros_like(u)
-        den = np.ones_like(u)
-        acc = np.zeros_like(u)
-        zlifts, plifts = self._lifts
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for lift, mult in zlifts:
-                d, logf = theta_derivs_reduced(u - h - lift, self.lattice, order=1)
-                num = num * d[0] ** mult
-                logs = logs + mult * logf
-                acc = acc + mult * d[1] / d[0]
-            for lift, mult in plifts:
-                d, logf = theta_derivs_reduced(u - h - lift, self.lattice, order=1)
-                den = den * d[0] ** mult
-                logs = logs - mult * logf
-                acc = acc - mult * d[1] / d[0]
-            vals = self.scale * (num / den) * np.exp(logs)
-            acc = acc / self.lattice.omega1
-        if scalar:
-            return complex(vals[0]), complex(acc[0])
-        return vals, acc
-
-    def dlog(self, z):
-        """f'/f, assembled analytically from the theta factors."""
-        return self.values_and_dlog(z)[1]
-
-    def derivative_pair(self, z):
-        """(f'(z), f''(z)/f'(z)) from one order-2 theta pass, using
-        f' = f L1 and f'' = f (L1^2 + L2) with L1 = (log f)', L2 = (log f)''."""
-        z = np.asarray(z, dtype=complex)
-        u = np.atleast_1d(z) / self.lattice.omega1
-        h = (1.0 + self.lattice.tau) / 2.0
-        num = np.ones_like(u)
-        logs = np.zeros_like(u)
-        den = np.ones_like(u)
-        l1 = np.zeros_like(u)
-        l2 = np.zeros_like(u)
+        num, den = np.ones_like(u), np.ones_like(u)
+        logs, l1, l2 = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
         zlifts, plifts = self._lifts
         with np.errstate(divide="ignore", invalid="ignore"):
             for lifts, sign in ((zlifts, 1.0), (plifts, -1.0)):
                 for lift, mult in lifts:
-                    d, logf = theta_derivs_reduced(u - h - lift, self.lattice, order=2)
+                    d, logf = theta_derivs_reduced(u - h - lift, self.lattice, order=order)
                     if sign > 0:
                         num = num * d[0] ** mult
                         logs = logs + mult * logf
                     else:
                         den = den * d[0] ** mult
                         logs = logs - mult * logf
-                    r1 = d[1] / d[0]
-                    l1 = l1 + sign * mult * r1
-                    l2 = l2 + sign * mult * (d[2] / d[0] - r1 * r1)
-            vals = self.scale * (num / den) * np.exp(logs)
-            w1 = self.lattice.omega1
-            fprime = vals * l1 / w1
-            ddlog = (l1 * l1 + l2) / (l1 * w1)
-        return fprime, ddlog
+                    if order >= 1:
+                        l1 = l1 + sign * mult * d[1] / d[0]
+                    if order >= 2:
+                        r1 = d[1] / d[0]
+                        l2 = l2 + sign * mult * (d[2] / d[0] - r1 * r1)
+            return self.scale * (num / den) * np.exp(logs), l1, l2
 
-    def derivative_callable(self, rel_step: float = 1e-6):
-        """f' by central differences, itself elliptic; for zero location."""
-        hstep = rel_step * abs(self.lattice.omega1)
+    def values(self, z):
+        """Raw vectorized evaluation (no pole thresholding)."""
+        vals = self._quotient(z, 0)[0]
+        return complex(vals[0]) if np.ndim(z) == 0 else vals
 
-        def fp(z):
-            z = np.asarray(z, dtype=complex)
-            return (self.values(z + hstep) - self.values(z - hstep)) / (2.0 * hstep)
+    def __call__(self, z):
+        return self.values(z)
 
-        return fp
+    @np.errstate(divide="ignore", invalid="ignore")
+    def values_and_dlog(self, z):
+        """(f(z), f'(z)/f(z)) in one pass; the theta factors are shared."""
+        vals, l1, _ = self._quotient(z, 1)
+        dlog = l1 / self.lattice.omega1
+        if np.ndim(z) == 0:
+            return complex(vals[0]), complex(dlog[0])
+        return vals, dlog
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def derivative_pair(self, z):
+        """(f'(z), f''(z)/f'(z)) from one order-2 theta pass, using
+        f' = f L1 and f'' = f (L1^2 + L2) with L1 = (log f)', L2 = (log f)''."""
+        vals, l1, l2 = self._quotient(z, 2)
+        w1 = self.lattice.omega1
+        return vals * l1 / w1, (l1 * l1 + l2) / (l1 * w1)
 
     def translated(self, t: complex) -> "EllipticFunction":
         """The function z -> f(z + t) up to the free scale constant:
@@ -400,7 +356,7 @@ def wp_evaluable(lat: Lattice, shift: complex = 0j):
         with np.errstate(divide="ignore", invalid="ignore"):
             return v, pp / v
 
-    return Evaluable(f, pair=pair)
+    return Evaluable(f, pair)
 
 
 def wp_function(lat: Lattice) -> EllipticFunction:

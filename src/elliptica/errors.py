@@ -130,3 +130,11 @@ class SingularInputError(EllipticaError):
 
 class UnsupportedFormatError(EllipticaError):
     operation = "render_report"
+
+
+class NonFiniteResultError(EllipticaError):
+    operation = "render_report"
+
+
+class InvalidArgumentError(EllipticaError):
+    operation = "parse_arguments"

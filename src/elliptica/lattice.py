@@ -44,14 +44,6 @@ class Lattice:
     def from_coords(self, a: float, b: float) -> complex:
         return a * self.omega1 + b * self.omega2
 
-    def shortest_vector(self) -> float:
-        return min(abs(self.omega1), abs(self.omega2))
-
-    def generates_point(self, z: complex, tol: float = 1e-9) -> bool:
-        """Whether z lies on the lattice within tol (absolute)."""
-        a, b = self.coords(z)
-        return abs(z - self.from_coords(round(a), round(b))) <= tol
-
 
 @dataclass(frozen=True)
 class TorusPoint:
@@ -90,11 +82,14 @@ def make_lattice(w1: complex, w2: complex) -> Lattice:
     """Build the lattice generated by w1, w2 with a reduced canonical basis.
 
     The returned generators span the same point set.  Raises
-    DegenerateGeneratorsError when the generators are numerically parallel.
+    DegenerateGeneratorsError when a generator is zero or not finite, or the
+    generators are numerically parallel.
     """
     w1, w2 = complex(w1), complex(w2)
     if w1 == 0 or w2 == 0:
         raise DegenerateGeneratorsError("zero generator", w1=w1, w2=w2)
+    if not (cmath.isfinite(w1) and cmath.isfinite(w2)):
+        raise DegenerateGeneratorsError("non-finite generator", w1=w1, w2=w2)
     ratio = w2 / w1
     if abs(ratio.imag) < DEGENERACY_TOL * abs(ratio):
         raise DegenerateGeneratorsError(

@@ -84,9 +84,6 @@ class ProjLine:
         d, v = self.dual.vec, p.vec
         return float(abs(np.dot(d, v)) / (np.linalg.norm(d) * np.linalg.norm(v)))
 
-    def contains(self, p: ProjPoint, tol: float = 1e-9) -> bool:
-        return self.incidence(p) <= tol
-
     def spanning_points(self) -> tuple[ProjPoint, ProjPoint]:
         """Two distinct points spanning the line."""
         a, b, c = self.dual.coords

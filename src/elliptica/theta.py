@@ -124,13 +124,3 @@ def theta_shifted(x, z, lat: Lattice, trunc: int = THETA_TRUNC):
     h = (1.0 + lat.tau) / 2.0
     return theta(np.asarray(z, dtype=complex) - h - lift, lat, trunc)
 
-
-def theta_shifted_log(x, z, lat: Lattice, trunc: int = THETA_TRUNC):
-    """(value_reduced, log_factor) for theta^(x)(z); the true value is
-    value_reduced * exp(log_factor).  Used by quotient evaluation."""
-    lift = getattr(x, "rep", x)
-    h = (1.0 + lat.tau) / 2.0
-    vals, logf = theta_derivs_reduced(
-        np.asarray(z, dtype=complex) - h - lift, lat, trunc, order=0
-    )
-    return vals[0], logf

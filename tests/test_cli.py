@@ -143,3 +143,32 @@ def test_out_writes_file(tmp_path):
     status = main(["lattice", "--tau", "0,1", "--out", str(out)])
     assert status == 0
     assert json.loads(out.read_bytes())["class"]["kind"] == "square"
+
+
+@pytest.mark.parametrize(
+    "argv, operation",
+    [
+        (["fiber", "--tau", "0.3,1.4", "--q", "0,0", "0,0", "0,0"], "parse_arguments"),
+        (["hesse-scan", "--t", "1/0,0", "--exact"], "parse_arguments"),
+        (["hesse-scan", "--t", "1,2,3"], "parse_arguments"),
+        (["lattice", "--tau", "nan,1"], "make_lattice"),
+        # theta overflows for Im tau this large: the NaN must not print as "inf"
+        (["wp", "--tau", "0,1e6", "--z", "0.3,0.2"], "render_report"),
+        (["theta", "--tau", "0.3,1.4", "--z", "0.1,500"], "render_report"),
+    ],
+)
+def test_bad_input_or_nonfinite_result_is_domain_error(argv, operation):
+    status, payload = dispatch(argv)
+    assert status == 1, payload
+    assert json.loads(payload)["error"]["operation"] == operation
+
+
+def test_options_only_where_read():
+    for argv in (["lattice", "--tau", "0,1", "--trunc", "5"],
+                 ["lattice", "--tau", "0,1", "--tol", "1e-6"]):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 2
+    assert run_json(["theta", "--tau", "0,2", "--z", "0.3,0.2", "--trunc", "8"])["value"]
+    doc = run_json(["hesse-scan", "--t", "6,0", "--tol", "1e-8"])
+    assert len(doc["concurrent_triples"]) == 3

@@ -212,3 +212,21 @@ def test_divisor_json_round_trip(generic):
     d = divisor([(0.2 + 0.3j, 2), (0.7 + 0.9j, 1)], generic)
     d2 = divisor_from_json(d.to_json(), generic)
     assert match_divisors(d, d2, generic, 1e-12)
+
+
+def test_contour_half_count_with_exact_log_derivative(generic):
+    # sqrt(z - a) has f'/f = 1/(2 (z - a)): the count integral is 1/2 at
+    # every node count
+    from elliptica.divisors import Evaluable
+
+    a = 0.5
+    f = Evaluable(lambda z: np.sqrt(z - a), lambda z: (np.sqrt(z - a), 0.5 / (z - a)))
+    with pytest.raises(NonIntegerCountError):
+        contour_power_sums(f, a + 0.2, 0.4, 2, generic)
+
+
+def test_contour_requires_values_and_dlog(generic):
+    with pytest.raises(NonIntegerCountError, match="values_and_dlog"):
+        contour_power_sums(lambda z: z - 0.5, 0.5, 0.1, 2, generic)
+    with pytest.raises(NonIntegerCountError, match="values_and_dlog"):
+        locate_zeros(lambda z: z - 0.5, generic)
