@@ -40,7 +40,7 @@ from .lattice import (
 from .projective import ProjPoint, point_from_vec
 from .report import SvgCanvas, marching_segments, render_report, to_json_bytes
 from .sphere import INF
-from .theta import THETA_TRUNC, theta
+from .theta import theta
 
 
 @dataclass
@@ -448,7 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         sp = add(name, help=hlp)
         sp.add_argument("--z", type=_parse_complex, required=True)
-        sp.add_argument("--trunc", type=int, default=THETA_TRUNC, help="theta truncation")
+        sp.add_argument(
+            "--trunc", type=int, default=None,
+            help="theta terms per sign (default: as many as the tail bound "
+                 "needs, 1-4 for a reduced lattice; the term ladder cannot overflow)",
+        )
     for name, hlp in [
         ("build-fn", "build an elliptic function from divisors"),
         ("decompose2", "degree-2 normal form g o wp o translation"),
@@ -493,7 +497,10 @@ def _run(argv: list[str]):
     args = parser.parse_args(argv)
     try:
         cfg = _config(args)
-        json_doc, csv_doc, svg_fn = _HANDLERS[args.command](args, cfg)
+        # every non-finite value is refused below, so numpy's overflow and
+        # invalid-value warnings would only put noise ahead of the error
+        with np.errstate(all="ignore"):
+            json_doc, csv_doc, svg_fn = _HANDLERS[args.command](args, cfg)
         field = _nonfinite_field(json_doc, "") or _nonfinite_field(csv_doc and csv_doc[1], "rows")
         if field is not None:
             raise NonFiniteResultError(

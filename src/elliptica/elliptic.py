@@ -37,7 +37,7 @@ from .lattice import (
     weierstrass_invariants,
 )
 from .sphere import INF, MobiusTransform, chordal, is_infinite, mobius_through
-from .theta import THETA_TRUNC, theta_derivs_reduced
+from .theta import theta_derivs_reduced
 
 POLE_THRESHOLD = 1e-9
 ABEL_TOL = 1e-9
@@ -45,7 +45,7 @@ RECONSTRUCTION_TOL = 1e-6
 
 
 @lru_cache(maxsize=128)
-def _wp_constant(lat: Lattice, trunc: int) -> complex:
+def _wp_constant(lat: Lattice, trunc: int | None) -> complex:
     # C = B'''(0)/(3 B'(0)) - B''(0)^2 / (4 B'(0)^2) for B(u) = theta(u - h)
     h = (1.0 + lat.tau) / 2.0
     d, logf = theta_derivs_reduced(np.array([-h]), lat, trunc, order=3)
@@ -53,7 +53,7 @@ def _wp_constant(lat: Lattice, trunc: int) -> complex:
     return b3 / (3.0 * b1) - b2 * b2 / (4.0 * b1 * b1)
 
 
-def wp_values(z, lat: Lattice, trunc: int = THETA_TRUNC):
+def wp_values(z, lat: Lattice, trunc: int | None = None):
     """Vectorized raw (wp, wp') without pole masking; z may be any shape.
 
     Values at (numerical) lattice points come out non-finite.
@@ -88,7 +88,7 @@ def _laurent_coeffs(lat: Lattice, nterms: int = 22) -> np.ndarray:
 
 
 def wp_pair(z: complex, lat: Lattice, method: str = "theta",
-            trunc: int = THETA_TRUNC, radius: int = 120):
+            trunc: int | None = None, radius: int = 120):
     """(wp(z), wp'(z)) as sphere values; (INF, INF) within the pole-proximity
     threshold of a lattice point.
 
@@ -432,15 +432,11 @@ def decompose_degree2(
             g = mobius_through((INF, e1, e2), dst)
         except (ValueError, IndeterminatePointError):
             continue
-        worst = 0.0
-        for z in zgrid:
-            fv = eval_elliptic(f, z)
-            pv, _ = wp_pair(z - t.rep, lat)
-            gv = g(pv)
-            worst = max(worst, chordal(fv, gv))
-            if worst > tol:
-                break
-        if worst <= tol:
+        # "<= tol" is false for a NaN distance, so a NaN value never passes
+        if all(
+            chordal(eval_elliptic(f, z), g(wp_pair(z - t.rep, lat)[0])) <= tol
+            for z in zgrid
+        ):
             return g, t
     raise ReconstructionFailureError(
         "no branch-point translate reproduces f within tolerance"

@@ -1,9 +1,11 @@
 """Riemann-sphere values and Moebius transformations.
 
 A sphere value is an ordinary complex number or the point at infinity,
-represented by the constant INF (a complex with non-finite parts).  All
+represented by the constant INF (a complex with an infinite part).  All
 comparisons between sphere values go through the chordal metric, which is
-bounded and treats infinity like any other point.
+bounded and treats infinity like any other point.  A NaN is neither: it is
+not infinite, and its chordal distance to anything is NaN, so no
+"distance < tol" test can match it.
 """
 from __future__ import annotations
 
@@ -15,11 +17,15 @@ INF = complex(math.inf, math.inf)
 
 
 def is_infinite(v: complex) -> bool:
-    return not (math.isfinite(v.real) and math.isfinite(v.imag))
+    """True for the point at infinity: a part is +-inf and neither is NaN."""
+    return not cmath.isnan(v) and cmath.isinf(v)
 
 
 def chordal(a: complex, b: complex) -> float:
-    """Chordal distance on the Riemann sphere, in [0, 2]."""
+    """Chordal distance on the Riemann sphere, in [0, 2]; NaN if either
+    value has a NaN part."""
+    if cmath.isnan(a) or cmath.isnan(b):
+        return math.nan
     ainf, binf = is_infinite(a), is_infinite(b)
     if ainf and binf:
         return 0.0
@@ -111,6 +117,6 @@ def sphere_from_pair(num: complex, den: complex) -> complex:
     if den == 0:
         return INF
     v = num / den
-    if cmath.isnan(v.real) or cmath.isnan(v.imag):
+    if cmath.isnan(v):
         return INF
     return v

@@ -1,22 +1,28 @@
 """The Jacobi theta function of a lattice and its derivatives.
 
 theta(z) = sum_n exp(i pi (n^2 tau + 2 n z)) for the normalized lattice
-Z + tau Z.  Arguments are first re-centered into the band |Im z| <= Im(tau)/2
-through the quasi-period relations, which keeps the truncated sum accurate
-at the default truncation for any input.  The accumulated quasi-period
+Z + tau Z (DLMF 20.2.3 with q = exp(i pi tau)).  Arguments are first
+re-centered into the band |Im z| <= Im(tau)/2 through the quasi-period
+relations.  There the n-th term of a derivative of order <= 3 is at most
+(2 pi n)^3 exp(-pi Im(tau) (n^2 - n)) (the explicit tail bound of Deconinck
+et al., Math. Comp. 73 (2004)), so by default the sum stops at the smallest
+N whose first omitted term n = N + 1 is below TAIL_EPS: N = 4 at
+Im tau = sqrt(3)/2, 3 at 1.5, 2 at 3 and 1 above Im tau = 7.81.  The terms
+come from a ladder whose step factors all have modulus <= 1, so no product
+can overflow for any Im tau or truncation.  The accumulated quasi-period
 factor is returned in logarithmic form by the low-level routine so that
 theta quotients can cancel it without overflow.
 """
 from __future__ import annotations
 
 import math
-from math import comb
+from functools import lru_cache
 
 import numpy as np
 
 from .lattice import Lattice
 
-THETA_TRUNC = 24
+TAIL_EPS = 1e-18
 
 
 def _reduce_band(z: np.ndarray, tau: complex):
@@ -31,52 +37,44 @@ def _reduce_band(z: np.ndarray, tau: complex):
     return zr, k
 
 
-_coeff_cache: dict[tuple[complex, int], tuple[np.ndarray, np.ndarray]] = {}
+@lru_cache(maxsize=128)
+def _term_count(im_tau: float) -> int:
+    """Smallest N with (2 pi n)^3 exp(-pi Im(tau) (n^2 - n)) < TAIL_EPS at n = N + 1."""
+    if not im_tau > 0:
+        raise ValueError(f"Im tau must be positive, got {im_tau}")
+    n = 2
+    while 3.0 * math.log(2.0 * math.pi * n) - math.pi * im_tau * (n * n - n) >= math.log(TAIL_EPS):
+        n += 1
+    return n - 1
 
 
-def _nome_coeffs(tau: complex, trunc: int):
-    key = (tau, trunc)
-    hit = _coeff_cache.get(key)
-    if hit is None:
-        n = np.arange(1, trunc + 1)
-        hit = (np.exp(1j * np.pi * n * n * tau), 2j * np.pi * n)
-        if len(_coeff_cache) > 64:
-            _coeff_cache.clear()
-        _coeff_cache[key] = hit
-    return hit
+def _raw_derivs(z: np.ndarray, tau: complex, trunc: int | None, order: int) -> np.ndarray:
+    """Partial sums of theta and derivatives 0..order at band-reduced z.
 
-
-def _raw_derivs(z: np.ndarray, tau: complex, trunc: int, order: int) -> np.ndarray:
-    """Partial sums of theta and derivatives 0..order at z (no reduction).
-
-    The nome powers exp(i pi n^2 tau) are cached per lattice and the z
-    dependence enters through cumulative powers of exp(2 pi i z), which is
-    much cheaper than exponentiating the full (z, n) grid.  Terms combine as
-    symmetric n / -n pairs so theta(-z) = theta(z) exactly at the summation
-    level.
+    The terms q^(n^2) e^(+-2 pi i n z) (q = e^(i pi tau)) of the n and -n
+    ladders are cumulative products term_n = term_(n-1) * r * q^(2(n-1))
+    with r = e^(i pi tau +- 2 pi i z); in the band |r| <= 1, so every step
+    factor has modulus <= 1 and terms can only underflow to 0.  The two
+    ladders are mirror images, so theta(-z) = theta(z) holds exactly at
+    the summation level.
     """
-    qn, fac = _nome_coeffs(tau, trunc)
-    b = np.exp(2j * np.pi * z)
-    # the inverse powers use their own exp so that negating z swaps the two
-    # power ladders bitwise (keeps theta(-z) == theta(z) exact)
-    binv = np.exp(-2j * np.pi * z)
-    bp = np.empty(z.shape + (trunc,), dtype=complex)
-    bm = np.empty_like(bp)
-    bp[..., 0] = b
-    bm[..., 0] = binv
-    for k in range(1, trunc):
-        bp[..., k] = bp[..., k - 1] * b
-        bm[..., k] = bm[..., k - 1] * binv
-    ep = qn * bp
-    em = qn * bm
-    out = np.empty((order + 1,) + z.shape, dtype=complex)
-    out[0] = 1.0 + (ep + em).sum(axis=-1)
+    n = np.arange(1, (trunc if trunc is not None else _term_count(tau.imag)) + 1)
+    zf = z.reshape(-1)
+    step = np.exp(2j * np.pi * (n - 1) * tau)[:, None]
+    # the two exps take the same rounding path, so negating z swaps the
+    # ladders bitwise
+    ep = (np.exp(1j * np.pi * tau + 2j * np.pi * zf) * step).cumprod(axis=0)
+    em = (np.exp(1j * np.pi * tau - 2j * np.pi * zf) * step).cumprod(axis=0)
+    even, odd = ep + em, ep - em
+    fac = 2j * np.pi * n
+    out = np.empty((order + 1, zf.size), dtype=complex)
+    out[0] = 1.0 + even.sum(axis=0)
     for d in range(1, order + 1):
-        out[d] = (ep * fac ** d + em * (-fac) ** d).sum(axis=-1)
-    return out
+        out[d] = fac ** d @ (odd if d % 2 else even)
+    return out.reshape((order + 1,) + z.shape)
 
 
-def theta_derivs_reduced(z, lat: Lattice, trunc: int = THETA_TRUNC, order: int = 0):
+def theta_derivs_reduced(z, lat: Lattice, trunc: int | None = None, order: int = 0):
     """(derivs, log_factor): theta^(d)(z) values with the quasi-period factor
     split off, theta^(d)(z) = sum_j C(d,j) a^(d-j) derivs_raw[j] * exp(log_factor),
     already combined: returns derivs such that true theta^(d) = derivs[d]*exp(log_factor).
@@ -86,35 +84,32 @@ def theta_derivs_reduced(z, lat: Lattice, trunc: int = THETA_TRUNC, order: int =
     scalar = z.ndim == 0
     zv = np.atleast_1d(z)
     zr, k = _reduce_band(zv, tau)
-    raw = _raw_derivs(zr, tau, trunc, order)
+    out = _raw_derivs(zr, tau, trunc, order)
     logf = -1j * np.pi * (k * k * tau + 2.0 * k * zr)
     a = -2j * np.pi * k
-    out = np.empty_like(raw)
-    for d in range(order + 1):
-        acc = np.zeros_like(zr)
-        for j in range(d + 1):
-            acc = acc + comb(d, j) * a ** (d - j) * raw[j]
-        out[d] = acc
+    # the binomial sum over j, as `order` passes of raw[j] += a * raw[j-1]
+    for i in range(order):
+        out[i + 1:] += a * out[i:-1]
     if scalar:
         return out[:, 0], logf[0]
     return out, logf
 
 
-def theta(z, lat: Lattice, trunc: int = THETA_TRUNC):
+def theta(z, lat: Lattice, trunc: int | None = None):
     """Jacobi theta of the normalized lattice Z + tau Z at z.
 
-    Accepts a scalar or an ndarray.  After band reduction the tail of the
-    partial sum decays like exp(-pi Im(tau) (trunc - 1/2)^2), super
-    exponentially in trunc, so the default truncation is already far below
-    double precision.  The quasi-period factor picked up by reduction can
-    overflow for |Im z| many multiples of Im(tau); within a few fundamental
-    cells it is harmless.
+    Accepts a scalar or an ndarray.  trunc=None takes the term count from
+    the tail bound (first omitted term below TAIL_EPS); an explicit trunc
+    is used as given.  The term ladder cannot overflow for any Im tau or
+    trunc.  The quasi-period factor picked up by reduction can overflow for
+    |Im z| many multiples of Im(tau); within a few fundamental cells it is
+    harmless.
     """
     vals, logf = theta_derivs_reduced(z, lat, trunc, order=0)
     return vals[0] * np.exp(logf)
 
 
-def theta_shifted(x, z, lat: Lattice, trunc: int = THETA_TRUNC):
+def theta_shifted(x, z, lat: Lattice, trunc: int | None = None):
     """theta(z - (1+tau)/2 - x~) for the canonical lift x~ of x.
 
     x may be a TorusPoint (its rep is used) or a plain complex lift.

@@ -1,7 +1,12 @@
+import cmath
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import elliptica
 from elliptica.cli import dispatch
 
 
@@ -152,8 +157,8 @@ def test_out_writes_file(tmp_path):
         (["hesse-scan", "--t", "1/0,0", "--exact"], "parse_arguments"),
         (["hesse-scan", "--t", "1,2,3"], "parse_arguments"),
         (["lattice", "--tau", "nan,1"], "make_lattice"),
-        # theta overflows for Im tau this large: the NaN must not print as "inf"
-        (["wp", "--tau", "0,1e6", "--z", "0.3,0.2"], "render_report"),
+        # the quasi-period factor of theta exceeds double range on both sides
+        (["theta", "--tau", "0.3,1.4", "--z=0.1,-500"], "render_report"),
         (["theta", "--tau", "0.3,1.4", "--z", "0.1,500"], "render_report"),
     ],
 )
@@ -161,6 +166,25 @@ def test_bad_input_or_nonfinite_result_is_domain_error(argv, operation):
     status, payload = dispatch(argv)
     assert status == 1, payload
     assert json.loads(payload)["error"]["operation"] == operation
+
+
+def test_wp_at_large_im_tau_matches_trigonometric_limit():
+    # as Im tau -> oo with omega1 = 1, wp(z) -> pi^2/sin^2(pi z) - pi^2/3
+    doc = run_json(["wp", "--tau", "0,1e6", "--z", "0.3,0.2"])
+    z = 0.3 + 0.2j
+    ref = cmath.pi ** 2 / cmath.sin(cmath.pi * z) ** 2 - cmath.pi ** 2 / 3.0
+    assert abs(complex(*doc["p"]) - ref) <= 1e-8 * abs(ref)
+
+
+def test_overflow_error_is_the_only_stderr_output():
+    src = os.path.dirname(os.path.dirname(elliptica.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "elliptica", "theta", "--tau", "0.3,1.4", "--z", "0.1,500"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"]["operation"] == "render_report"
 
 
 def test_options_only_where_read():

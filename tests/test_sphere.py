@@ -65,3 +65,19 @@ def test_mobius_through_with_infinite_targets():
 def test_sphere_from_pair():
     assert sphere_from_pair(1.0, 2.0) == 0.5
     assert is_infinite(sphere_from_pair(1.0, 0.0))
+    # a NaN quotient of a homogeneous pair is read as the point at infinity
+    assert is_infinite(sphere_from_pair(complex(math.nan, 0.0), 1.0))
+
+
+def test_nan_is_not_infinity():
+    nan = math.nan
+    for v in (complex(nan, 0.0), complex(0.0, nan), complex(nan, nan),
+              complex(math.inf, nan), complex(nan, -math.inf)):
+        assert not is_infinite(v)
+        for other in (0.0, 1.5 - 2j, INF, v):
+            assert math.isnan(chordal(v, other)) and math.isnan(chordal(other, v))
+            assert not chordal(v, other) < 1e-7
+    for v in (INF, complex(-math.inf, 0.0), complex(3.0, math.inf)):
+        assert is_infinite(v)
+        assert chordal(v, INF) == 0.0
+    assert not is_infinite(1e308 + 1e308j)

@@ -1,8 +1,11 @@
 import cmath
+import math
 
+import mpmath
 import numpy as np
 
-from elliptica import make_lattice, reduce_mod_lattice, theta, theta_shifted
+from elliptica import Lattice, make_lattice, reduce_mod_lattice, theta, theta_shifted
+from elliptica.theta import theta_derivs_reduced
 
 
 def band_samples(rng, tau, n, imag_factor=1.0):
@@ -88,3 +91,46 @@ def test_laws_hold_on_other_lattices():
         lhs = theta(zs + lat.tau, lat)
         rhs = np.exp(-1j * np.pi * (lat.tau + 2.0 * zs)) * theta(zs, lat)
         assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
+
+
+def test_default_term_count_matches_trunc_40(generic, square, hexagonal):
+    for lat in (generic, square, hexagonal):
+        rng = np.random.default_rng(7)
+        zs = band_samples(rng, lat.tau, 64, imag_factor=2.0)
+        a, la = theta_derivs_reduced(zs, lat, order=3)
+        b, lb = theta_derivs_reduced(zs, lat, trunc=40, order=3)
+        assert (la == lb).all()
+        for d in range(4):
+            assert np.abs(a[d] - b[d]).max() <= 1e-13 * np.abs(b[d]).max()
+
+
+def test_explicit_truncation_finite_at_large_im_tau():
+    lat = make_lattice(1.0, 0.2 + 16j)
+    rng = np.random.default_rng(8)
+    zs = band_samples(rng, lat.tau, 32)
+    for trunc in (1, 24, 40):
+        assert np.isfinite(theta(zs, lat, trunc=trunc)).all()
+
+
+def test_against_mpmath_jtheta():
+    # theta^(d)(z) = pi^d * jtheta(3, pi z, e^(i pi tau), d) (DLMF 20.2.3),
+    # at 50 digits, from the reduced hexagonal corner to Im tau = 50
+    rng = np.random.default_rng(9)
+    with mpmath.workdps(50):
+        for im in (math.sqrt(3.0) / 2.0, 1.0, 1.3, 2.0, 3.7, 6.0, 9.4, 12.0, 20.0, 35.0, 50.0):
+            tau = complex(rng.uniform(-0.5, 0.5) if im >= 1.0 else 0.5, im)
+            lat = Lattice(1.0 + 0j, tau)
+            zs = np.concatenate([
+                band_samples(rng, tau, 6, imag_factor=0.5),
+                [1e-7 + 2e-7j, (1.0 + tau) / 2.0 + 1e-6, tau + 1e-5j],
+            ])
+            vals, logf = theta_derivs_reduced(zs, lat, order=3)
+            got = vals * np.exp(logf)
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            for d in range(4):
+                ref = np.array([
+                    complex(mpmath.pi ** d * mpmath.jtheta(3, mpmath.pi * mpmath.mpc(z), q, d))
+                    for z in zs
+                ])
+                err = np.abs(got[d] - ref).max()
+                assert err <= 1e-12 * np.abs(ref).max(), (tau, d, err)
