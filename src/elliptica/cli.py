@@ -297,54 +297,50 @@ def _cmd_inflections(args, cfg: RunConfig):
     return doc, (header, rows), _cubic_svg(cubic, lat, infl, lines=duals)
 
 
+def _float_hits(moduli: np.ndarray, tol: float):
+    """Triples whose determinant modulus is at most tol, and those moduli."""
+    idx = np.flatnonzero(moduli <= tol)
+    return [hesse.TRIPLES[i] for i in idx], moduli[idx].tolist()
+
+
 def _cmd_hesse_scan(args, cfg: RunConfig):
+    if args.grid is not None and args.grid < 1:
+        raise InvalidArgumentError(f"--grid must be at least 1, got {args.grid}")
+    if not 0.0 < args.tol < 1.0:  # also refuses NaN
+        raise InvalidArgumentError(f"--tol must be finite and in (0, 1), got {args.tol}")
+    if (args.grid is None) == (args.t_raw is None):
+        raise InvalidArgumentError("hesse-scan needs either --t or --grid, not both")
+    if args.exact and args.t_raw is None:
+        raise InvalidArgumentError("--exact needs --t")
     if args.grid is not None:
-        n, r = args.grid, args.radius
-        rows = []
-        hits = []
-        for re in np.linspace(-r, r, n):
-            for im in np.linspace(-r, r, n):
-                t = complex(re, im)
-                triples = hesse.concurrency_scan(t, args.tol if args.tol < 1 else 1e-9)
-                if triples:
-                    dets = hesse.concurrency_dets(t)
-                    for trip in triples:
-                        rows.append([re, im, "|".join(map(str, trip)), dets[trip]])
-                    hits.append({"t": [re, im], "triples": [list(tr) for tr in triples]})
-        doc = {"grid": n, "radius": r, "hits": hits}
-        return doc, (["t_re", "t_im", "triple_indices", "det_modulus"], rows), None
-    if args.t_raw is None:
-        raise EllipticaError("hesse-scan needs --t or --grid/--radius")
-    try:
-        if args.exact:
-            a_s, b_s = args.t_raw.split(",")
-            tq = hesse.QEps(Fraction(a_s), Fraction(b_s))
-        else:
-            t_c = _parse_complex(args.t_raw)
-    except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
-        raise InvalidArgumentError(f"--t {args.t_raw!r}: {exc}") from None
-    if args.exact:
-        triples = hesse.concurrency_scan_exact(tq)
-        t_c = tq.to_complex()
-        doc = {
-            "t": _pair(t_c),
-            "t_exact": [str(tq.a), str(tq.b)],
-            "exact": True,
-            "concurrent_triples": [list(tr) for tr in triples],
-        }
-        dets = hesse.concurrency_dets(t_c)
+        axis = np.linspace(-args.radius, args.radius, args.grid)
+        found = []
+        for re in axis:  # one kernel call per grid row
+            moduli = hesse.concurrency_det_moduli(re + 1j * axis)
+            for j in np.flatnonzero((moduli <= args.tol).any(axis=1)):
+                found.append((re, axis[j], *_float_hits(moduli[j], args.tol)))
+        hits = [{"t": [re, im], "triples": [list(tr) for tr in trs]} for re, im, trs, _ in found]
+        doc = {"grid": args.grid, "radius": args.radius, "hits": hits}
     else:
-        triples = hesse.concurrency_scan(t_c, args.tol if args.tol < 1 else 1e-9)
-        doc = {
-            "t": _pair(t_c),
-            "exact": False,
-            "concurrent_triples": [list(tr) for tr in triples],
-        }
-        dets = hesse.concurrency_dets(t_c)
-    rows = [
-        [t_c.real, t_c.imag, "|".join(map(str, trip)), dets[trip]]
-        for trip in triples
-    ]
+        try:
+            if args.exact:
+                a_s, b_s = args.t_raw.split(",")
+                tq = hesse.QEps(Fraction(a_s), Fraction(b_s))
+            else:
+                t_c = _parse_complex(args.t_raw)
+        except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
+            raise InvalidArgumentError(f"--t {args.t_raw!r}: {exc}") from None
+        if args.exact:
+            # an exact zero is reported with modulus 0
+            t_c, triples = tq.to_complex(), hesse.concurrency_scan_exact(tq)
+            dets = [0.0] * len(triples)
+            doc = {"t_exact": [str(tq.a), str(tq.b)], "exact": True}
+        else:
+            triples, dets = _float_hits(hesse.concurrency_det_moduli(t_c), args.tol)
+            doc = {"exact": False}
+        doc.update(t=_pair(t_c), concurrent_triples=[list(tr) for tr in triples])
+        found = [(t_c.real, t_c.imag, triples, dets)]
+    rows = [[re, im, "|".join(map(str, tr)), m] for re, im, trs, ms in found for tr, m in zip(trs, ms)]
     return doc, (["t_re", "t_im", "triple_indices", "det_modulus"], rows), None
 
 
@@ -478,9 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("hesse-scan", help="84-case concurrency scan")
     sp.add_argument("--t", dest="t_raw", help="re,im (float mode) or a,b rationals meaning a+b*eps (--exact)")
     sp.add_argument("--exact", action="store_true", help="exact Q(eps) determinants")
-    sp.add_argument("--grid", type=int, help="scan an n x n grid of t values")
+    sp.add_argument("--grid", type=int, help="scan an n x n grid of t values, n >= 1")
     sp.add_argument("--radius", type=float, default=8.0, help="grid half-width")
-    sp.add_argument("--tol", type=float, default=1e-9, help="concurrency tolerance")
+    sp.add_argument("--tol", type=float, default=1e-9, help="concurrency tolerance in (0, 1)")
     sp = add("fiber", help="tangency fiber over a base point")
     sp.add_argument("--t", type=_parse_complex, help="hesse parameter re,im")
     sp.add_argument("--q", type=_parse_complex, nargs=3, required=True,

@@ -463,11 +463,19 @@ def continue_fiber(cubic: Cubic, path: LoopPath, start: Fiber) -> Fiber:
 
 
 def _match_permutation(start_pts: list[ProjPoint], end_pts: list[ProjPoint]) -> Permutation:
-    images = []
+    """Each end point goes to its nearest start point; the match must be a
+    bijection."""
+    images, nearest = [], []
     for p in end_pts:
         dists = [proj_distance(p, q) for q in start_pts]
         j = int(np.argmin(dists))
         images.append(j)
+        nearest.append(dists[j])
+    if sorted(images) != list(range(len(start_pts))):
+        raise CollisionUnresolvedError(
+            "loop end points do not match the start fiber one to one",
+            images=images, nearest=nearest,
+        )
     return Permutation(tuple(images))
 
 

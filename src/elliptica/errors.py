@@ -2,9 +2,12 @@
 
 Every domain error raised by the library derives from EllipticaError and
 carries the name of the operation that failed, so the CLI can emit a
-structured error object.
+structured error object whose details are strict JSON values.
 """
 from __future__ import annotations
+
+import cmath
+import math
 
 
 class EllipticaError(Exception):
@@ -20,8 +23,19 @@ class EllipticaError(Exception):
     def to_json(self) -> dict:
         out = {"operation": self.operation, "message": self.message}
         if self.details:
-            out["details"] = {k: repr(v) for k, v in self.details.items()}
+            out["details"] = {k: _detail_json(v) for k, v in self.details.items()}
         return out
+
+
+def _detail_json(v):
+    """A detail as a strict JSON value: str, bool, int and finite float as
+    themselves, a finite complex as [re, im], anything else (NaN and
+    infinities included) as str(v)."""
+    if isinstance(v, (str, int)) or (isinstance(v, float) and math.isfinite(v)):
+        return v
+    if isinstance(v, complex) and cmath.isfinite(v):
+        return [v.real, v.imag]
+    return str(v)
 
 
 class DegenerateGeneratorsError(EllipticaError):

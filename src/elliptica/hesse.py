@@ -2,10 +2,14 @@
 tables, the 84-case concurrency scan, the pencil's j-map and the
 equianharmonic predicate.
 
-The scan has an exact mode over Q(eps), eps = exp(2 pi i / 3), in which a
-parameter t = a + b*eps with rational a, b makes every concurrency
-determinant an exact algebraic number: the classification of special t
-values then carries no floating-point tolerance at all.
+One table, `_dual_rows_exact` over Z[eps] (eps = exp(2 pi i / 3)), holds
+the nine dual tangents; each entry is linear in t. The float rows A + t B
+are read off it once at import (A = rows(0), B = rows(1) - A), and one
+batched kernel, `concurrency_det_moduli`, takes all 84 determinants for a
+scalar or an array of t. The exact mode reads t = a + b*eps with rational
+a, b, clears denominators and takes the determinants in integer Z[eps]
+arithmetic, so the classification of special t values carries no
+floating-point tolerance at all.
 """
 from __future__ import annotations
 
@@ -35,36 +39,26 @@ def hesse_inflections() -> list[ProjPoint]:
     return _hesse_inflection_table()
 
 
-def _dual_rows(t: complex) -> np.ndarray:
-    e = EPS
-    e2 = e * e
-    # ordered so row k is the tangent at inflection k of the fixed table
-    # (the classical tables list the two grids transposed to one another;
-    # the gradient check pins this pairing down)
-    return np.array(
-        [
-            [-t, 3, 3],
-            [-t * e, 3, 3 * e2],
-            [-t * e2, 3, 3 * e],
-            [3, -t, 3],
-            [3, -t * e2, 3 * e],
-            [3, -t * e, 3 * e2],
-            [3, 3, -t],
-            [3, 3 * e2, -t * e],
-            [3, 3 * e, -t * e2],
-        ],
-        dtype=complex,
-    )
-
-
 def hesse_tangent_duals(t: complex) -> list[ProjPoint]:
-    return [point_from_vec(r) for r in _dual_rows(t)]
+    return [point_from_vec(r) for r in _ROWS_A + complex(t) * _ROWS_B]
 
 
 def hesse_data(t: complex) -> tuple[Cubic, list[ProjPoint], list[ProjPoint]]:
     """(cubic, inflection points, dual tangent coordinates); the k-th dual is
     the tangent at the k-th inflection point for every t."""
     return hesse_cubic(t), hesse_inflections(), hesse_tangent_duals(t)
+
+
+def concurrency_det_moduli(t) -> np.ndarray:
+    """Moduli of the 84 concurrency determinants, shape t.shape + (84,), for
+    a scalar or an array of parameters t; entry i belongs to TRIPLES[i].
+
+    Each dual row is scaled to largest modulus 1 before the 3x3
+    determinant, so the moduli are comparable across t.
+    """
+    rows = _ROWS_A + np.asarray(t, dtype=complex)[..., None, None] * _ROWS_B
+    rows = rows / np.abs(rows).max(axis=-1, keepdims=True)
+    return np.abs(np.linalg.det(rows[..., _TRIPLE_INDEX, :]))
 
 
 def concurrency_scan(t: complex, tol: float = CONCURRENCY_TOL) -> list[tuple[int, int, int]]:
@@ -74,27 +68,17 @@ def concurrency_scan(t: complex, tol: float = CONCURRENCY_TOL) -> list[tuple[int
     All 84 triples are scanned; a nonempty result at a smooth parameter
     happens exactly on the equianharmonic orbit t in {0, 6, 6 eps, 6 eps^2}.
     """
-    rows = _dual_rows(complex(t))
-    rows = rows / np.abs(rows).max(axis=1, keepdims=True)
-    triples = list(combinations(range(9), 3))
-    mats = rows[np.array(triples)]
-    dets = np.abs(np.linalg.det(mats))
-    return [triples[i] for i in np.nonzero(dets <= tol)[0]]
+    return [TRIPLES[i] for i in np.flatnonzero(concurrency_det_moduli(complex(t)) <= tol)]
 
 
 def concurrency_dets(t: complex) -> dict[tuple[int, int, int], float]:
-    rows = _dual_rows(complex(t))
-    rows = rows / np.abs(rows).max(axis=1, keepdims=True)
-    triples = list(combinations(range(9), 3))
-    mats = rows[np.array(triples)]
-    dets = np.abs(np.linalg.det(mats))
-    return dict(zip(triples, dets.tolist()))
+    return dict(zip(TRIPLES, concurrency_det_moduli(complex(t)).tolist()))
 
 
 @dataclass(frozen=True)
 class QEps:
     """Element a + b*eps of Q(eps), eps^2 = -1 - eps, with exact rational
-    parts."""
+    parts; int parts keep the arithmetic in Z[eps]."""
 
     a: Fraction
     b: Fraction
@@ -124,10 +108,10 @@ class QEps:
         return complex(self.a) + complex(self.b) * EPS
 
 
-_Q0 = QEps.of(0)
-_Q3 = QEps.of(3)
-_QE = QEps.of(0, 1)  # eps
-_QE2 = _Q0 - QEps.of(1) - _QE  # eps^2 = -1 - eps
+_Q0 = QEps(0, 0)
+_Q3 = QEps(3, 0)
+_QE = QEps(0, 1)  # eps
+_QE2 = QEps(-1, -1)  # eps^2 = -1 - eps
 
 EXACT_SPECIAL_SMOOTH = (
     QEps.of(0),
@@ -142,19 +126,34 @@ EXACT_SPECIAL_SINGULAR = (
 )
 
 
-def _dual_rows_exact(t: QEps) -> list[list[QEps]]:
+def _dual_rows_exact(t: QEps, three: QEps = _Q3) -> list[list[QEps]]:
+    """The pencil's dual-tangent table; every entry is linear in t."""
     nt = -t
+    # ordered so row k is the tangent at inflection k of the fixed table
+    # (the classical tables list the two grids transposed to one another;
+    # the gradient check pins this pairing down)
     return [
-        [nt, _Q3, _Q3],
-        [nt * _QE, _Q3, _Q3 * _QE2],
-        [nt * _QE2, _Q3, _Q3 * _QE],
-        [_Q3, nt, _Q3],
-        [_Q3, nt * _QE2, _Q3 * _QE],
-        [_Q3, nt * _QE, _Q3 * _QE2],
-        [_Q3, _Q3, nt],
-        [_Q3, _Q3 * _QE2, nt * _QE],
-        [_Q3, _Q3 * _QE, nt * _QE2],
+        [nt, three, three],
+        [nt * _QE, three, three * _QE2],
+        [nt * _QE2, three, three * _QE],
+        [three, nt, three],
+        [three, nt * _QE2, three * _QE],
+        [three, nt * _QE, three * _QE2],
+        [three, three, nt],
+        [three, three * _QE2, nt * _QE],
+        [three, three * _QE, nt * _QE2],
     ]
+
+
+def _complex_rows(t: QEps) -> np.ndarray:
+    return np.array([[q.to_complex() for q in r] for r in _dual_rows_exact(t)])
+
+
+# the float rows are A + t B
+_ROWS_A = _complex_rows(_Q0)
+_ROWS_B = _complex_rows(QEps(1, 0)) - _ROWS_A
+TRIPLES = list(combinations(range(9), 3))
+_TRIPLE_INDEX = np.array(TRIPLES)
 
 
 def _det3_exact(rows: list[list[QEps]]) -> QEps:
@@ -164,13 +163,16 @@ def _det3_exact(rows: list[list[QEps]]) -> QEps:
 
 def concurrency_scan_exact(t: QEps) -> list[tuple[int, int, int]]:
     """Exact-arithmetic version of the scan for t = a + b*eps with rational
-    a, b; returned triples have determinant exactly zero."""
-    rows = _dual_rows_exact(t)
-    out = []
-    for trip in combinations(range(9), 3):
-        if _det3_exact([rows[k] for k in trip]).is_zero():
-            out.append(trip)
-    return out
+    a, b; returned triples have determinant exactly zero.
+
+    With d the lcm of the denominators of a and b, d^3 times a determinant
+    is the same table's determinant at the integer parameter d t with 3
+    replaced by 3d, so the 84 determinants are taken in Z[eps].
+    """
+    a, b = Fraction(t.a), Fraction(t.b)
+    d = math.lcm(a.denominator, b.denominator)
+    rows = _dual_rows_exact(QEps(int(a * d), int(b * d)), QEps(3 * d, 0))
+    return [trip for trip in TRIPLES if _det3_exact([rows[k] for k in trip]).is_zero()]
 
 
 def hesse_j(t: complex) -> complex:

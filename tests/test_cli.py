@@ -1,6 +1,8 @@
 import cmath
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -160,6 +162,13 @@ def test_out_writes_file(tmp_path):
         # the quasi-period factor of theta exceeds double range on both sides
         (["theta", "--tau", "0.3,1.4", "--z=0.1,-500"], "render_report"),
         (["theta", "--tau", "0.3,1.4", "--z", "0.1,500"], "render_report"),
+        (["hesse-scan", "--grid=-1"], "parse_arguments"),
+        (["hesse-scan", "--t", "6,0", "--tol", "5"], "parse_arguments"),
+        (["hesse-scan", "--t", "6,0", "--tol", "nan"], "parse_arguments"),
+        (["hesse-scan", "--t", "6,0", "--tol=-1"], "parse_arguments"),
+        (["hesse-scan", "--grid", "3", "--exact"], "parse_arguments"),
+        (["hesse-scan", "--grid", "3", "--t", "6,0"], "parse_arguments"),
+        (["hesse-scan"], "parse_arguments"),
     ],
 )
 def test_bad_input_or_nonfinite_result_is_domain_error(argv, operation):
@@ -196,3 +205,36 @@ def test_options_only_where_read():
     assert run_json(["theta", "--tau", "0,2", "--z", "0.3,0.2", "--trunc", "8"])["value"]
     doc = run_json(["hesse-scan", "--t", "6,0", "--tol", "1e-8"])
     assert len(doc["concurrent_triples"]) == 3
+
+
+def test_error_details_are_strict_json():
+    status, payload = dispatch(["theta", "--tau", "0.3,1.4", "--z", "0.1,500"])
+    assert status == 1
+    assert json.loads(payload)["error"]["details"]["field"] == "value[0]"
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    status, payload = dispatch(["lattice", "--tau", "nan,1"])
+    assert status == 1
+    details = json.loads(payload, parse_constant=refuse)["error"]["details"]
+    assert details == {"w1": [1, 0], "w2": "(nan+1j)"}
+
+
+def _readme_examples():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        text = fh.read().replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:]
+            for line in re.findall(r"^elliptica .*$", text, flags=re.MULTILINE)]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: " ".join(argv[:3]))
+def test_readme_examples(argv, tmp_path):
+    if "fn.json" in argv:
+        pytest.skip("needs a function file written by build-fn")
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(tmp_path / os.path.basename(argv[i]))
+    status, payload = dispatch(argv)
+    assert status == 0, payload

@@ -28,7 +28,7 @@ from elliptica import (
 from elliptica.covering import _match_permutation
 from elliptica.divisors import match_divisors
 from elliptica.elliptic import wp_function
-from elliptica.errors import NotDegree3Error, PointOnCurveError
+from elliptica.errors import CollisionUnresolvedError, NotDegree3Error, PointOnCurveError
 
 
 def generic_base_point(cubic, lat, rng, off_critical=True):
@@ -319,3 +319,16 @@ def test_permutation_algebra():
     assert r.images == tuple(p.images[j] for j in q.images)
     with pytest.raises(ValueError):
         Permutation((0, 0, 1, 2, 3, 4))
+
+
+def test_match_permutation_refuses_non_bijective_match():
+    rng = np.random.default_rng(4)
+    start = [point_from_vec(rng.standard_normal(6).view(np.complex128)) for _ in range(6)]
+    # end points 0 and 1 both lie next to start point 0; start point 1 is left out
+    near0 = point_from_vec(start[0].vec + 1e-9)
+    end = [start[0], near0] + start[2:]
+    with pytest.raises(CollisionUnresolvedError) as exc:
+        _match_permutation(start, end)
+    details = exc.value.to_json()["details"]
+    assert details["images"] == "[0, 0, 2, 3, 4, 5]"
+    assert exc.value.details["nearest"][1] < 1e-8

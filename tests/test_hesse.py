@@ -19,6 +19,7 @@ from elliptica.hesse import (
     EXACT_SPECIAL_SINGULAR,
     EXACT_SPECIAL_SMOOTH,
     SPECIAL_SMOOTH,
+    concurrency_det_moduli,
     concurrency_dets,
 )
 from elliptica.projective import point_from_vec
@@ -103,6 +104,50 @@ def test_scan_float_matches_exact_triples():
     fl = set(concurrency_scan(6.0))
     ex = set(concurrency_scan_exact(QEps.of(6)))
     assert fl == ex
+
+
+def _seeded_rationals(n):
+    rng = np.random.default_rng(5)
+    special = list(EXACT_SPECIAL_SMOOTH) + list(EXACT_SPECIAL_SINGULAR)
+    out = []
+    while len(out) < n:
+        a = Fraction(int(rng.integers(-18, 19)), int(rng.integers(1, 7)))
+        b = Fraction(int(rng.integers(-18, 19)), int(rng.integers(1, 7)))
+        tq = QEps(a, b)
+        if not any((tq - s).is_zero() for s in special):
+            out.append(tq)
+    return out
+
+
+@pytest.mark.parametrize(
+    "tq", list(EXACT_SPECIAL_SMOOTH) + list(EXACT_SPECIAL_SINGULAR) + _seeded_rationals(50)
+)
+def test_scan_float_matches_exact_on_specials_and_rationals(tq):
+    assert concurrency_scan(tq.to_complex()) == concurrency_scan_exact(tq)
+
+
+def test_exact_scan_sees_past_float_tolerance():
+    # 1e-30 from the special value 6: the float scan cannot tell them apart
+    tq = QEps(Fraction(6 * 10**30 + 1, 10**30), Fraction(0))
+    assert concurrency_scan_exact(tq) == []
+    assert len(concurrency_scan(tq.to_complex())) == 3
+
+
+def test_det_moduli_batch_equals_scalar_calls():
+    rng = np.random.default_rng(6)
+    ts = (rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))) * 4.0
+    ts[0, :4] = SPECIAL_SMOOTH
+    batch = concurrency_det_moduli(ts)
+    assert batch.shape == (5, 7, 84)
+    stacked = np.array([[concurrency_det_moduli(t) for t in row] for row in ts])
+    assert np.array_equal(batch, stacked)
+    assert list(concurrency_dets(ts[1, 2]).values()) == stacked[1, 2].tolist()
+
+
+def test_scan_at_huge_parameter():
+    moduli = concurrency_det_moduli(1e200)
+    assert np.isfinite(moduli).all()
+    assert len(concurrency_scan(1e200)) == 57
 
 
 def test_dets_are_positive_off_special():
