@@ -184,7 +184,7 @@ def _cubic_svg(cubic: Cubic, lat, extra_points=None, lines=None, paths=None):
         canvas = SvgCanvas(-w, w, -w, w)
 
         def fre(x, y):
-            return cubic.F(np.array([x, y, 1.0], dtype=complex)).real
+            return cubic.F(np.array([x, y, np.ones_like(x)], dtype=complex)).real
 
         for a, b in marching_segments(fre, -w, w, -w, w):
             canvas.segment(a, b, color="black", width=1.0)
@@ -308,6 +308,8 @@ def _cmd_hesse_scan(args, cfg: RunConfig):
         raise InvalidArgumentError(f"--grid must be at least 1, got {args.grid}")
     if not 0.0 < args.tol < 1.0:  # also refuses NaN
         raise InvalidArgumentError(f"--tol must be finite and in (0, 1), got {args.tol}")
+    if not 0.0 < args.radius < math.inf:  # also refuses NaN
+        raise InvalidArgumentError(f"--radius must be finite and > 0, got {args.radius}")
     if (args.grid is None) == (args.t_raw is None):
         raise InvalidArgumentError("hesse-scan needs either --t or --grid, not both")
     if args.exact and args.t_raw is None:
@@ -475,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", dest="t_raw", help="re,im (float mode) or a,b rationals meaning a+b*eps (--exact)")
     sp.add_argument("--exact", action="store_true", help="exact Q(eps) determinants")
     sp.add_argument("--grid", type=int, help="scan an n x n grid of t values, n >= 1")
-    sp.add_argument("--radius", type=float, default=8.0, help="grid half-width")
+    sp.add_argument("--radius", type=float, default=8.0, help="grid half-width, finite and > 0")
     sp.add_argument("--tol", type=float, default=1e-9, help="concurrency tolerance in (0, 1)")
     sp = add("fiber", help="tangency fiber over a base point")
     sp.add_argument("--t", type=_parse_complex, help="hesse parameter re,im")

@@ -135,8 +135,13 @@ def _circle_samples(f, center: complex, radius: float, nodes: int, min_modulus: 
     w = radius * np.exp(1j * angles)
     fz, g = f.values_and_dlog(center + w)
     mods = np.abs(fz)
-    scale = float(np.median(mods))
-    if scale == 0.0 or not np.isfinite(scale):
+    # the median as the mean of the two middle order statistics (one when
+    # nodes is odd); np.median would also import numpy.ma
+    lo, hi = (nodes - 1) // 2, nodes // 2
+    mid = np.partition(mods, (lo, hi))
+    scale = float(mid[hi] if lo == hi else (mid[lo] + mid[hi]) / 2)
+    top = mods.max()  # NaN when any value is: np.partition orders NaN last
+    if scale == 0.0 or not np.isfinite(scale) or np.isnan(top):
         raise ContourTooCloseError(
             "degenerate function values on contour", center=center, radius=radius
         )
@@ -144,7 +149,7 @@ def _circle_samples(f, center: complex, radius: float, nodes: int, min_modulus: 
         raise ContourTooCloseError(
             "zero too close to contour", center=center, radius=radius
         )
-    if mods.max() > scale / min_modulus:
+    if top > scale / min_modulus:
         raise ContourTooCloseError(
             "pole too close to contour", center=center, radius=radius
         )
@@ -470,11 +475,13 @@ def locate_zeros(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int = 0) ->
     when f has no values_and_dlog.
     """
     _require_dlog(f)
-    rng = np.random.default_rng(seed)
+    rng = None  # made at the first re-shift: most grids need none
     for attempt in range(MAX_GRID_SHIFTS):
         if attempt == 0:
             oa, ob = 0.31007, 0.24203
         else:
+            if rng is None:
+                rng = np.random.default_rng(seed)
             oa, ob = rng.uniform(0.03, 0.93, 2)
         found: list[tuple[complex, int]] = []
         s = 1.0 / BASE_SUBDIVISION

@@ -54,11 +54,14 @@ def concurrency_det_moduli(t) -> np.ndarray:
     a scalar or an array of parameters t; entry i belongs to TRIPLES[i].
 
     Each dual row is scaled to largest modulus 1 before the 3x3
-    determinant, so the moduli are comparable across t.
+    determinant, so the moduli are comparable across t. The determinants
+    are the cofactor expansion along the first row, taken elementwise over
+    all triples at once.
     """
     rows = _ROWS_A + np.asarray(t, dtype=complex)[..., None, None] * _ROWS_B
     rows = rows / np.abs(rows).max(axis=-1, keepdims=True)
-    return np.abs(np.linalg.det(rows[..., _TRIPLE_INDEX, :]))
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(rows[..., _TRIPLE_INDEX, :], (-2, -1), (0, 1))
+    return np.abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
 
 
 def concurrency_scan(t: complex, tol: float = CONCURRENCY_TOL) -> list[tuple[int, int, int]]:

@@ -106,36 +106,39 @@ class SvgCanvas:
 
 
 def marching_segments(fun, xmin, xmax, ymin, ymax, n=160):
-    """Zero-level segments of a real function on a grid (marching squares,
-    4-case edge interpolation; saddle cells split arbitrarily but
-    deterministically)."""
+    """Zero-level segments of a real function on an n x n grid (marching
+    squares, 4-case edge interpolation; saddle cells split arbitrarily but
+    deterministically).
+
+    `fun` is called once, with the (n, n) meshgrid arrays x and y, and must
+    return the (n, n) array of values. Each cell's edges are walked
+    counter-clockwise from its lower-left corner; an edge contributes its
+    start corner when the value there is exactly 0, else the linear crossing
+    when its end values differ in sign. Cells are visited row by row, and the
+    distinct points of a cell are paired in order.
+    """
     import numpy as np
 
     xs = np.linspace(xmin, xmax, n)
     ys = np.linspace(ymin, ymax, n)
-    vals = np.array([[fun(x, y) for x in xs] for y in ys])
+    gx, gy = np.meshgrid(xs, ys)
+    vals = np.asarray(fun(gx, gy), dtype=float)
+    # [j, i, k]: corner k of cell (j, i), counter-clockwise from (xs[i], ys[j]);
+    # edge k runs from corner k to corner k + 1
+    cells = (np.s_[:-1, :-1], np.s_[:-1, 1:], np.s_[1:, 1:], np.s_[1:, :-1])
+    x0, y0, v0 = (np.stack([a[c] for c in cells], axis=-1) for a in (gx, gy, vals))
+    x1, y1, v1 = (np.roll(a, -1, axis=-1) for a in (x0, y0, v0))
+    at = v0 == 0.0
+    hit = at | ((v0 < 0) != (v1 < 0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only on edges without a hit
+        t = v0 / (v0 - v1)
+        px = np.where(at, x0, x0 + t * (x1 - x0))
+        py = np.where(at, y0, y0 + t * (y1 - y0))
+    jj, ii = np.nonzero(hit.sum(axis=-1) >= 2)
     segs = []
-    for j in range(n - 1):
-        for i in range(n - 1):
-            corners = [
-                (xs[i], ys[j], vals[j, i]),
-                (xs[i + 1], ys[j], vals[j, i + 1]),
-                (xs[i + 1], ys[j + 1], vals[j + 1, i + 1]),
-                (xs[i], ys[j + 1], vals[j + 1, i]),
-            ]
-            pts = []
-            for k in range(4):
-                x0, y0, v0 = corners[k]
-                x1, y1, v1 = corners[(k + 1) % 4]
-                if v0 == 0.0:
-                    pts.append((x0, y0))
-                elif (v0 < 0) != (v1 < 0):
-                    t = v0 / (v0 - v1)
-                    pts.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
-            pts = list(dict.fromkeys(pts))
-            if len(pts) >= 2:
-                for k in range(0, len(pts) - 1, 2):
-                    segs.append((pts[k], pts[k + 1]))
+    for on, xk, yk in zip(hit[jj, ii].tolist(), px[jj, ii].tolist(), py[jj, ii].tolist()):
+        pts = list(dict.fromkeys(p for p, h in zip(zip(xk, yk), on) if h))
+        segs.extend(zip(pts[::2], pts[1::2]))
     return segs
 
 

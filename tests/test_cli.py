@@ -169,6 +169,9 @@ def test_out_writes_file(tmp_path):
         (["hesse-scan", "--grid", "3", "--exact"], "parse_arguments"),
         (["hesse-scan", "--grid", "3", "--t", "6,0"], "parse_arguments"),
         (["hesse-scan"], "parse_arguments"),
+        (["hesse-scan", "--grid", "3", "--radius", "nan"], "parse_arguments"),
+        (["hesse-scan", "--grid", "3", "--radius", "inf"], "parse_arguments"),
+        (["hesse-scan", "--grid", "3", "--radius=-6"], "parse_arguments"),
     ],
 )
 def test_bad_input_or_nonfinite_result_is_domain_error(argv, operation):
@@ -194,6 +197,25 @@ def test_overflow_error_is_the_only_stderr_output():
     )
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"]["operation"] == "render_report"
+
+
+def test_zeros_imports_neither_numpy_ma_nor_numpy_random():
+    # both cost tens of milliseconds per process; only those modules that
+    # `import numpy` itself loads (numpy 1.x loads both) may be present
+    src = os.path.dirname(os.path.dirname(elliptica.__file__))
+    code = (
+        "import sys, numpy\n"
+        "heavy = ('numpy.ma', 'numpy.random')\n"
+        "before = {m for m in heavy if m in sys.modules}\n"
+        "from elliptica.cli import main\n"
+        "assert main(['zeros', '--tau', '0.3,1.4', '--wp']) == 0\n"
+        "print(sorted(m for m in heavy if m in sys.modules and m not in before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          timeout=60, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_options_only_where_read():

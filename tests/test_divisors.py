@@ -225,6 +225,20 @@ def test_contour_half_count_with_exact_log_derivative(generic):
         contour_power_sums(f, a + 0.2, 0.4, 2, generic)
 
 
+def test_contour_nan_value_is_degenerate(generic):
+    # one NaN node must not hide behind the median of the finite ones
+    from elliptica.divisors import Evaluable
+
+    def pair(z):
+        v = z - 0.5
+        v[3] = np.nan
+        return v, 1.0 / (z - 0.5)
+
+    f = Evaluable(lambda z: z - 0.5, pair)
+    with pytest.raises(ContourTooCloseError, match="degenerate"):
+        contour_power_sums(f, 0.5, 0.1, 2, generic)
+
+
 def test_contour_requires_values_and_dlog(generic):
     with pytest.raises(NonIntegerCountError, match="values_and_dlog"):
         contour_power_sums(lambda z: z - 0.5, 0.5, 0.1, 2, generic)

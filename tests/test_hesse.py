@@ -16,9 +16,13 @@ from elliptica import (
 )
 from elliptica.errors import SingularInputError
 from elliptica.hesse import (
+    _ROWS_A,
+    _ROWS_B,
     EXACT_SPECIAL_SINGULAR,
     EXACT_SPECIAL_SMOOTH,
+    SPECIAL_SINGULAR,
     SPECIAL_SMOOTH,
+    TRIPLES,
     concurrency_det_moduli,
     concurrency_dets,
 )
@@ -142,6 +146,22 @@ def test_det_moduli_batch_equals_scalar_calls():
     stacked = np.array([[concurrency_det_moduli(t) for t in row] for row in ts])
     assert np.array_equal(batch, stacked)
     assert list(concurrency_dets(ts[1, 2]).values()) == stacked[1, 2].tolist()
+
+
+def test_det_moduli_match_lu_determinants():
+    # LU-based np.linalg.det on the same scaled rows is the reference
+    rng = np.random.default_rng(11)
+    mags = 10.0 ** rng.uniform(-3.0, 200.0, 500)
+    ts = np.concatenate([mags * np.exp(2j * np.pi * rng.uniform(size=500)),
+                         SPECIAL_SMOOTH, SPECIAL_SINGULAR])
+    rows = _ROWS_A + ts[:, None, None] * _ROWS_B
+    rows = rows / np.abs(rows).max(axis=-1, keepdims=True)
+    ref = np.abs(np.linalg.det(rows[:, np.array(TRIPLES), :]))
+    got = concurrency_det_moduli(ts)
+    big = ref > 1e-9
+    assert big.any() and not big.all()
+    assert np.all(np.abs(got - ref)[big] <= 1e-13 * ref[big])
+    assert np.all(np.abs(got - ref)[~big] <= 1e-14)
 
 
 def test_scan_at_huge_parameter():
