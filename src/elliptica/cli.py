@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .elliptic import (
     wp_evaluable,
     wp_pair,
 )
-from .errors import EllipticaError, InvalidArgumentError, NonFiniteResultError
+from .errors import EllipticaError, InternalError, InvalidArgumentError, NonFiniteResultError
 from .lattice import (
     Lattice,
     classify_lattice,
@@ -308,21 +309,24 @@ def _cmd_hesse_scan(args, cfg: RunConfig):
         raise InvalidArgumentError(f"--grid must be at least 1, got {args.grid}")
     if not 0.0 < args.tol < 1.0:  # also refuses NaN
         raise InvalidArgumentError(f"--tol must be finite and in (0, 1), got {args.tol}")
-    if not 0.0 < args.radius < math.inf:  # also refuses NaN
+    if args.radius is not None and not 0.0 < args.radius < math.inf:  # also refuses NaN
         raise InvalidArgumentError(f"--radius must be finite and > 0, got {args.radius}")
     if (args.grid is None) == (args.t_raw is None):
         raise InvalidArgumentError("hesse-scan needs either --t or --grid, not both")
     if args.exact and args.t_raw is None:
         raise InvalidArgumentError("--exact needs --t")
+    if args.radius is not None and args.grid is None:
+        raise InvalidArgumentError("--radius needs --grid")
     if args.grid is not None:
-        axis = np.linspace(-args.radius, args.radius, args.grid)
+        radius = 8.0 if args.radius is None else args.radius
+        axis = np.linspace(-radius, radius, args.grid)
         found = []
         for re in axis:  # one kernel call per grid row
             moduli = hesse.concurrency_det_moduli(re + 1j * axis)
             for j in np.flatnonzero((moduli <= args.tol).any(axis=1)):
                 found.append((re, axis[j], *_float_hits(moduli[j], args.tol)))
         hits = [{"t": [re, im], "triples": [list(tr) for tr in trs]} for re, im, trs, _ in found]
-        doc = {"grid": args.grid, "radius": args.radius, "hits": hits}
+        doc = {"grid": args.grid, "radius": radius, "hits": hits}
     else:
         try:
             if args.exact:
@@ -381,6 +385,9 @@ def _cmd_branch_divisors(args, cfg: RunConfig):
 
 def _cmd_monodromy(args, cfg: RunConfig):
     lat = _require_lattice(cfg)
+    if args.circle_samples < 3:
+        raise InvalidArgumentError(
+            f"--circle-samples must be at least 3, got {args.circle_samples}")
     cubic = weierstrass_cubic(lat)
     rng = np.random.default_rng(cfg.seed)
     if args.q:
@@ -436,6 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, **kw):
         sp = sub.add_parser(name, **kw)
+        # a token such as "-0.3,0.2" is a value, not an option; argparse
+        # reads only plain negative numbers that way by default
+        sp._negative_number_matcher = re.compile(r"^-\.?\d")
         _add_common(sp)
         return sp
 
@@ -477,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", dest="t_raw", help="re,im (float mode) or a,b rationals meaning a+b*eps (--exact)")
     sp.add_argument("--exact", action="store_true", help="exact Q(eps) determinants")
     sp.add_argument("--grid", type=int, help="scan an n x n grid of t values, n >= 1")
-    sp.add_argument("--radius", type=float, default=8.0, help="grid half-width, finite and > 0")
+    sp.add_argument("--radius", type=float,
+                    help="grid half-width, finite and > 0 (default 8); only with --grid")
     sp.add_argument("--tol", type=float, default=1e-9, help="concurrency tolerance in (0, 1)")
     sp = add("fiber", help="tangency fiber over a base point")
     sp.add_argument("--t", type=_parse_complex, help="hesse parameter re,im")
@@ -486,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("monodromy", help="monodromy of the 6-sheeted tangency covering")
     sp.add_argument("--q", type=_parse_complex, nargs=3,
                     help="base point (default: seeded generic point)")
-    sp.add_argument("--circle-samples", type=int, default=48)
+    sp.add_argument("--circle-samples", type=int, default=48,
+                    help="samples on each circle around a tangent, at least 3")
     return p
 
 
@@ -508,6 +520,9 @@ def _run(argv: list[str]):
         return 0, payload, cfg.out
     except EllipticaError as exc:
         return 1, to_json_bytes({"error": exc.to_json()}), None
+    except (ValueError, ZeroDivisionError) as exc:  # np.linalg.LinAlgError is a ValueError
+        err = InternalError(f"{args.command}: {exc}", exception=type(exc).__name__)
+        return 1, to_json_bytes({"error": err.to_json()}), None
 
 
 def dispatch(argv: list[str]) -> tuple[int, bytes]:

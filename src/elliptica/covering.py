@@ -6,6 +6,10 @@ For a base point q off the cubic, the fiber consists of the <= 6 points of
 the cubic whose tangent lines pass through q; they are cut out by the polar
 conic of q, whose coefficient matrix is half the Hessian matrix of the
 cubic form evaluated at q.
+
+Monodromy tracks the six fiber points as one (6, 3) array along the
+projective geodesics between loop samples, halving or doubling its own
+steps, so the spacing of the samples is not capped.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from .lattice import Lattice, reduce_mod_lattice, torus_distance
 from .projective import (
     ProjLine,
     ProjPoint,
+    cross,
     line_through,
     lines_meet,
     point_from_vec,
@@ -53,9 +58,6 @@ class QuadraticForm:
         v = np.asarray(v, dtype=complex)
         return complex(v @ self.matrix @ v)
 
-    def grad(self, v) -> np.ndarray:
-        return 2.0 * (self.matrix @ np.asarray(v, dtype=complex))
-
 
 @dataclass(frozen=True)
 class Fiber:
@@ -72,22 +74,17 @@ class Fiber:
         return [p for p, _ in self.entries]
 
 
-MAX_LOOP_STEP = 0.8
-
-
 @dataclass(frozen=True)
 class LoopPath:
-    """Closed sampled path in the cubic complement (first sample = last),
-    with consecutive samples within the maximum step bound."""
+    """Closed sampled path in the cubic complement (first sample = last).
+    Consecutive samples are joined by the projective geodesic; their
+    spacing is free, since the tracker refines its own steps."""
 
     samples: tuple[ProjPoint, ...]
 
     def __post_init__(self):
         if len(self.samples) < 2 or not self.samples[0].close_to(self.samples[-1], 1e-12):
             raise ValueError("loop must be closed (first sample = last)")
-        for a, b in zip(self.samples, self.samples[1:]):
-            if proj_distance(a, b) > MAX_LOOP_STEP:
-                raise ValueError("consecutive loop samples too far apart")
 
 
 @dataclass(frozen=True)
@@ -136,34 +133,48 @@ def polar_conic(cubic: Cubic, q: ProjPoint) -> QuadraticForm:
     return QuadraticForm(0.5 * cubic.hessian_matrix(q.vec))
 
 
-def _newton_point(cubic: Cubic, form: QuadraticForm, p: ProjPoint,
-                  max_iter: int = 12):
-    """Newton solve of {F = 0, Q = 0} in the chart of the seed's largest
-    coordinate; returns (point, residual_scale)."""
-    v = p.vec.copy()
-    pivot = int(np.argmax(np.abs(v)))
-    v = v / v[pivot]
-    idx = [i for i in range(3) if i != pivot]
-    for _ in range(max_iter):
-        r0 = cubic.F(v)
-        r1 = form(v)
-        gF = cubic.grad(v)
-        gQ = form.grad(v)
-        a, b = gF[idx[0]], gF[idx[1]]
-        c, d = gQ[idx[0]], gQ[idx[1]]
-        det = a * d - b * c
-        if det == 0:
-            break
-        du0 = (d * r0 - b * r1) / det
-        du1 = (-c * r0 + a * r1) / det
-        v[idx[0]] -= du0
-        v[idx[1]] -= du1
-        if max(abs(du0), abs(du1)) < 1e-15:
-            break
-    resid = abs(cubic.F(v)) / cubic.term_scale(v) + abs(form(v)) / (
-        float(np.abs(form.matrix).max()) * float(np.abs(v).max()) ** 2 + 1e-300
+def _newton_rows(cubic: Cubic, m: np.ndarray, v: np.ndarray, max_iter: int = 12):
+    """Newton solve of {F = 0, v.M.v = 0} for every row of the (N, 3) array
+    v, each row in the chart of its own largest coordinate, by the
+    closed-form 2x2 solve; a row stops once its step falls below 1e-15 or
+    its Jacobian is singular.  Returns (rows, residuals)."""
+    rows = np.arange(len(v))
+    piv = np.abs(v).argmax(axis=1)
+    v = v / v[rows, piv][:, None]
+    # the two free coordinates of each row's chart
+    i0 = (piv == 0).astype(int)
+    i1 = 2 - (piv == 2)
+    active = np.ones(len(v), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            # stacked (1, 3) @ (3, 3) products round like one point's v @ M @ v
+            mv = v[:, None, :] @ m
+            r1 = (mv @ v[:, :, None])[:, 0, 0]
+            mv = mv[:, 0]
+            r0 = cubic.F(v.T)
+            gF = cubic.grad(v.T).T
+            a, b = gF[rows, i0], gF[rows, i1]
+            c, d = 2.0 * mv[rows, i0], 2.0 * mv[rows, i1]
+            det = a * d - b * c
+            du0 = (d * r0 - b * r1) / det
+            du1 = (-c * r0 + a * r1) / det
+            active &= det != 0
+            v[rows, i0] -= np.where(active, du0, 0.0)
+            v[rows, i1] -= np.where(active, du1, 0.0)
+            active &= np.maximum(np.abs(du0), np.abs(du1)) >= 1e-15
+            if not active.any():
+                break
+    q = (v[:, None, :] @ m @ v[:, :, None])[:, 0, 0]
+    resid = np.abs(cubic.F(v.T)) / cubic.term_scale(v.T) + np.abs(q) / (
+        float(np.abs(m).max()) * np.abs(v).max(axis=1) ** 2 + 1e-300
     )
-    return point_from_vec(v), resid
+    return v, resid
+
+
+def _row_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """proj_distance between matching rows of two (N, 3) arrays."""
+    return np.sqrt((np.abs(cross(u.T, w.T)) ** 2).sum(axis=0)
+                   / ((np.abs(u) ** 2).sum(axis=1) * (np.abs(w) ** 2).sum(axis=1)))
 
 
 def _conic_point(form: QuadraticForm, rng) -> np.ndarray:
@@ -255,7 +266,8 @@ def _assemble_fiber(cubic, form, q, pts) -> Fiber:
     # polish every raw point first: companion-matrix jitter for a tangential
     # (double) intersection far exceeds the cluster radius, but the Newton
     # iterates contract into the touching point
-    polished = [_newton_point(cubic, form, p)[0] for p in pts]
+    polished = [point_from_vec(v) for v in
+                _newton_rows(cubic, form.matrix, np.array([p.vec for p in pts]))[0]]
     groups: list[list[ProjPoint]] = []
     for p in sorted(polished, key=lambda u: (u.coords[0].real, u.coords[0].imag,
                                              u.coords[1].real)):
@@ -267,19 +279,21 @@ def _assemble_fiber(cubic, form, q, pts) -> Fiber:
             groups.append([p])
     entries = []
     for g in groups:
-        mult = len(g)
-        centroid = point_from_vec(sum(p.vec for p in g) / mult)
-        if mult == 1:
-            centroid, resid = _newton_point(cubic, form, centroid)
-            if resid > 1e-8:
-                raise SolveFailureError(f"fiber point failed to polish: {resid:.2e}")
-        else:
+        centroid = point_from_vec(sum(p.vec for p in g) / len(g))
+        if len(g) > 1:
             # a doubled tangency point is an inflection point of the cubic;
             # polishing on (F, det Hess) restores full precision there
             from .cubic import _polish_inflection
 
             centroid = _polish_inflection(cubic, centroid)
-        entries.append((centroid, mult))
+        entries.append((centroid, len(g)))
+    single = [k for k, (_, mult) in enumerate(entries) if mult == 1]
+    if single:
+        v, resid = _newton_rows(cubic, form.matrix, np.array([entries[k][0].vec for k in single]))
+        if resid.max() > 1e-8:
+            raise SolveFailureError(f"fiber point failed to polish: {resid.max():.2e}")
+        for k, u in zip(single, v):
+            entries[k] = (point_from_vec(u), 1)
     entries.sort(key=lambda e: (round(e[0].coords[0].real, 9),
                                 round(e[0].coords[0].imag, 9),
                                 round(e[0].coords[1].real, 9),
@@ -412,54 +426,46 @@ def branch_divisors_direct(f: EllipticFunction, lat: Lattice,
     return out
 
 
-def _proj_midpoint(a: ProjPoint, b: ProjPoint) -> ProjPoint:
-    return point_from_vec(a.vec + b.vec)
-
-
-def _track_segment(cubic: Cubic, qa: ProjPoint, qb: ProjPoint,
-                   pts: list[ProjPoint], depth: int) -> list[ProjPoint]:
-    if depth > HALVING_LIMIT:
-        raise HalvingLimitError("continuation step halving limit reached")
-    form = polar_conic(cubic, qb)
-    new_pts = []
-    sep = min(
-        proj_distance(pts[i], pts[j])
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    )
-    max_move = 0.4 * sep
-    ok = True
-    for p in pts:
-        np_, resid = _newton_point(cubic, form, p)
-        if resid > 1e-9 or proj_distance(p, np_) > max_move:
-            ok = False
-            break
-        new_pts.append(np_)
-    if ok:
-        for i in range(len(new_pts)):
-            for j in range(i + 1, len(new_pts)):
-                if proj_distance(new_pts[i], new_pts[j]) < COLLISION_THRESHOLD:
-                    ok = False
-    if ok:
-        return new_pts
-    mid = _proj_midpoint(qa, qb)
-    if mid.close_to(qa, 1e-15) or mid.close_to(qb, 1e-15):
-        raise CollisionUnresolvedError("tracked points collide; cannot refine step")
-    half = _track_segment(cubic, qa, mid, pts, depth + 1)
-    return _track_segment(cubic, mid, qb, half, depth + 1)
-
-
 def continue_fiber(cubic: Cubic, path: LoopPath, start: Fiber) -> Fiber:
     """Predictor-corrector continuation of a simple fiber along a sampled
-    path; output entries correspond index-by-index to the start fiber."""
+    path; output entries correspond index-by-index to the start fiber.
+
+    Between samples a and b the base point follows the projective geodesic
+    (1 - t) a + t b', with a and b scaled to unit length and b' = b
+    exp(i arg <b, a>) phase-aligned to a; the sample spacing is not capped.
+    Each segment is tried whole; a failed step is halved, an accepted one
+    doubles the next, and a step below 2^-HALVING_LIMIT of the segment
+    raises HalvingLimitError.  A step is one batched Newton solve from the
+    previous positions (its own first-order predictor), accepted when every
+    residual is <= 1e-9, no sheet moves more than 0.4 times the smallest
+    separation and no two end within COLLISION_THRESHOLD.
+    """
     if start.total != 6 or len(start.entries) != 6:
         raise CollisionUnresolvedError("continuation needs 6 simple starting points")
     if proj_distance(start.base, path.samples[0]) > 1e-9:
         raise SolveFailureError("start fiber is not over the path's first sample")
-    pts = [p for p, _ in start.entries]
-    for k in range(len(path.samples) - 1):
-        pts = _track_segment(cubic, path.samples[k], path.samples[k + 1], pts, 0)
-    return Fiber(path.samples[-1], tuple((p, 1) for p in pts))
+    pts = np.array([p.vec for p, _ in start.entries])
+    i, j = np.triu_indices(6, 1)  # all 15 pairs of sheets
+    sep = _row_distances(pts[i], pts[j]).min()
+    for qa, qb in zip(path.samples, path.samples[1:]):
+        # unit length keeps the pace in t even on near-orthogonal samples
+        a, b = qa.vec / np.linalg.norm(qa.vec), qb.vec / np.linalg.norm(qb.vec)
+        b = b * np.exp(1j * np.angle(np.vdot(b, a)))
+        t, h = 0.0, 1.0
+        while t < 1.0:
+            # t and h stay dyadic, so the last step ends exactly at t = 1
+            h = min(h, 1.0 - t)
+            form = polar_conic(cubic, point_from_vec((1.0 - t - h) * a + (t + h) * b))
+            new, resid = _newton_rows(cubic, form.matrix, pts)
+            if resid.max() <= 1e-9 and _row_distances(pts, new).max() <= 0.4 * sep:
+                new_sep = _row_distances(new[i], new[j]).min()
+                if new_sep >= COLLISION_THRESHOLD:
+                    pts, sep, t, h = new, new_sep, t + h, 2.0 * h
+                    continue
+            h *= 0.5
+            if h < 2.0 ** -HALVING_LIMIT:
+                raise HalvingLimitError("continuation step halving limit reached")
+    return Fiber(path.samples[-1], tuple((point_from_vec(v), 1) for v in pts))
 
 
 def _match_permutation(start_pts: list[ProjPoint], end_pts: list[ProjPoint]) -> Permutation:
@@ -482,8 +488,7 @@ def _match_permutation(start_pts: list[ProjPoint], end_pts: list[ProjPoint]) -> 
 def monodromy_group(cubic: Cubic, basepoint: ProjPoint, loops: list[LoopPath],
                     seed: int = 0):
     """Permutations of the labeled 6-point fiber induced by the loops, the
-    group they generate (capped at order 720) and whether it acts
-    transitively."""
+    order of the group they generate and whether it acts transitively."""
     fiber0 = lambda_fiber(cubic, basepoint, seed=seed)
     if len(fiber0.entries) != 6:
         raise SolveFailureError("basepoint fiber is not simple")
@@ -492,9 +497,10 @@ def monodromy_group(cubic: Cubic, basepoint: ProjPoint, loops: list[LoopPath],
     for lp in loops:
         end = continue_fiber(cubic, lp, fiber0)
         perms.append(_match_permutation(start_pts, end.points()))
+    # the group, enumerated from the identity; at most 6! = 720 elements
     group = {tuple(range(6))}
-    frontier = [p.images for p in perms]
-    while frontier and len(group) <= 720:
+    frontier = list(group)
+    while frontier:
         nxt = []
         for g in frontier:
             for p in perms:
@@ -503,18 +509,8 @@ def monodromy_group(cubic: Cubic, basepoint: ProjPoint, loops: list[LoopPath],
                     group.add(comp)
                     nxt.append(comp)
         frontier = nxt
-    order = len(group) if len(group) <= 720 else None
-    # orbit of sheet 0 under the generators
-    orbit = {0}
-    changed = True
-    while changed:
-        changed = False
-        for p in perms:
-            for i in list(orbit):
-                if p.images[i] not in orbit:
-                    orbit.add(p.images[i])
-                    changed = True
-    return perms, len(orbit) == 6, (order if order is not None else ">720")
+    # transitive when sheet 0 reaches every sheet
+    return perms, len({g[0] for g in group}) == 6, len(group)
 
 
 def tangent_loop_library(cubic: Cubic, basepoint: ProjPoint,
@@ -523,7 +519,10 @@ def tangent_loop_library(cubic: Cubic, basepoint: ProjPoint,
     """One loop around each of the 9 inflectional tangents: circles in a
     seeded random affine line through the basepoint, with straight tails
     from the basepoint; all samples keep a margin from the cubic and from
-    the other tangents."""
+    the other tangents.  circle_samples must be at least 3: a polygon with
+    fewer vertices does not wind around the tangent."""
+    if circle_samples < 3:
+        raise ValueError(f"circle_samples must be at least 3, got {circle_samples}")
     rng = np.random.default_rng(seed)
     infl = inflection_points(cubic, lat)
     duals = [tangent_line(cubic, p, tol=1e-6).dual.vec for p in infl]

@@ -50,25 +50,24 @@ class Cubic:
             return y * y * z - 4.0 * x ** 3 + self.g2 * x * z * z + self.g3 * z ** 3
         return x ** 3 + y ** 3 + z ** 3 + self.t * x * y * z
 
-    def term_scale(self, v) -> float:
+    def term_scale(self, v):
         """Sum of the monomial magnitudes; the natural residual scale.
+        A float for one point, an array for a (3, N) array of points.
 
         Floored at a small multiple of the coefficient scale: near [0,1,0]
         every monomial vanishes together with F and the bare ratio would
         misjudge points that sit numerically on the curve.
         """
         x, y, z = np.abs(np.asarray(v, dtype=complex))
-        m = max(x, y, z)
+        m = np.maximum(np.maximum(x, y), z)
         if self.family == "weierstrass":
             floor = 1e-12 * (1.0 + abs(self.g2) + abs(self.g3)) * m ** 3
-            return float(
-                y * y * z + 4.0 * x ** 3 + abs(self.g2) * x * z * z
-                + abs(self.g3) * z ** 3 + floor + 1e-300
-            )
-        floor = 1e-12 * (1.0 + abs(self.t)) * m ** 3
-        return float(
-            x ** 3 + y ** 3 + z ** 3 + abs(self.t) * x * y * z + floor + 1e-300
-        )
+            s = (y * y * z + 4.0 * x ** 3 + abs(self.g2) * x * z * z
+                 + abs(self.g3) * z ** 3 + floor + 1e-300)
+        else:
+            floor = 1e-12 * (1.0 + abs(self.t)) * m ** 3
+            s = x ** 3 + y ** 3 + z ** 3 + abs(self.t) * x * y * z + floor + 1e-300
+        return s if np.ndim(s) else float(s)
 
     def residual(self, p: ProjPoint) -> float:
         return abs(self.F(p.vec)) / self.term_scale(p.vec)

@@ -152,3 +152,10 @@ class NonFiniteResultError(EllipticaError):
 
 class InvalidArgumentError(EllipticaError):
     operation = "parse_arguments"
+
+
+class InternalError(EllipticaError):
+    """A bare ValueError, ZeroDivisionError or LinAlgError that escaped a
+    CLI subcommand: a fault of the library, not of the input."""
+
+    operation = "internal"

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import elliptica
@@ -172,12 +173,42 @@ def test_out_writes_file(tmp_path):
         (["hesse-scan", "--grid", "3", "--radius", "nan"], "parse_arguments"),
         (["hesse-scan", "--grid", "3", "--radius", "inf"], "parse_arguments"),
         (["hesse-scan", "--grid", "3", "--radius=-6"], "parse_arguments"),
+        (["monodromy", "--tau", "0.3,1.4", "--circle-samples", "0"], "parse_arguments"),
+        (["monodromy", "--tau", "0.3,1.4", "--circle-samples=-3"], "parse_arguments"),
+        (["hesse-scan", "--t", "6,0", "--radius", "3"], "parse_arguments"),
     ],
 )
 def test_bad_input_or_nonfinite_result_is_domain_error(argv, operation):
     status, payload = dispatch(argv)
     assert status == 1, payload
     assert json.loads(payload)["error"]["operation"] == operation
+
+
+def test_negative_real_parts_need_no_equals_sign():
+    from elliptica.cli import build_parser
+
+    argv = ["--tau", "0.3,1.4", "--q", "1,0", "-0.3,0.2", "0.1,0"]
+    doc = run_json(["fiber", *argv])
+    assert doc["base"][1] == [-0.3, 0.2] and doc["total"] == 6
+    args = build_parser().parse_args(["monodromy", *argv, "--circle-samples", "-3"])
+    assert args.q == [1, -0.3 + 0.2j, 0.1] and args.circle_samples == -3
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad"), ZeroDivisionError("division by zero"),
+                                 np.linalg.LinAlgError("Singular matrix")])
+def test_library_fault_is_one_structured_internal_error(exc, monkeypatch, capsys):
+    from elliptica import cli
+
+    def handler(args, cfg):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "lattice", handler)
+    assert cli.main(["lattice", "--tau", "0,1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    doc = json.loads(err)["error"]  # exactly one JSON document
+    assert doc["operation"] == "internal"
+    assert doc["details"] == {"exception": type(exc).__name__}
 
 
 def test_wp_at_large_im_tau_matches_trigonometric_limit():

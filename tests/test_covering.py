@@ -15,6 +15,7 @@ from elliptica import (
     inflection_points,
     lambda_fiber,
     lines_meet,
+    make_lattice,
     monodromy_group,
     point_from_vec,
     polar_conic,
@@ -25,7 +26,7 @@ from elliptica import (
     unembed,
     weierstrass_cubic,
 )
-from elliptica.covering import _match_permutation
+from elliptica.covering import _match_permutation, _newton_rows
 from elliptica.divisors import match_divisors
 from elliptica.elliptic import wp_function
 from elliptica.errors import CollisionUnresolvedError, NotDegree3Error, PointOnCurveError
@@ -332,3 +333,101 @@ def test_match_permutation_refuses_non_bijective_match():
     details = exc.value.to_json()["details"]
     assert details["images"] == "[0, 0, 2, 3, 4, 5]"
     assert exc.value.details["nearest"][1] < 1e-8
+
+
+def _scalar_newton(cubic, form, v, max_iter=12):
+    """Reference polish: one point, Newton on {F = 0, Q = 0} in the chart of
+    its largest coordinate, stopped by the same 1e-15 step test."""
+    v = np.array(v, dtype=complex)
+    pivot = int(np.argmax(np.abs(v)))
+    v = v / v[pivot]
+    idx = [i for i in range(3) if i != pivot]
+    for _ in range(max_iter):
+        r0, r1 = cubic.F(v), form(v)
+        gF, gQ = cubic.grad(v), 2.0 * (form.matrix @ v)
+        a, b, c, d = gF[idx[0]], gF[idx[1]], gQ[idx[0]], gQ[idx[1]]
+        det = a * d - b * c
+        if det == 0:
+            break
+        du0 = (d * r0 - b * r1) / det
+        du1 = (-c * r0 + a * r1) / det
+        v[idx[0]] -= du0
+        v[idx[1]] -= du1
+        if max(abs(du0), abs(du1)) < 1e-15:
+            break
+    return point_from_vec(v)
+
+
+@pytest.mark.parametrize("lattice", ["square", "hexagonal", "generic"])
+def test_batched_newton_matches_scalar_polish(lattice, request):
+    lat = request.getfixturevalue(lattice)
+    cubic = weierstrass_cubic(lat)
+    rng = np.random.default_rng(13)
+    q = generic_base_point(cubic, lat, rng)
+    form = polar_conic(cubic, q)
+    fib = lambda_fiber(cubic, q)
+    # the fiber's points are fixed points of the scalar polish
+    for p in fib.points():
+        assert _scalar_newton(cubic, form, p.vec).distance(p) <= 1e-14
+    # and the batched Newton takes perturbed seeds where the scalar one does
+    seeds = np.array([p.vec for p in fib.points()])
+    seeds = seeds + 1e-6 * rng.standard_normal((6, 6)).view(np.complex128)
+    rows, resid = _newton_rows(cubic, form.matrix, seeds)
+    assert resid.max() <= 1e-12
+    for seed, row in zip(seeds, rows):
+        assert point_from_vec(row).distance(_scalar_newton(cubic, form, seed)) <= 1e-14
+
+
+# a basepoint and loop seed whose loop tails once had consecutive samples
+# too far apart for the tracker to accept
+REPRO_LATTICE = make_lattice(1, 0.3 + 1.4j)
+REPRO_BASE = proj_point(0.5610041569184817 - 0.4675658995620619j,
+                        -0.7327897557059544 - 0.5104981843758312j, 1)
+REPRO_SEED = 2064653479
+
+
+def test_loop_library_with_far_apart_tail_samples():
+    cubic = weierstrass_cubic(REPRO_LATTICE)
+    loops = tangent_loop_library(cubic, REPRO_BASE, REPRO_LATTICE, seed=REPRO_SEED)
+    perms, transitive, order = monodromy_group(cubic, REPRO_BASE, loops)
+    assert len(perms) == 9
+    assert all(p.cycle_type() == (2, 1, 1, 1, 1) for p in perms)
+    assert transitive
+    assert order == 720
+
+
+def test_thinned_tails_follow_the_geodesic():
+    # a tail is a straight segment in the loop's affine line, which is the
+    # projective geodesic between its end samples: tracking each tail as one
+    # segment must give the permutation of the densely sampled tail.  Loop 2's
+    # tail spans a near-right angle, where an uneven pace in the segment
+    # parameter would exhaust the halving floor.
+    cubic = weierstrass_cubic(REPRO_LATTICE)
+    loops = tangent_loop_library(cubic, REPRO_BASE, REPRO_LATTICE, seed=REPRO_SEED)
+    fib = lambda_fiber(cubic, REPRO_BASE)
+    for loop in (loops[0], loops[2]):
+        s = loop.samples
+        ntail = (len(s) - 50) // 2  # tail, 49 circle samples, reversed tail, basepoint
+        thin = LoopPath((s[0],) + s[ntail:ntail + 49] + (s[-1],))
+        assert s[0].distance(s[ntail]) > 0.9
+        dense = _match_permutation(fib.points(), continue_fiber(cubic, loop, fib).points())
+        sparse = _match_permutation(fib.points(), continue_fiber(cubic, thin, fib).points())
+        assert dense.cycle_type() == (2, 1, 1, 1, 1)
+        assert sparse.images == dense.images
+
+
+def test_group_of_one_transposition_has_order_two(generic):
+    cubic = weierstrass_cubic(generic)
+    q0 = generic_base_point(cubic, generic, np.random.default_rng(6))
+    loops = tangent_loop_library(cubic, q0, generic, seed=0)
+    perms, transitive, order = monodromy_group(cubic, q0, loops[:1])
+    assert perms[0].cycle_type() == (2, 1, 1, 1, 1)
+    assert order == 2 and not transitive
+
+
+def test_loop_library_needs_three_circle_samples(generic):
+    cubic = weierstrass_cubic(generic)
+    q0 = generic_base_point(cubic, generic, np.random.default_rng(6))
+    for n in (2, 0, -3):
+        with pytest.raises(ValueError):
+            tangent_loop_library(cubic, q0, generic, circle_samples=n)
