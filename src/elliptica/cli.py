@@ -63,7 +63,10 @@ def _parse_divisor_point(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected re,im,mult, got {text!r}")
-    return complex(float(parts[0]), float(parts[1])), int(parts[2])
+    mult = int(parts[2])
+    if mult < 1:
+        raise argparse.ArgumentTypeError(f"multiplicity must be at least 1, got {text!r}")
+    return complex(float(parts[0]), float(parts[1])), mult
 
 
 def _pair(v: complex) -> list[float]:
@@ -128,8 +131,16 @@ def _function_from_args(args, lat: Lattice) -> EllipticFunction:
     if getattr(args, "fn", None):
         import json as _json
 
-        with open(args.fn) as fh:
-            return EllipticFunction.from_json(_json.load(fh))
+        try:
+            with open(args.fn) as fh:
+                return EllipticFunction.from_json(_json.load(fh))
+        except OSError as exc:
+            raise InvalidArgumentError(f"--fn {args.fn}: {exc.strerror}") from None
+        except (ValueError, TypeError, KeyError, IndexError) as exc:
+            # malformed JSON, or JSON that is not an EllipticFunction document
+            raise InvalidArgumentError(
+                f"--fn {args.fn}: not an elliptic function document ({type(exc).__name__}: {exc})"
+            ) from None
     if not args.zeros or not args.poles:
         raise EllipticaError("give --zeros and --poles (re,im,mult each) or --fn FILE")
     zeros = divisor(args.zeros, lat)
@@ -411,10 +422,13 @@ def _cmd_monodromy(args, cfg: RunConfig):
         "transitive": transitive,
         "group_order": order,
     }
-    fib0 = covering.lambda_fiber(cubic, q0, seed=cfg.seed)
-    svg = _cubic_svg(
-        cubic, lat, [q0] + fib0.points(), paths=[lp.samples for lp in loops]
-    )
+
+    def svg() -> bytes:
+        # the basepoint fiber again, solved only when an SVG is asked for
+        fib0 = covering.lambda_fiber(cubic, q0, seed=cfg.seed)
+        paths = [lp.samples for lp in loops]
+        return _cubic_svg(cubic, lat, [q0] + fib0.points(), paths=paths)()
+
     return doc, None, svg
 
 
@@ -537,14 +551,16 @@ def dispatch(argv: list[str]) -> tuple[int, bytes]:
 
 def main(argv: list[str] | None = None) -> int:
     status, payload, out = _run(sys.argv[1:] if argv is None else argv)
-    try:
-        if status == 0 and out:
+    if status == 0 and out:
+        try:
             with open(out, "wb") as fh:
                 fh.write(payload)
-        elif status == 0:
-            sys.stdout.buffer.write(payload)
-        else:
-            sys.stderr.buffer.write(payload)
+            return 0
+        except OSError as exc:
+            err = InvalidArgumentError(f"--out {out}: {exc.strerror}")
+            status, payload = 1, to_json_bytes({"error": err.to_json()})
+    try:
+        (sys.stdout if status == 0 else sys.stderr).buffer.write(payload)
     except BrokenPipeError:
         pass
     return status

@@ -1,19 +1,24 @@
 """Divisors on the torus, the Jacobi map, the Abel condition, and numerical
-zero location through the argument principle and Newton's identities.
+location of zeros and poles through the argument principle and Newton's
+identities.
 
 The contour routines accept one protocol: an object that is callable
 elementwise on a complex ndarray and has values_and_dlog(z) returning the
-pair (f(z), f'(z)/f(z)).  An EllipticFunction, wp_evaluable(...) and
-reciprocal(...) of either satisfy it; Evaluable(f, pair) builds one from
-two functions.  Zero location subdivides the fundamental parallelogram into
-cells, integrates f'/f over a circle circumscribing each cell, inverts
-Newton's identities to seed the roots, then Newton-polishes and verifies
-each root; cells whose data is inconsistent (for instance zeros shadowed by
-poles in the same cell) are subdivided, and the whole grid is re-shifted
-when a cell boundary passes too close to a zero or pole.
+pair (f(z), f'(z)/f(z)).  An EllipticFunction, elliptic.wp_evaluable(...)
+and reciprocal(...) of either satisfy it; Evaluable(f, pair) builds one from
+two functions.  Location subdivides the fundamental parallelogram into
+cells and integrates f'/f over a circle circumscribing each cell.  These
+moments count zeros minus poles, so one sweep finds both divisors: a cell
+with net zeros inverts Newton's identities to seed its roots, then
+Newton-polishes and verifies each one, and a cell with net poles does the
+same with the negated moments, polishing through 1/f.  Cells whose data is
+inconsistent (for instance zeros shadowed by poles in the same cell) are
+subdivided, and the whole grid is re-shifted when a cell boundary passes
+too close to a zero or pole.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -179,10 +184,7 @@ def _counted_samples(f, center: complex, radius: float, nodes: int, min_modulus:
 
 
 def _sums_from_samples(w, g, kmax: int) -> list[complex]:
-    out = []
-    for p in range(kmax + 1):
-        out.append(complex(np.mean(g * w ** (p + 1))))
-    return out
+    return [complex(np.mean(g * w ** (p + 1))) for p in range(kmax + 1)]
 
 
 class Evaluable:
@@ -328,15 +330,12 @@ def _roots_from_sums(count: int, sums: list[complex], center: complex):
     return [center + complex(r) for r in np.roots(monic_from_elementary(sym))]
 
 
-def _cell_sums(f, center, radius):
-    """(count, power sums 0.._KMAX_CAP, median |f|) on a cell circle."""
-    count, w, g, scale = _counted_samples(
-        f, center, radius, CONTOUR_NODES, CELL_MIN_MODULUS_REL
-    )
-    return count, _sums_from_samples(w, g, _KMAX_CAP), scale
-
-
-def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, found):
+def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, zeros, poles):
+    """Resolve one cell: add the zeros it holds to `zeros` and, in a pair
+    sweep, its poles to the list `poles`.  A net count of poles runs the
+    zero path on the negated moments, through reciprocal(f); a zero-only
+    sweep (poles None) accepts such a cell when the unpolished seeds of the
+    negated moments explain every moment."""
     center, radius = _cell_circle(lat, a0, b0, sa, sb)
 
     def subdivide():
@@ -346,48 +345,52 @@ def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, found):
             for db in (0.0, 0.5):
                 _process_cell(
                     f, lat, a0 + da * sa, b0 + db * sb,
-                    sa / 2.0, sb / 2.0, depth + 1, tol, found,
+                    sa / 2.0, sb / 2.0, depth + 1, tol, zeros, poles,
                 )
 
+    def keep(out, points):
+        for z, mult in points:
+            a, b = lat.coords(z)
+            if a0 <= a < a0 + sa and b0 <= b < b0 + sb:
+                out.append((z, mult))
+
     try:
-        count, sums, scale = _cell_sums(f, center, radius)
+        count, w, g, scale = _counted_samples(
+            f, center, radius, CONTOUR_NODES, CELL_MIN_MODULUS_REL
+        )
     except _RETRY:
         # a feature sits too close to this cell's circle; subdividing moves
         # every boundary, so trouble stays local instead of restarting the grid
-        if depth >= MAX_CELL_DEPTH:
-            raise
         subdivide()
         return
+    # from here on count and sums are of what the cell holds net: zeros, or
+    # poles when the count is negative
+    sign = -1 if count < 0 else 1
+    count *= sign
+    sums = _sums_from_samples(w, sign * g, _KMAX_CAP)
 
-    def moments_explained(points, start, data, sign=1.0):
-        # measured sums must match the moments of the recovered points from
-        # power `start` upward; mismatch means features hide behind a net
-        # count.  sign=-1 compares against pole contributions.
-        for p in range(start, _KMAX_CAP + 1):
-            predicted = sign * sum((z - center) ** p for z in points)
-            if abs(data[p] - predicted) / radius ** p > _MOMENT_TOL:
-                return False
-        return True
+    def mismatch(points, start, data):
+        # measured sums must match the moments of the recovered (point,
+        # weight) pairs from power `start` upward; mismatch means features
+        # hide behind a net count
+        return max(
+            (abs(data[p] - sum(m * (z - center) ** p for z, m in points)) / radius ** p
+             for p in range(start, _KMAX_CAP + 1)),
+            default=0.0,
+        )
 
-    def confirmed(points, start, sign=1.0):
+    def confirmed(points, start):
         # features just outside the circle pollute low-node moments; re-check
         # at high resolution before concluding the cell hides features, but
         # skip it when the mismatch is far above any plausible contamination
-        if moments_explained(points, start, sums, sign):
-            return True
-        gross = max(
-            abs(sums[p] - sign * sum((z - center) ** p for z in points))
-            / radius ** p
-            for p in range(start, _KMAX_CAP + 1)
-        )
-        if gross > 0.05:
-            return False
+        gap = mismatch(points, start, sums)
+        if gap <= _MOMENT_TOL or gap > 0.05:
+            return gap <= _MOMENT_TOL
         try:
             w, g, _ = _circle_samples(f, center, radius, 768, CELL_MIN_MODULUS_REL)
         except _RETRY:
             return False
-        hi = _sums_from_samples(w, g, _KMAX_CAP)
-        return moments_explained(points, start, hi, sign)
+        return mismatch(points, start, _sums_from_samples(w, sign * g, _KMAX_CAP)) <= _MOMENT_TOL
 
     if count == 0:
         if confirmed([], 1):
@@ -399,38 +402,21 @@ def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, found):
         if abs(s1) > 0.5 * _MOMENT_TOL * radius:
             zc = center + (s1 + sums[2] / s1) / 2.0
             pc = center + (sums[2] / s1 - s1) / 2.0
-            pair_ok = all(
-                abs(sums[p] - ((zc - center) ** p - (pc - center) ** p))
-                / radius ** p
-                <= _MOMENT_TOL
-                for p in range(3, _KMAX_CAP + 1)
-            )
-            if pair_ok:
+            if mismatch([(zc, 1), (pc, -1)], 3, sums) <= _MOMENT_TOL:
                 z, resid = _newton_polish(f, zc, 1, radius)
-                pol, _ = _newton_polish(reciprocal(f), pc, 1, radius)
-                if (
-                    resid <= 1e-6 * scale
-                    and abs(z - zc) < 0.2 * radius
-                    and abs(pol - pc) < 0.2 * radius
-                ):
-                    a, b = lat.coords(z)
-                    if a0 <= a < a0 + sa and b0 <= b < b0 + sb:
-                        found.append((z, 1))
+                pol, presid = _newton_polish(reciprocal(f), pc, 1, radius)
+                if (resid <= 1e-6 * scale and presid <= 1e-6 / scale
+                        and max(abs(z - zc), abs(pol - pc)) < 0.2 * radius):
+                    keep(zeros, [(z, 1)])
+                    if poles is not None:
+                        keep(poles, [(pol, 1)])
                     return
         subdivide()
         return
-    if count < 0:
-        # net poles: recover them from 1/f on the same circle and accept the
-        # cell as pole-only when they explain every measured f-moment
-        try:
-            rcount, rsums, _ = _cell_sums(reciprocal(f), center, radius)
-        except _RETRY:
-            subdivide()
+    if poles is None and sign < 0:
+        if count <= _KMAX_CAP and confirmed(
+                [(r, 1) for r in _roots_from_sums(count, sums, center)], 1):
             return
-        if rcount == -count and rcount <= _KMAX_CAP:
-            poles = _roots_from_sums(rcount, rsums, center)
-            if confirmed(poles, 1, sign=-1.0):
-                return
         subdivide()
         return
     if count > 3 and depth < MAX_CELL_DEPTH:
@@ -438,64 +424,69 @@ def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, found):
         return
     if count > _KMAX_CAP:
         raise _GridRetry()
+    # the zero path, for poles on 1/f, whose median modulus is 1/scale
+    h, bound = (f, 1e-6 * scale) if sign > 0 else (reciprocal(f), 1e-6 / scale)
     raw = _roots_from_sums(count, sums, center)
     # polish each seed as a simple root, then read multiplicities off the
     # clusters of the polished points (companion-matrix jitter for a double
     # root far exceeds the final cluster radius; polishing removes it)
-    polished = [_newton_polish(f, r, 1, radius)[0] for r in raw]
+    polished = [_newton_polish(h, r, 1, radius)[0] for r in raw]
     verified: list[tuple[complex, int]] = []
-    total = 0
     for centroid, mult in _cluster(polished, tol):
         z = centroid
         if mult > 1:
-            z, _ = _newton_polish(f, centroid, mult, radius)
-        resid = abs(complex(f(np.array([z]))[0]))
-        if resid > 1e-6 * scale:
+            z, _ = _newton_polish(h, centroid, mult, radius)
+        if abs(complex(h(np.array([z]))[0])) > bound:
             subdivide()
             return
         verified.append((z, mult))
-        total += mult
-    flat = [z for z, m in verified for _ in range(m)]
-    if total != count or not confirmed(flat, count + 1):
+    if sum(m for _, m in verified) != count or not confirmed(verified, count + 1):
         subdivide()
         return
-    for z, mult in verified:
-        a, b = lat.coords(z)
-        if a0 <= a < a0 + sa and b0 <= b < b0 + sb:
-            found.append((z, mult))
+    keep(zeros if sign > 0 else poles, verified)
+
+
+def _grid_offsets(seed: int):
+    """Lattice-coordinate offsets of successive base grids: a fixed one,
+    then seeded uniform re-shifts (the generator is made at the first
+    re-shift, which most sweeps never reach)."""
+    yield 0.31007, 0.24203
+    rng = np.random.default_rng(seed)
+    while True:
+        yield rng.uniform(0.03, 0.93, 2)
+
+
+def _sweep(f, lat: Lattice, tol: float, grids, pair: bool):
+    """[zeros] or, with `pair`, [zeros, poles] from the first of at most
+    MAX_GRID_SHIFTS base grids taken from `grids` whose cells all resolve."""
+    _require_dlog(f)
+    s = 1.0 / BASE_SUBDIVISION
+    for oa, ob in itertools.islice(grids, MAX_GRID_SHIFTS):
+        zeros, poles = [], ([] if pair else None)
+        try:
+            for i in range(BASE_SUBDIVISION):
+                for j in range(BASE_SUBDIVISION):
+                    _process_cell(f, lat, oa + i * s, ob + j * s, s, s, 0, tol, zeros, poles)
+        except _RETRY:
+            continue
+        return [divisor(_cluster([z for z, m in pts for _ in range(m)], tol), lat)
+                for pts in (zeros, poles) if pts is not None]
+    raise SubdivisionFailureError(
+        "no zero-free subdivision grid found within the shift budget"
+    )
 
 
 def locate_zeros(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int = 0) -> Divisor:
     """Zero divisor of an elliptic function f inside one fundamental
     parallelogram.
 
-    The pole divisor is obtained by applying the same routine to 1/f.
-    Raises SubdivisionFailureError when no admissible subdivision grid is
-    found after the maximum number of seeded shifts, NonIntegerCountError
-    when f has no values_and_dlog.
+    Cells with a net count of poles are accepted by their moments alone;
+    locate_divisor_pair also locates the poles, in the same sweep.  Raises
+    SubdivisionFailureError when no admissible subdivision grid is found
+    after the maximum number of seeded shifts, NonIntegerCountError when f
+    has no values_and_dlog.
     """
-    _require_dlog(f)
-    rng = None  # made at the first re-shift: most grids need none
-    for attempt in range(MAX_GRID_SHIFTS):
-        if attempt == 0:
-            oa, ob = 0.31007, 0.24203
-        else:
-            if rng is None:
-                rng = np.random.default_rng(seed)
-            oa, ob = rng.uniform(0.03, 0.93, 2)
-        found: list[tuple[complex, int]] = []
-        s = 1.0 / BASE_SUBDIVISION
-        try:
-            for i in range(BASE_SUBDIVISION):
-                for j in range(BASE_SUBDIVISION):
-                    _process_cell(f, lat, oa + i * s, ob + j * s, s, s, 0, tol, found)
-        except _RETRY:
-            continue
-        merged = _cluster([z for z, m in found for _ in range(m)], tol)
-        return divisor(merged, lat)
-    raise SubdivisionFailureError(
-        "no zero-free subdivision grid found within the shift budget"
-    )
+    return _sweep(f, lat, tol, _grid_offsets(seed), pair=False)[0]
 
 
 def reciprocal(f):
@@ -515,10 +506,18 @@ def reciprocal(f):
 
 
 def locate_divisor_pair(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int = 0):
-    """(zeros, poles) of f with a global degree cross-check."""
-    for shift in range(3):
-        zeros = locate_zeros(f, lat, tol, seed + shift)
-        poles = locate_zeros(reciprocal(f), lat, tol, seed + shift)
+    """(zeros, poles) of f from one sweep over the cells, with a global
+    degree cross-check.
+
+    The signed moments of f'/f on each cell circle give the cell's zeros
+    and poles together; poles are polished through reciprocal(f).  When the
+    degrees differ the sweep is repeated, at most twice, each time on base
+    grids not swept before.  Raises SubdivisionFailureError when they still
+    differ or no admissible grid is found.
+    """
+    grids = _grid_offsets(seed)
+    for _ in range(3):
+        zeros, poles = _sweep(f, lat, tol, grids, pair=True)
         if zeros.degree == poles.degree:
             return zeros, poles
     raise SubdivisionFailureError(

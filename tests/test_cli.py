@@ -153,6 +153,59 @@ def test_out_writes_file(tmp_path):
     assert json.loads(out.read_bytes())["class"]["kind"] == "square"
 
 
+def main_error(argv, capsys):
+    """The error document of a CLI run that must fail with exit status 1
+    and print exactly one JSON document, on stderr only."""
+    from elliptica.cli import main
+
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    return json.loads(err)["error"]
+
+
+def test_missing_fn_file_is_argument_error(tmp_path, capsys):
+    err = main_error(["zeros", "--tau", "0.3,1.4", "--fn", str(tmp_path / "none.json")], capsys)
+    assert err["operation"] == "parse_arguments"
+
+
+def test_malformed_fn_file_is_argument_error(tmp_path, capsys):
+    fn_file = tmp_path / "fn.json"
+    fn_file.write_text('{"lattice": 3}')
+    err = main_error(["zeros", "--tau", "0.3,1.4", "--fn", str(fn_file)], capsys)
+    assert err["operation"] == "parse_arguments"
+
+
+def test_out_into_missing_directory_is_argument_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    err = main_error(["lattice", "--tau", "0,1", "--out", str(out)], capsys)
+    assert err["operation"] == "parse_arguments"
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("mult", ["0", "-1"])
+def test_non_positive_multiplicity_is_usage_error(mult):
+    argv = ["zeros", "--tau", "0.3,1.4", "--zeros", f"0.2,0.3,{mult}", "--poles", "0.1,0.1,1"]
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+
+
+def test_monodromy_json_solves_the_basepoint_fiber_once(monkeypatch):
+    from elliptica import covering
+
+    calls = []
+    solve = covering.lambda_fiber
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(covering, "lambda_fiber", counted)
+    run_json(["monodromy", "--tau", "0.3,1.4"])
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "argv, operation",
     [
@@ -285,7 +338,12 @@ def _readme_examples():
 @pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: " ".join(argv[:3]))
 def test_readme_examples(argv, tmp_path):
     if "fn.json" in argv:
-        pytest.skip("needs a function file written by build-fn")
+        # the function file comes from the README's own build-fn example
+        build = next(a for a in _readme_examples() if a[0] == "build-fn")
+        status, payload = dispatch(build)
+        assert status == 0, payload
+        (tmp_path / "fn.json").write_bytes(payload)
+        argv[argv.index("fn.json")] = str(tmp_path / "fn.json")
     if "--out" in argv:
         i = argv.index("--out") + 1
         argv[i] = str(tmp_path / os.path.basename(argv[i]))

@@ -244,3 +244,81 @@ def test_contour_requires_values_and_dlog(generic):
         contour_power_sums(lambda z: z - 0.5, 0.5, 0.1, 2, generic)
     with pytest.raises(NonIntegerCountError, match="values_and_dlog"):
         locate_zeros(lambda z: z - 0.5, generic)
+
+
+def _abel_function(zeros, poles, lat):
+    from elliptica import build_from_divisors
+
+    return build_from_divisors(divisor(zeros, lat), divisor(poles, lat), lat)
+
+
+def test_pair_finds_zero_shadowed_by_nearby_pole(generic):
+    # the zero and the pole 0.015 from it share one cell circle, whose net
+    # count is 0
+    a = 0.4 + 0.5j
+    poles = [(a + 0.015, 1), (0.8 + 1.1j, 1), (0.6 + 0.2j, 1)]
+    zeros = [(a, 1), (0.2 + 0.9j, 1)]
+    zeros.append((sum(p for p, _ in poles) - sum(z for z, _ in zeros), 1))
+    f = _abel_function(zeros, poles, generic)
+    zf, pf = locate_divisor_pair(f, generic)
+    assert match_divisors(zf, f.zeros, generic, 1e-6)
+    assert match_divisors(pf, f.poles, generic, 1e-6)
+
+
+def test_pair_finds_multiple_pole(generic):
+    p = 0.3 + 0.7j
+    zeros = [(0.1 + 0.2j, 1), (0.6 + 1.1j, 1)]
+    zeros.append((3 * p - sum(z for z, _ in zeros), 1))
+    f = _abel_function(zeros, [(p, 3)], generic)
+    zf, pf = locate_divisor_pair(f, generic)
+    assert pf.points[0][1] == 3 and pf.degree == 3
+    assert match_divisors(zf, f.zeros, generic, 1e-6)
+    assert match_divisors(pf, f.poles, generic, 1e-6)
+
+
+def test_pair_samples_each_circle_once(generic, monkeypatch):
+    # the signed moments of one sweep give zeros and poles together: no
+    # circle is sampled again at the same node count, for 1/f or otherwise
+    from elliptica import divisors
+
+    seen = []
+    sample = divisors._circle_samples
+
+    def counted(f, center, radius, nodes, min_modulus):
+        seen.append((center, radius, nodes))
+        return sample(f, center, radius, nodes, min_modulus)
+
+    monkeypatch.setattr(divisors, "_circle_samples", counted)
+    f = random_abel_function(np.random.default_rng(2), generic)
+    zf, pf = locate_divisor_pair(f, generic)
+    assert zf.degree == pf.degree == 3
+    assert len(seen) == len(set(seen))
+
+
+def test_degree_mismatch_retries_on_fresh_grids(generic, monkeypatch):
+    # z - c has one zero and no pole in every base grid (c sits at lattice
+    # coordinates (0.98, 0.98), inside every grid's parallelogram), so the
+    # degrees differ on each attempt; each retry must sweep a new grid
+    from elliptica import divisors
+    from elliptica.divisors import Evaluable
+    from elliptica.errors import SubdivisionFailureError
+
+    c = generic.from_coords(0.98, 0.98)
+
+    def pair(z):
+        with np.errstate(divide="ignore", invalid="ignore"):  # Newton lands on c
+            return z - c, 1.0 / (z - c)
+
+    f = Evaluable(lambda z: z - c, pair)
+    grids = set()
+    process = divisors._process_cell
+
+    def recorded(f, lat, a0, b0, sa, sb, depth, *rest):
+        if depth == 0:
+            grids.add((round(a0 % sa, 9), round(b0 % sb, 9)))
+        return process(f, lat, a0, b0, sa, sb, depth, *rest)
+
+    monkeypatch.setattr(divisors, "_process_cell", recorded)
+    with pytest.raises(SubdivisionFailureError, match="degree mismatch"):
+        locate_divisor_pair(f, generic)
+    assert len(grids) >= 3
