@@ -1,6 +1,5 @@
 """Divisors on the torus, the Jacobi map, the Abel condition, and numerical
-location of zeros and poles through the argument principle and Newton's
-identities.
+location of zeros and poles through the argument principle.
 
 The contour routines accept one protocol: an object that is callable
 elementwise on a complex ndarray and has values_and_dlog(z) returning the
@@ -8,13 +7,15 @@ pair (f(z), f'(z)/f(z)).  An EllipticFunction, elliptic.wp_evaluable(...)
 and reciprocal(...) of either satisfy it; Evaluable(f, pair) builds one from
 two functions.  Location subdivides the fundamental parallelogram into
 cells and integrates f'/f over a circle circumscribing each cell.  These
-moments count zeros minus poles, so one sweep finds both divisors: a cell
-with net zeros inverts Newton's identities to seed its roots, then
-Newton-polishes and verifies each one, and a cell with net poles does the
-same with the negated moments, polishing through 1/f.  Cells whose data is
-inconsistent (for instance zeros shadowed by poles in the same cell) are
-subdivided, and the whole grid is re-shifted when a cell boundary passes
-too close to a zero or pole.
+moments are signed, zeros minus poles, so one sweep finds both divisors:
+the eigenvalues of a Hankel pencil on a cell's moments are its zeros and
+poles, with integer weights (positive for a zero, negative for a pole)
+fitted to the same moments.  Each point is Newton-polished at its
+multiplicity, a pole through 1/f, and verified.  Cells whose data is
+inconsistent are subdivided, and the whole grid is re-shifted when a cell
+boundary passes too close to a zero or pole.  contour_power_sums and
+Newton's identities (newton_elementary) give the power sums and the
+polynomial of the zeros inside one circle.
 """
 from __future__ import annotations
 
@@ -255,7 +256,7 @@ def monic_from_elementary(sym: list[complex]) -> np.ndarray:
     return np.array(coeffs)
 
 
-def _newton_polish(f, z0: complex, mult: int, step_scale: float, max_iter: int = 28):
+def _newton_polish(f, z0: complex, mult: int, max_iter: int = 28):
     """Multiplicity-aware Newton iteration on f from seed z0.
 
     Returns (best point, best |f|) over the iteration; near multiple roots
@@ -291,20 +292,6 @@ def _newton_polish(f, z0: complex, mult: int, step_scale: float, max_iter: int =
     return best_z, best_r
 
 
-def _cluster(points: list[complex], radius: float) -> list[tuple[complex, int]]:
-    """Greedy clustering; returns (centroid, size) pairs."""
-    out: list[list] = []
-    for z in sorted(points, key=lambda v: (v.real, v.imag)):
-        for item in out:
-            if abs(item[0] / item[1] - z) <= radius:
-                item[0] += z
-                item[1] += 1
-                break
-        else:
-            out.append([z, 1])
-    return [(s / m, m) for s, m in out]
-
-
 class _GridRetry(Exception):
     pass
 
@@ -325,17 +312,63 @@ _KMAX_CAP = 8
 _MOMENT_TOL = 2e-3
 
 
-def _roots_from_sums(count: int, sums: list[complex], center: complex):
-    sym = newton_elementary(PowerSums(tuple([complex(count)] + sums[1:count + 1])))
-    return [center + complex(r) for r in np.roots(monic_from_elementary(sym))]
+def _scaled_moments(count: int, w, g, radius: float) -> np.ndarray:
+    """s_p = m_p / radius^p for the signed moments m_p, p = 0.._KMAX_CAP, of
+    the samples, with s_0 the integer count."""
+    s = np.array(_sums_from_samples(w, g, _KMAX_CAP)) / radius ** np.arange(_KMAX_CAP + 1)
+    s[0] = count
+    return s
+
+
+def _gap(s, x, m) -> float:
+    """Largest |s_p - sum_k m_k x_k^p|: how far the points x_k with weights
+    m_k are from explaining the scaled moments s."""
+    return float(np.abs(s - (x ** np.arange(len(s))[:, None]) @ m).max())
+
+
+def _models(s):
+    """(x, m, gap) for n = 0..4 points x_k with nonzero integer weights m_k
+    (positive for a zero, negative for a pole) fitted to the scaled moments
+    s, fewest points first; gap is the fit's _gap.
+
+    The n points are the eigenvalues of the Hankel pencil (H1, H0), H0 =
+    [s_(i+j)] and H1 = [s_(i+j+1)] for i, j < n (Kravanja & Van Barel,
+    Computing the Zeros of Analytic Functions, LNM 1727); the weights are
+    the least-squares fit on the Vandermonde matrix [x_k^p], rounded.  A
+    singular pencil, a zero weight or a non-finite fit yields no model for
+    that n.
+    """
+    p = np.arange(len(s))
+    x = m = np.zeros(0)
+    yield x, m, _gap(s, x, m)
+    for n in range(1, 5):
+        hankel = p[:n, None] + p[:n]
+        with np.errstate(all="ignore"):
+            try:
+                x = np.linalg.eigvals(np.linalg.solve(s[hankel], s[hankel + 1]))
+                m = np.round(np.linalg.lstsq(x ** p[:, None], s, rcond=None)[0].real)
+            except np.linalg.LinAlgError:
+                continue
+            gap = _gap(s, x, m)
+        if m.all() and np.isfinite(gap):
+            yield x, m, gap
 
 
 def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, zeros, poles):
-    """Resolve one cell: add the zeros it holds to `zeros` and, in a pair
-    sweep, its poles to the list `poles`.  A net count of poles runs the
-    zero path on the negated moments, through reciprocal(f); a zero-only
-    sweep (poles None) accepts such a cell when the unpolished seeds of the
-    negated moments explain every moment."""
+    """Resolve one cell: add the zeros it holds to `zeros` and its poles to
+    `poles`, as (point, multiplicity) pairs, or subdivide it.
+
+    The signed moments of f'/f on the cell circle, scaled by radius^p, are
+    fitted by weighted points (_models), fewest first, and the first model
+    that explains them and whose points pass is accepted.  Each point is
+    Newton-polished once at its multiplicity, a zero (positive weight)
+    through f and a pole through reciprocal(f): its residual must pass, it
+    may move at most 0.2 x the radius, and a multiple point must be one
+    point to within tol; the polished points must still explain the
+    moments.  A model of more than 3 points counted with multiplicity is
+    not taken above the deepest level.  The cell is subdivided when no
+    model passes.
+    """
     center, radius = _cell_circle(lat, a0, b0, sa, sb)
 
     def subdivide():
@@ -348,102 +381,59 @@ def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, zeros, poles):
                     sa / 2.0, sb / 2.0, depth + 1, tol, zeros, poles,
                 )
 
-    def keep(out, points):
-        for z, mult in points:
-            a, b = lat.coords(z)
-            if a0 <= a < a0 + sa and b0 <= b < b0 + sb:
-                out.append((z, mult))
+    def polish(seed, weight):
+        # a pole is a zero of 1/f, whose median modulus on the circle is 1/scale
+        h, bound = (f, 1e-6 * scale) if weight > 0 else (reciprocal(f), 1e-6 / scale)
+        mult = abs(weight)
+        z, resid = _newton_polish(h, seed, mult)
+        # |h| grows like distance^mult away from a multiple point but not
+        # around points more than tol apart, which the moments may not tell
+        # from one point
+        ok = resid <= bound and abs(z - seed) <= 0.2 * radius and (
+            mult == 1 or resid * 4 ** mult <= abs(complex(h(np.array([z + 2 * tol]))[0])))
+        return z if ok else None
+
+    def resolve(s):
+        # (the polished points of the first model that passes, or None;
+        # the smallest miss of the models tried)
+        miss = math.inf
+        for x, m, gap in _models(s):
+            miss = min(miss, gap)
+            if gap > _MOMENT_TOL or (np.abs(m).sum() > 3 and depth < MAX_CELL_DEPTH):
+                continue
+            found = []
+            for xk, mk in zip(x, m):
+                found.append(polish(center + radius * complex(xk), int(mk)))
+                if found[-1] is None:
+                    break
+            else:
+                if _gap(s, (np.array(found) - center) / radius, m) <= _MOMENT_TOL:
+                    return list(zip(found, m)), miss
+        return None, miss
 
     try:
         count, w, g, scale = _counted_samples(
             f, center, radius, CONTOUR_NODES, CELL_MIN_MODULUS_REL
         )
+        points, miss = resolve(_scaled_moments(count, w, g, radius))
+        if _MOMENT_TOL < miss <= 0.05:
+            # features just outside the circle pollute low-node moments;
+            # re-check at high resolution before concluding the cell hides
+            # features, but not when the miss is above any plausible
+            # contamination
+            w, g, _ = _circle_samples(f, center, radius, 768, CELL_MIN_MODULUS_REL)
+            points, _ = resolve(_scaled_moments(count, w, g, radius))
     except _RETRY:
         # a feature sits too close to this cell's circle; subdividing moves
         # every boundary, so trouble stays local instead of restarting the grid
+        points = None
+    if points is None:
         subdivide()
         return
-    # from here on count and sums are of what the cell holds net: zeros, or
-    # poles when the count is negative
-    sign = -1 if count < 0 else 1
-    count *= sign
-    sums = _sums_from_samples(w, sign * g, _KMAX_CAP)
-
-    def mismatch(points, start, data):
-        # measured sums must match the moments of the recovered (point,
-        # weight) pairs from power `start` upward; mismatch means features
-        # hide behind a net count
-        return max(
-            (abs(data[p] - sum(m * (z - center) ** p for z, m in points)) / radius ** p
-             for p in range(start, _KMAX_CAP + 1)),
-            default=0.0,
-        )
-
-    def confirmed(points, start):
-        # features just outside the circle pollute low-node moments; re-check
-        # at high resolution before concluding the cell hides features, but
-        # skip it when the mismatch is far above any plausible contamination
-        gap = mismatch(points, start, sums)
-        if gap <= _MOMENT_TOL or gap > 0.05:
-            return gap <= _MOMENT_TOL
-        try:
-            w, g, _ = _circle_samples(f, center, radius, 768, CELL_MIN_MODULUS_REL)
-        except _RETRY:
-            return False
-        return mismatch(points, start, _sums_from_samples(w, sign * g, _KMAX_CAP)) <= _MOMENT_TOL
-
-    if count == 0:
-        if confirmed([], 1):
-            return
-        # minimal hidden configuration: one zero shadowed by one pole.  Their
-        # signed moments s_p = (z-c)^p - (p-c)^p determine the pair in closed
-        # form from p = 1, 2; higher moments must then agree.
-        s1 = sums[1]
-        if abs(s1) > 0.5 * _MOMENT_TOL * radius:
-            zc = center + (s1 + sums[2] / s1) / 2.0
-            pc = center + (sums[2] / s1 - s1) / 2.0
-            if mismatch([(zc, 1), (pc, -1)], 3, sums) <= _MOMENT_TOL:
-                z, resid = _newton_polish(f, zc, 1, radius)
-                pol, presid = _newton_polish(reciprocal(f), pc, 1, radius)
-                if (resid <= 1e-6 * scale and presid <= 1e-6 / scale
-                        and max(abs(z - zc), abs(pol - pc)) < 0.2 * radius):
-                    keep(zeros, [(z, 1)])
-                    if poles is not None:
-                        keep(poles, [(pol, 1)])
-                    return
-        subdivide()
-        return
-    if poles is None and sign < 0:
-        if count <= _KMAX_CAP and confirmed(
-                [(r, 1) for r in _roots_from_sums(count, sums, center)], 1):
-            return
-        subdivide()
-        return
-    if count > 3 and depth < MAX_CELL_DEPTH:
-        subdivide()
-        return
-    if count > _KMAX_CAP:
-        raise _GridRetry()
-    # the zero path, for poles on 1/f, whose median modulus is 1/scale
-    h, bound = (f, 1e-6 * scale) if sign > 0 else (reciprocal(f), 1e-6 / scale)
-    raw = _roots_from_sums(count, sums, center)
-    # polish each seed as a simple root, then read multiplicities off the
-    # clusters of the polished points (companion-matrix jitter for a double
-    # root far exceeds the final cluster radius; polishing removes it)
-    polished = [_newton_polish(h, r, 1, radius)[0] for r in raw]
-    verified: list[tuple[complex, int]] = []
-    for centroid, mult in _cluster(polished, tol):
-        z = centroid
-        if mult > 1:
-            z, _ = _newton_polish(h, centroid, mult, radius)
-        if abs(complex(h(np.array([z]))[0])) > bound:
-            subdivide()
-            return
-        verified.append((z, mult))
-    if sum(m for _, m in verified) != count or not confirmed(verified, count + 1):
-        subdivide()
-        return
-    keep(zeros if sign > 0 else poles, verified)
+    for z, mk in points:
+        a, b = lat.coords(z)
+        if a0 <= a < a0 + sa and b0 <= b < b0 + sb:
+            (zeros if mk > 0 else poles).append((z, int(abs(mk))))
 
 
 def _grid_offsets(seed: int):
@@ -456,21 +446,20 @@ def _grid_offsets(seed: int):
         yield rng.uniform(0.03, 0.93, 2)
 
 
-def _sweep(f, lat: Lattice, tol: float, grids, pair: bool):
-    """[zeros] or, with `pair`, [zeros, poles] from the first of at most
-    MAX_GRID_SHIFTS base grids taken from `grids` whose cells all resolve."""
+def _sweep(f, lat: Lattice, tol: float, grids):
+    """(zeros, poles) from the first of at most MAX_GRID_SHIFTS base grids
+    taken from `grids` whose cells all resolve."""
     _require_dlog(f)
     s = 1.0 / BASE_SUBDIVISION
     for oa, ob in itertools.islice(grids, MAX_GRID_SHIFTS):
-        zeros, poles = [], ([] if pair else None)
+        zeros, poles = [], []
         try:
             for i in range(BASE_SUBDIVISION):
                 for j in range(BASE_SUBDIVISION):
                     _process_cell(f, lat, oa + i * s, ob + j * s, s, s, 0, tol, zeros, poles)
         except _RETRY:
             continue
-        return [divisor(_cluster([z for z, m in pts for _ in range(m)], tol), lat)
-                for pts in (zeros, poles) if pts is not None]
+        return divisor(zeros, lat), divisor(poles, lat)
     raise SubdivisionFailureError(
         "no zero-free subdivision grid found within the shift budget"
     )
@@ -478,15 +467,13 @@ def _sweep(f, lat: Lattice, tol: float, grids, pair: bool):
 
 def locate_zeros(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int = 0) -> Divisor:
     """Zero divisor of an elliptic function f inside one fundamental
-    parallelogram.
+    parallelogram: the zeros of locate_divisor_pair(f, lat, tol, seed).
 
-    Cells with a net count of poles are accepted by their moments alone;
-    locate_divisor_pair also locates the poles, in the same sweep.  Raises
-    SubdivisionFailureError when no admissible subdivision grid is found
-    after the maximum number of seeded shifts, NonIntegerCountError when f
-    has no values_and_dlog.
+    Raises SubdivisionFailureError when no admissible subdivision grid is
+    found after the maximum number of seeded shifts or the zero and pole
+    degrees differ, NonIntegerCountError when f has no values_and_dlog.
     """
-    return _sweep(f, lat, tol, _grid_offsets(seed), pair=False)[0]
+    return locate_divisor_pair(f, lat, tol, seed)[0]
 
 
 def reciprocal(f):
@@ -510,14 +497,15 @@ def locate_divisor_pair(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int 
     degree cross-check.
 
     The signed moments of f'/f on each cell circle give the cell's zeros
-    and poles together; poles are polished through reciprocal(f).  When the
+    and poles together, as the weighted points of one Hankel pencil; zeros
+    are polished through f and poles through reciprocal(f).  When the
     degrees differ the sweep is repeated, at most twice, each time on base
     grids not swept before.  Raises SubdivisionFailureError when they still
     differ or no admissible grid is found.
     """
     grids = _grid_offsets(seed)
     for _ in range(3):
-        zeros, poles = _sweep(f, lat, tol, grids, pair=True)
+        zeros, poles = _sweep(f, lat, tol, grids)
         if zeros.degree == poles.degree:
             return zeros, poles
     raise SubdivisionFailureError(

@@ -6,9 +6,6 @@ theta function B(u) = theta(u - (1+tau)/2), which has simple zeros exactly
 on the lattice: wp = -(log B)'' + C with C fixed by the absence of a
 constant term in the Laurent expansion at 0.  This is exactly periodic
 under band reduction and accurate to near machine precision everywhere.
-The textbook lattice sum (slowly convergent) and the Laurent-series
-recursion seeded from g2, g3 (valid near a lattice point) are kept as
-independent cross-check evaluators behind the method flag.
 """
 from __future__ import annotations
 
@@ -34,7 +31,6 @@ from .lattice import (
     lattice_to_json,
     reduce_mod_lattice,
     torus_distance,
-    weierstrass_invariants,
 )
 from .sphere import INF, MobiusTransform, chordal, is_infinite, mobius_through
 from .theta import theta_derivs_reduced
@@ -76,50 +72,13 @@ def wp_values(z, lat: Lattice, trunc: int | None = None):
     return p, pp
 
 
-def _laurent_coeffs(lat: Lattice, nterms: int = 22) -> np.ndarray:
-    g2, g3 = weierstrass_invariants(lat)
-    c = np.zeros(nterms + 1, dtype=complex)
-    c[2] = g2 / 20.0
-    c[3] = g3 / 28.0
-    for k in range(4, nterms + 1):
-        acc = sum(c[m] * c[k - m] for m in range(2, k - 1))
-        c[k] = 3.0 * acc / ((2 * k + 1) * (k - 3))
-    return c
-
-
-def wp_pair(z: complex, lat: Lattice, method: str = "theta",
-            trunc: int | None = None, radius: int = 120):
+def wp_pair(z: complex, lat: Lattice, trunc: int | None = None):
     """(wp(z), wp'(z)) as sphere values; (INF, INF) within the pole-proximity
-    threshold of a lattice point.
-
-    method: "theta" (default), "laurent" (series around the nearest lattice
-    point, valid for |z| within about half the lattice minimum) or "sum"
-    (the defining lattice sums truncated at the given radius; slow, O(1/radius)
-    accurate, retained as the cross-check oracle).
-    """
+    threshold of a lattice point."""
     z = complex(z)
     if torus_distance(z, 0.0, lat) < POLE_THRESHOLD * abs(lat.omega1):
         return INF, INF
-    if method == "theta":
-        return wp_values(z, lat, trunc)
-    zr = reduce_mod_lattice(z, lat).rep
-    a, b = lat.coords(zr)
-    zr = zr - round(a) * lat.omega1 - round(b) * lat.omega2  # nearest lattice point
-    if method == "laurent":
-        c = _laurent_coeffs(lat)
-        p = 1.0 / zr ** 2
-        pp = -2.0 / zr ** 3
-        for k in range(2, len(c)):
-            p += c[k] * zr ** (2 * k - 2)
-            pp += (2 * k - 2) * c[k] * zr ** (2 * k - 3)
-        return p, pp
-    if method == "sum":
-        m, n = np.mgrid[-radius:radius + 1, -radius:radius + 1]
-        w = (m * lat.omega1 + n * lat.omega2)[(m != 0) | (n != 0)]
-        p = 1.0 / zr ** 2 + np.sum(1.0 / (zr - w) ** 2 - 1.0 / w ** 2)
-        pp = -2.0 * (1.0 / zr ** 3 + np.sum(1.0 / (zr - w) ** 3))
-        return complex(p), complex(pp)
-    raise ValueError(f"unknown wp method {method!r}")
+    return wp_values(z, lat, trunc)
 
 
 @lru_cache(maxsize=128)

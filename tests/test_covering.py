@@ -207,6 +207,31 @@ def test_branch_divisors_oracle_agreement(generic):
         assert all(used)
 
 
+def test_branch_divisors_direct_finds_critical_point_between_double_poles():
+    # f' has double poles at the last two poles of f, 0.05 apart on the
+    # torus, and a zero midway between them: one cell circle holds all
+    # three and counts -3, and that zero is a branch point
+    from elliptica import build_from_divisors, divisor
+
+    lat = make_lattice(1.0, 0.42524795437191837 + 1.4974170727902625j)
+    zeros = [0.7693345090527235 + 1.4095178243060982j,
+             0.8496049941458743 + 0.9300471133309661j,
+             -1.6189395031985978 - 2.339564937637064j]
+    poles = [0.4371576161526273 + 0.987545744052334j,
+             0.982927048122032 + 0.2781613128765582j,
+             -1.4200846642746594 - 1.2657070569288922j]
+    f = build_from_divisors(divisor([(z, 1) for z in zeros], lat),
+                            divisor([(p, 1) for p in poles], lat), lat)
+    bt = branch_divisors_via_tangents(f, lat)
+    bd = branch_divisors_direct(f, lat)
+    assert len(bt) == len(bd) == 6
+    unmatched = list(bd)
+    for d1 in bt:
+        hits = [d2 for d2 in unmatched if match_divisors(d1, d2, lat, 1e-6)]
+        assert hits, "branch divisor multisets disagree"
+        unmatched.remove(hits[0])
+
+
 def test_branch_divisors_wp(generic):
     from elliptica import half_periods
 

@@ -265,6 +265,37 @@ def test_pair_finds_zero_shadowed_by_nearby_pole(generic):
     assert match_divisors(pf, f.poles, generic, 1e-6)
 
 
+@pytest.mark.parametrize("gap", [4e-3, 3e-4])
+def test_pair_separates_close_zeros(generic, gap):
+    # two zeros this close share a cell circle, and there their moments are
+    # within tolerance of one double zero's; they are two simple zeros all
+    # the same
+    a = 0.4 + 0.5j
+    poles = [(0.8 + 1.1j, 1), (0.6 + 0.2j, 1), (0.15 + 0.95j, 1)]
+    zeros = [(a, 1), (a + gap, 1)]
+    zeros.append((sum(p for p, _ in poles) - sum(z for z, _ in zeros), 1))
+    f = _abel_function(zeros, poles, generic)
+    zf, pf = locate_divisor_pair(f, generic)
+    assert [m for _, m in zf.points] == [1, 1, 1]
+    assert match_divisors(zf, f.zeros, generic, 1e-6)
+    assert match_divisors(pf, f.poles, generic, 1e-6)
+
+
+def test_direct_branch_double_points_match_tangents():
+    # the README build-fn function: each double point of a fiber is polished
+    # at multiplicity 2 and lands on the one the tangent algorithm finds
+    from elliptica import branch_divisors_direct, branch_divisors_via_tangents, make_lattice
+
+    lat = make_lattice(1.0, 0.3 + 1.4j)
+    f = _abel_function([(0.2 + 0.3j, 1), (0.5 + 1.0j, 1), (-0.7 - 1.3j, 1)],
+                       [(0.1 + 0.1j, 1), (0.6 + 1.0j, 1), (-0.7 - 1.1j, 1)], lat)
+    doubles = [[p.rep for d in divs for p, m in d.points if m == 2]
+               for divs in (branch_divisors_direct(f, lat), branch_divisors_via_tangents(f, lat))]
+    assert len(doubles[0]) == len(doubles[1]) == 6
+    for z in doubles[0]:
+        assert min(torus_distance(z, t, lat) for t in doubles[1]) < 1e-10
+
+
 def test_pair_finds_multiple_pole(generic):
     p = 0.3 + 0.7j
     zeros = [(0.1 + 0.2j, 1), (0.6 + 1.1j, 1)]
