@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import covering, hesse
-from .cubic import Cubic, hesse_cubic, inflection_points, weierstrass_cubic
+from .cubic import Cubic, hesse_cubic, inflection_points, tangent_line, weierstrass_cubic
 from .divisors import divisor, abel_defect, locate_divisor_pair
 from .elliptic import (
     EllipticFunction,
@@ -289,8 +289,6 @@ def _cmd_cubic(args, cfg: RunConfig):
     doc = cubic.to_json()
     doc["smooth"] = cubic.is_smooth()
     infl = inflection_points(cubic, lat)
-    from .cubic import tangent_line
-
     duals = [tangent_line(cubic, q, tol=1e-6).dual for q in infl]
     return doc, None, _cubic_svg(cubic, lat, infl, lines=duals)
 
@@ -303,8 +301,6 @@ def _cmd_inflections(args, cfg: RunConfig):
         [i] + [c for pair in p.to_json() for c in pair] for i, p in enumerate(infl)
     ]
     header = ["index", "x_re", "x_im", "y_re", "y_im", "z_re", "z_im"]
-    from .cubic import tangent_line
-
     duals = [tangent_line(cubic, q, tol=1e-6).dual for q in infl]
     return doc, (header, rows), _cubic_svg(cubic, lat, infl, lines=duals)
 

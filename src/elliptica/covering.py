@@ -18,7 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import Cubic, embed_point, inflection_points, tangent_line, unembed, weierstrass_cubic
+from .cubic import (
+    Cubic,
+    chart_newton,
+    embed_point,
+    inflection_points,
+    line_intersect_cubic,
+    tangent_line,
+    unembed,
+    weierstrass_cubic,
+)
 from .divisors import Divisor, Evaluable, divisor, jacobi_sum, locate_zeros, reciprocal
 from .elliptic import EllipticFunction, eval_elliptic
 from .errors import (
@@ -133,37 +142,16 @@ def polar_conic(cubic: Cubic, q: ProjPoint) -> QuadraticForm:
     return QuadraticForm(0.5 * cubic.hessian_matrix(q.vec))
 
 
-def _newton_rows(cubic: Cubic, m: np.ndarray, v: np.ndarray, max_iter: int = 12):
-    """Newton solve of {F = 0, v.M.v = 0} for every row of the (N, 3) array
-    v, each row in the chart of its own largest coordinate, by the
-    closed-form 2x2 solve; a row stops once its step falls below 1e-15 or
-    its Jacobian is singular.  Returns (rows, residuals)."""
-    rows = np.arange(len(v))
-    piv = np.abs(v).argmax(axis=1)
-    v = v / v[rows, piv][:, None]
-    # the two free coordinates of each row's chart
-    i0 = (piv == 0).astype(int)
-    i1 = 2 - (piv == 2)
-    active = np.ones(len(v), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            # stacked (1, 3) @ (3, 3) products round like one point's v @ M @ v
-            mv = v[:, None, :] @ m
-            r1 = (mv @ v[:, :, None])[:, 0, 0]
-            mv = mv[:, 0]
-            r0 = cubic.F(v.T)
-            gF = cubic.grad(v.T).T
-            a, b = gF[rows, i0], gF[rows, i1]
-            c, d = 2.0 * mv[rows, i0], 2.0 * mv[rows, i1]
-            det = a * d - b * c
-            du0 = (d * r0 - b * r1) / det
-            du1 = (-c * r0 + a * r1) / det
-            active &= det != 0
-            v[rows, i0] -= np.where(active, du0, 0.0)
-            v[rows, i1] -= np.where(active, du1, 0.0)
-            active &= np.maximum(np.abs(du0), np.abs(du1)) >= 1e-15
-            if not active.any():
-                break
+def _newton_rows(cubic: Cubic, m: np.ndarray, v: np.ndarray):
+    """chart_newton on {F = 0, v.M.v = 0} for every row of the (N, 3) array
+    v.  Returns (rows, residuals)."""
+
+    def conic(v):
+        # stacked (1, 3) @ (3, 3) products round like one point's v @ M @ v
+        mv = v[:, None, :] @ m
+        return (mv @ v[:, :, None])[:, 0, 0], 2.0 * mv[:, 0]
+
+    v = chart_newton(cubic, v, conic)
     q = (v[:, None, :] @ m @ v[:, :, None])[:, 0, 0]
     resid = np.abs(cubic.F(v.T)) / cubic.term_scale(v.T) + np.abs(q) / (
         float(np.abs(m).max()) * np.abs(v).max(axis=1) ** 2 + 1e-300
@@ -232,8 +220,6 @@ def lambda_fiber(cubic: Cubic, q: ProjPoint, seed: int = 0) -> Fiber:
     if abs(np.linalg.det(m)) < 1e-10 * scale_m ** 3:
         pts: list[ProjPoint] = []
         for dual in _split_degenerate_conic(form, rng):
-            from .cubic import line_intersect_cubic
-
             inter = line_intersect_cubic(ProjLine(dual), cubic)
             pts.extend(inter.expand())
         return _assemble_fiber(cubic, form, q, pts)
@@ -266,34 +252,29 @@ def _assemble_fiber(cubic, form, q, pts) -> Fiber:
     # polish every raw point first: companion-matrix jitter for a tangential
     # (double) intersection far exceeds the cluster radius, but the Newton
     # iterates contract into the touching point
-    polished = [point_from_vec(v) for v in
-                _newton_rows(cubic, form.matrix, np.array([p.vec for p in pts]))[0]]
-    groups: list[list[ProjPoint]] = []
-    for p in sorted(polished, key=lambda u: (u.coords[0].real, u.coords[0].imag,
-                                             u.coords[1].real)):
+    rows, resid = _newton_rows(cubic, form.matrix, np.array([p.vec for p in pts]))
+    polished = [point_from_vec(v) for v in rows]
+    groups: list[list[int]] = []
+    for k in sorted(range(6), key=lambda k: (polished[k].coords[0].real,
+                                             polished[k].coords[0].imag,
+                                             polished[k].coords[1].real)):
         for g in groups:
-            if proj_distance(g[0], p) <= FIBER_CLUSTER:
-                g.append(p)
+            if proj_distance(polished[g[0]], polished[k]) <= FIBER_CLUSTER:
+                g.append(k)
                 break
         else:
-            groups.append([p])
-    entries = []
-    for g in groups:
-        centroid = point_from_vec(sum(p.vec for p in g) / len(g))
-        if len(g) > 1:
-            # a doubled tangency point is an inflection point of the cubic;
-            # polishing on (F, det Hess) restores full precision there
-            from .cubic import _polish_inflection
-
-            centroid = _polish_inflection(cubic, centroid)
-        entries.append((centroid, len(g)))
-    single = [k for k, (_, mult) in enumerate(entries) if mult == 1]
-    if single:
-        v, resid = _newton_rows(cubic, form.matrix, np.array([entries[k][0].vec for k in single]))
-        if resid.max() > 1e-8:
-            raise SolveFailureError(f"fiber point failed to polish: {resid.max():.2e}")
-        for k, u in zip(single, v):
-            entries[k] = (point_from_vec(u), 1)
+            groups.append([k])
+    single = [g[0] for g in groups if len(g) == 1]
+    doubled = [g for g in groups if len(g) > 1]
+    if single and resid[single].max() > 1e-8:
+        raise SolveFailureError(f"fiber point failed to polish: {resid[single].max():.2e}")
+    entries = [(polished[k], 1) for k in single]
+    if doubled:
+        # a doubled tangency point is an inflection point of the cubic;
+        # polishing on {F = 0, det Hess F = 0} restores full precision there
+        centroids = np.array([sum(polished[k].vec for k in g) / len(g) for g in doubled])
+        rows = chart_newton(cubic, centroids, cubic.hessian_det_rows)
+        entries += [(point_from_vec(u), len(g)) for u, g in zip(rows, doubled)]
     entries.sort(key=lambda e: (round(e[0].coords[0].real, 9),
                                 round(e[0].coords[0].imag, 9),
                                 round(e[0].coords[1].real, 9),
@@ -546,13 +527,8 @@ def tangent_loop_library(cubic: Cubic, basepoint: ProjPoint,
         if not okd:
             continue
         # curve intersections of the line
-        c0 = cubic.F(bvec)
-        c3 = cubic.F(d)
-        fp_ = cubic.F(bvec + d)
-        fm_ = cubic.F(bvec - d)
-        c2 = (fp_ + fm_) / 2.0 - c0
-        c1 = (fp_ - fm_) / 2.0 - c3
-        scurve = list(np.roots([c3, c2, c1, c0])) if abs(c3) > 1e-12 else []
+        coeffs = cubic.line_coefficients(bvec, d)
+        scurve = list(np.roots(coeffs)) if abs(coeffs[0]) > 1e-12 else []
         if len(scurve) != 3:
             continue
         loops = []

@@ -4,6 +4,10 @@ line intersections, the chord-tangent group law, and inflection points.
 Two families are supported: the standard Weierstrass form
 y^2 z - 4 x^3 + g2 x z^2 + g3 z^3 and the Hesse pencil
 x^3 + y^3 + z^3 + t x y z.
+
+chart_newton solves {F = 0, G = 0} for a batch of points: the inflection
+points (G = det Hess F, with its analytic gradient) and the tangency fibers
+of the covering module (G a polar conic) both go through it.
 """
 from __future__ import annotations
 
@@ -20,11 +24,19 @@ from .errors import (
     SingularCubicError,
     SingularPointError,
 )
-from .lattice import Lattice, TorusPoint, reduce_mod_lattice, torsion_points, weierstrass_invariants
+from .lattice import (
+    Lattice,
+    TorusPoint,
+    reduce_mod_lattice,
+    torsion_points,
+    torus_distance,
+    weierstrass_invariants,
+)
 from .projective import (
     IntersectionList,
     ProjLine,
     ProjPoint,
+    cross,
     line_through,
     point_from_vec,
     proj_point,
@@ -106,6 +118,29 @@ class Cubic:
     def hessian_det(self, v) -> complex:
         return complex(np.linalg.det(self.hessian_matrix(v)))
 
+    def hessian_det_rows(self, v):
+        """(det Hess F, its gradient) for every row of the (N, 3) array v.
+
+        The Hessian is linear in v, H(v) = sum_k v_k H(e_k), so the
+        derivative of det H along e_k is <cof H(v), H(e_k)>; the cofactor
+        rows are cross products of the Hessian rows.
+        """
+        hk = np.array([self.hessian_matrix(e) for e in np.eye(3)])
+        h = (v @ hk.reshape(3, 9)).reshape(-1, 3, 3)
+        cof = np.stack([cross(h[:, 1].T, h[:, 2].T), cross(h[:, 2].T, h[:, 0].T),
+                        cross(h[:, 0].T, h[:, 1].T)], axis=1).transpose(2, 1, 0)
+        det = (h[:, 0] * cof[:, 0]).sum(axis=1)
+        return det, cof.reshape(-1, 9) @ hk.reshape(3, 9).T
+
+    def line_coefficients(self, w1, w2) -> np.ndarray:
+        """[c3, c2, c1, c0] of the cubic s -> F(w1 + s w2), from four
+        evaluations of F."""
+        c0 = self.F(w1)
+        c3 = self.F(w2)
+        fp = self.F(w1 + w2)
+        fm = self.F(w1 - w2)
+        return np.array([c3, (fp + fm) / 2.0 - c0, (fp - fm) / 2.0 - c3, c0])
+
     def on_curve(self, p: ProjPoint, tol: float = ON_CURVE_TOL) -> bool:
         return self.residual(p) <= tol
 
@@ -148,8 +183,6 @@ def embed_point(z, lat: Lattice) -> ProjPoint:
     """[wp(z), wp'(z), 1], with lattice points mapping to [0, 1, 0]."""
     rep = getattr(z, "rep", z)
     tp = reduce_mod_lattice(complex(rep), lat)
-    from .lattice import torus_distance
-
     if torus_distance(tp.rep, 0.0, lat) < POLE_THRESHOLD * abs(lat.omega1):
         return IDENTITY
     p, pp = wp_values(tp.rep, lat)
@@ -227,16 +260,10 @@ def line_intersect_cubic(line: ProjLine, cubic: Cubic,
         w2 = v1p.vec + g2c * v2p.vec
         w1 /= np.abs(w1).max()
         w2 /= np.abs(w2).max()
-        c0 = cubic.F(w1)
-        c3 = cubic.F(w2)
+        coeffs = cubic.line_coefficients(w1, w2)
         fscale = cubic.term_scale(w1) + cubic.term_scale(w2)
-        if abs(c3) < 1e-10 * fscale or abs(c0) < 1e-10 * fscale:
+        if abs(coeffs[0]) < 1e-10 * fscale or abs(coeffs[3]) < 1e-10 * fscale:
             continue
-        fp = cubic.F(w1 + w2)
-        fm = cubic.F(w1 - w2)
-        c2 = (fp + fm) / 2.0 - c0
-        c1 = (fp - fm) / 2.0 - c3
-        coeffs = np.array([c3, c2, c1, c0])
         roots = np.roots(coeffs)
         # fine clustering, then multiplicity upgrade confirmed by derivatives
         groups: list[list[complex]] = []
@@ -319,41 +346,39 @@ def group_negate(p: ProjPoint) -> ProjPoint:
     return proj_point(x, -y, z)
 
 
-def _polish_inflection(cubic: Cubic, p: ProjPoint) -> ProjPoint:
-    """Two-variable Newton on (F, det Hessian) in the chart of the largest
-    coordinate, with finite-difference Jacobian."""
-    v = p.vec.copy()
-    pivot = int(np.argmax(np.abs(v)))
-    idx = [i for i in range(3) if i != pivot]
+def chart_newton(cubic: Cubic, v: np.ndarray, g) -> np.ndarray:
+    """Newton solve of {F = 0, G = 0} for every row of the (N, 3) array v.
 
-    def fun(u):
-        w = v.copy()
-        w[idx[0]], w[idx[1]] = u[0], u[1]
-        w[pivot] = 1.0
-        return np.array([cubic.F(w), cubic.hessian_det(w)])
-
-    u = np.array([v[idx[0]] / v[pivot], v[idx[1]] / v[pivot]])
-    h = 1e-7
-    for _ in range(8):
-        r = fun(u)
-        if max(abs(r[0]), abs(r[1])) == 0.0:
-            break
-        j = np.empty((2, 2), dtype=complex)
-        for k in range(2):
-            du = np.zeros(2, dtype=complex)
-            du[k] = h
-            j[:, k] = (fun(u + du) - fun(u - du)) / (2.0 * h)
-        try:
-            step = np.linalg.solve(j, r)
-        except np.linalg.LinAlgError:
-            break
-        u = u - step
-        if np.abs(step).max() < 1e-14:
-            break
-    w = v.copy()
-    w[idx[0]], w[idx[1]] = u[0], u[1]
-    w[pivot] = 1.0
-    return point_from_vec(w)
+    g(rows) returns G's values and gradients, shapes (N,) and (N, 3).  Each
+    row is solved in the chart of its own largest coordinate (scaled to 1
+    there) by the closed-form 2x2 solve; a row stops once its step falls
+    below 1e-15 or its Jacobian is singular, every row after 12 steps.
+    Returns the solved rows.
+    """
+    rows = np.arange(len(v))
+    piv = np.abs(v).argmax(axis=1)
+    v = v / v[rows, piv][:, None]
+    # the two free coordinates of each row's chart
+    i0 = (piv == 0).astype(int)
+    i1 = 2 - (piv == 2)
+    active = np.ones(len(v), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(12):
+            r1, gG = g(v)
+            r0 = cubic.F(v.T)
+            gF = cubic.grad(v.T).T
+            a, b = gF[rows, i0], gF[rows, i1]
+            c, d = gG[rows, i0], gG[rows, i1]
+            det = a * d - b * c
+            du0 = (d * r0 - b * r1) / det
+            du1 = (-c * r0 + a * r1) / det
+            active &= det != 0
+            v[rows, i0] -= np.where(active, du0, 0.0)
+            v[rows, i1] -= np.where(active, du1, 0.0)
+            active &= np.maximum(np.abs(du0), np.abs(du1)) >= 1e-15
+            if not active.any():
+                break
+    return v
 
 
 _HESSE_EPS = complex(math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0))
@@ -373,18 +398,18 @@ def inflection_points(cubic: Cubic, lat: Lattice | None = None) -> list[ProjPoin
     """The nine distinct inflection points (curve meets its Hessian).
 
     Weierstrass family: seeded from the embedded 3-torsion points (which is
-    what they are) and polished on (F, det Hess); requires the lattice.
-    Hesse family: the classical fixed table, independent of t.
+    what they are) and polished together on {F = 0, det Hess F = 0} by
+    chart_newton with the analytic gradient of the determinant; requires
+    the lattice.  Hesse family: the classical fixed table, independent of t.
+    Every point must pass F and det Hess F (by LU) residual checks.
     """
     if cubic.family == "hesse":
         pts = _hesse_inflection_table()
     else:
         if lat is None:
             raise FewerThanNineError("weierstrass inflections need the lattice")
-        pts = [
-            _polish_inflection(cubic, embed_point(tp, lat))
-            for tp in torsion_points(lat, 3)
-        ]
+        seeds = np.array([embed_point(tp, lat).vec for tp in torsion_points(lat, 3)])
+        pts = [point_from_vec(u) for u in chart_newton(cubic, seeds, cubic.hessian_det_rows)]
     for i, p in enumerate(pts):
         if not cubic.on_curve(p, 1e-7) or abs(cubic.hessian_det(p.vec)) > 1e-6 * (
             1.0 + float(np.abs(cubic.hessian_matrix(p.vec)).max()) ** 3

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divisors import Divisor, abel_defect, divisor, divisor_from_json
+from .divisors import Divisor, Evaluable, _newton_polish, abel_defect, divisor, divisor_from_json
 from .errors import (
     AbelViolationError,
     DegreeMismatchError,
@@ -90,29 +90,27 @@ def half_period_values(lat: Lattice) -> tuple[complex, complex, complex]:
 
 
 def wp_inverse(v: complex, lat: Lattice, tol: float = 1e-12) -> TorusPoint:
-    """One solution z of wp(z) = v (the other is -z); INF maps to 0."""
+    """One solution z of wp(z) = v (the other is -z); INF maps to 0.
+
+    Newton's method on wp - v (divisors._newton_polish) from the seeds
+    closest in |wp - v|: a 17 x 17 grid over the cell and the Laurent seed
+    v^(-1/2), since wp(z) ~ 1/z^2 near the pole.  The first seed whose
+    polished residual is below tol (1 + |v|) gives the answer.
+    """
     if is_infinite(v):
         return TorusPoint(0.0, lat)
-    # seed from a coarse grid, then Newton on wp - v with wp' as derivative
     gs = np.linspace(0.04, 0.96, 17)
     aa, bb = np.meshgrid(gs, gs)
-    zz = aa.ravel() * lat.omega1 + bb.ravel() * lat.omega2
-    p, _ = wp_values(zz, lat)
-    order = np.argsort(np.abs(p - v))
-    scale = abs(lat.omega1)
-    for idx in order[:8]:
-        z = complex(zz[idx])
-        for _ in range(60):
-            p1, pp1 = wp_values(z, lat)
-            err = p1 - v
-            if abs(err) < tol * (1.0 + abs(v)):
-                return reduce_mod_lattice(z, lat)
-            if pp1 == 0:
-                break
-            step = err / pp1
-            if abs(step) > 0.25 * scale:
-                step *= 0.25 * scale / abs(step)
-            z = z - step
+    # v = 0 gives a non-finite Laurent seed, whose NaN distance sorts last
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zz = np.append(aa.ravel() * lat.omega1 + bb.ravel() * lat.omega2,
+                       np.complex128(v) ** -0.5)
+        p, _ = wp_values(zz, lat)
+    f = wp_evaluable(lat, v)
+    for idx in np.argsort(np.abs(p - v))[:8]:
+        z, resid = _newton_polish(f, complex(zz[idx]), 1)
+        if resid < tol * (1.0 + abs(v)):
+            return reduce_mod_lattice(z, lat)
     raise ReconstructionFailureError(f"wp_inverse failed for value {v}")
 
 
@@ -304,8 +302,6 @@ def eval_elliptic(f: EllipticFunction, z: complex) -> complex:
 def wp_evaluable(lat: Lattice, shift: complex = 0j):
     """wp - shift as an Evaluable with analytic log derivative, for zero
     location."""
-    from .divisors import Evaluable
-
     def f(z):
         return wp_values(z, lat)[0] - shift
 

@@ -232,6 +232,29 @@ def test_branch_divisors_direct_finds_critical_point_between_double_poles():
         unmatched.remove(hits[0])
 
 
+def test_branch_divisors_with_large_fiber_coordinates(square):
+    # a fiber point of this function has |x| about 310 on the square
+    # lattice, so unembedding it inverts wp near its pole
+    from elliptica import build_from_divisors, divisor
+
+    zeros = [0.2078974988169298 + 0.3172262647882203j,
+             0.8298516218267654 + 0.055116974824722303j,
+             -1.0377491206436953 - 0.3723432396129426j]
+    poles = [0.6258806686072783 + 0.22640637236627564j,
+             0.5793110374191652 + 0.6590384129225874j,
+             -1.2051917060264437 - 0.885444785288863j]
+    f = build_from_divisors(divisor([(z, 1) for z in zeros], square),
+                            divisor([(p, 1) for p in poles], square), square)
+    bt = branch_divisors_via_tangents(f, square)
+    bd = branch_divisors_direct(f, square)
+    assert len(bt) == len(bd)
+    unmatched = list(bd)
+    for d1 in bt:
+        hits = [d2 for d2 in unmatched if match_divisors(d1, d2, square, 1e-6)]
+        assert hits, "branch divisor multisets disagree"
+        unmatched.remove(hits[0])
+
+
 def test_branch_divisors_wp(generic):
     from elliptica import half_periods
 

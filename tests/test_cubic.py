@@ -210,3 +210,18 @@ def test_hesse_singular_values_not_smooth():
         assert not hesse_cubic(t).is_smooth()
     assert hesse_cubic(0.0).is_smooth()
     assert hesse_cubic(6.0).is_smooth()
+
+
+@pytest.mark.parametrize("family", ["weierstrass", "hesse"])
+def test_hessian_det_rows_value_and_gradient(family, generic):
+    cubic = weierstrass_cubic(generic) if family == "weierstrass" else hesse_cubic(1.3 - 0.4j)
+    rng = np.random.default_rng(21)
+    v = rng.standard_normal((8, 6)).view(np.complex128)
+    det, grad = cubic.hessian_det_rows(v)
+    h = 1e-6
+    for row, d, g in zip(v, det, grad):
+        lu = cubic.hessian_det(row)
+        assert abs(d - lu) <= 1e-12 * abs(lu)
+        for k, e in enumerate(np.eye(3)):
+            fd = (cubic.hessian_det(row + h * e) - cubic.hessian_det(row - h * e)) / (2 * h)
+            assert abs(g[k] - fd) <= 1e-6 * abs(fd)

@@ -8,6 +8,7 @@ from elliptica import (
     make_lattice,
     reduce_mod_lattice,
     weierstrass_invariants,
+    wp_inverse,
     wp_pair,
     wp_values,
 )
@@ -130,3 +131,13 @@ def test_periodicity(generic):
         p1, pp1 = wp_values(zs + w, generic)
         assert (np.abs(p1 - p0) / (1.0 + np.abs(p0))).max() < 1e-10
         assert (np.abs(pp1 - pp0) / (1.0 + np.abs(pp0))).max() < 1e-10
+
+
+@pytest.mark.parametrize("lat", LATTICES)
+@pytest.mark.parametrize("modulus, tol", [(310.0, 1e-13), (1600.0, 1e-13), (1e4, 1e-13), (1e5, 1e-12)])
+def test_wp_inverse_large_values(lat, modulus, tol):
+    # near the pole wp ~ 1/z^2; a grid of seeds alone misses these values
+    for k in range(8):
+        v = modulus * np.exp(2j * np.pi * k / 8)
+        z = wp_inverse(v, lat, tol=tol)
+        assert abs(wp_values(z.rep, lat)[0] - v) <= 10 * tol * (1 + abs(v))
