@@ -152,11 +152,13 @@ def _newton_rows(cubic: Cubic, m: np.ndarray, v: np.ndarray):
         return (mv @ v[:, :, None])[:, 0, 0], 2.0 * mv[:, 0]
 
     v = chart_newton(cubic, v, conic)
+    return v, np.abs(cubic.F(v.T)) / cubic.term_scale(v.T) + _conic_residual(m, v)
+
+
+def _conic_residual(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|v.M.v| of every row of v, relative to max|M| max|v|^2."""
     q = (v[:, None, :] @ m @ v[:, :, None])[:, 0, 0]
-    resid = np.abs(cubic.F(v.T)) / cubic.term_scale(v.T) + np.abs(q) / (
-        float(np.abs(m).max()) * np.abs(v).max(axis=1) ** 2 + 1e-300
-    )
-    return v, resid
+    return np.abs(q) / (float(np.abs(m).max()) * np.abs(v).max(axis=1) ** 2 + 1e-300)
 
 
 def _row_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -242,7 +244,11 @@ def lambda_fiber(cubic: Cubic, q: ProjPoint, seed: int = 0) -> Fiber:
         if len(roots) != 6:
             continue
         pts = [point_from_vec(param(complex(s))) for s in roots]
-        return _assemble_fiber(cubic, form, q, pts)
+        try:
+            return _assemble_fiber(cubic, form, q, pts)
+        except SolveFailureError:
+            # the next parametrization gives other raw points
+            continue
     raise SolveFailureError(f"fiber solve failed at {q.coords}")
 
 
@@ -274,6 +280,11 @@ def _assemble_fiber(cubic, form, q, pts) -> Fiber:
         # polishing on {F = 0, det Hess F = 0} restores full precision there
         centroids = np.array([sum(polished[k].vec for k in g) / len(g) for g in doubled])
         rows = chart_newton(cubic, centroids, cubic.hessian_det_rows)
+        # an inflection off the polar conic means two raw points were
+        # polished onto one simple point, not a tangency
+        off = _conic_residual(form.matrix, rows).max()
+        if off > 1e-8:
+            raise SolveFailureError(f"doubled fiber point off the polar conic: {off:.2e}")
         entries += [(point_from_vec(u), len(g)) for u, g in zip(rows, doubled)]
     entries.sort(key=lambda e: (round(e[0].coords[0].real, 9),
                                 round(e[0].coords[0].imag, 9),

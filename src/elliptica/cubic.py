@@ -21,6 +21,7 @@ from .errors import (
     FewerThanNineError,
     NoPreimageError,
     PointOffCurveError,
+    ReconstructionFailureError,
     SingularCubicError,
     SingularPointError,
 )
@@ -189,9 +190,13 @@ def embed_point(z, lat: Lattice) -> ProjPoint:
     return proj_point(p, pp, 1.0)
 
 
-def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice, tol: float = 1e-10) -> TorusPoint:
+def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice, tol: float = 1e-12) -> TorusPoint:
     """Inverse of embed_point on the Weierstrass cubic; the +-z ambiguity of
-    wp is resolved by matching wp' to the y-coordinate."""
+    wp is resolved by matching wp' to the y-coordinate.
+
+    tol is wp_inverse's residual tolerance, relative to 1 + |x/z|.  Near its
+    pole wp is accurate to only about 2e-13 relative, so the default 1e-12
+    is one wp can meet for any |x/z|."""
     if cubic.family != "weierstrass":
         raise PointOffCurveError("unembed requires a weierstrass-family cubic")
     if not cubic.on_curve(p, 1e-6):
@@ -203,8 +208,8 @@ def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice, tol: float = 1e-10) -> Tor
         return TorusPoint(0.0, lat)
     x, y = x0 / z0, y0 / z0
     try:
-        z = wp_inverse(x, lat, tol=1e-13)
-    except Exception as exc:
+        z = wp_inverse(x, lat, tol=tol)
+    except ReconstructionFailureError as exc:
         raise NoPreimageError(f"wp inversion failed from all grid seeds: {exc}")
     _, ppv = wp_values(z.rep, lat)
     if abs(ppv - y) > abs(-ppv - y):

@@ -68,7 +68,11 @@ class Divisor:
 
 def divisor(entries, lat: Lattice) -> Divisor:
     """Build a Divisor from (point, multiplicity) pairs; points may be
-    TorusPoint or complex lifts.  Coincident points are aggregated."""
+    TorusPoint or complex lifts.  Coincident points are aggregated.
+
+    Points are ordered by their reduced coordinates rounded to 1e-9 |omega1|,
+    ties broken by the exact values, so that a rounding-level move of a
+    point does not reorder the divisor."""
     scale = abs(lat.omega1)
     merged: list[list] = []
     for pt, mult in entries:
@@ -81,7 +85,9 @@ def divisor(entries, lat: Lattice) -> Divisor:
                 break
         else:
             merged.append([rep, mult])
-    merged.sort(key=lambda it: (it[0].rep.real, it[0].rep.imag))
+    grid = 1e-9 * scale
+    merged.sort(key=lambda it: (round(it[0].rep.real / grid), round(it[0].rep.imag / grid),
+                                it[0].rep.real, it[0].rep.imag))
     return Divisor(tuple((p, m) for p, m in merged))
 
 
@@ -256,40 +262,59 @@ def monic_from_elementary(sym: list[complex]) -> np.ndarray:
     return np.array(coeffs)
 
 
+# at a multiple root, iterates whose |f| is within this factor of the
+# smallest are not told apart by |f| (its noise floor) but by |f'|
+_NOISE_BAND = 64.0
+
+
 def _newton_polish(f, z0: complex, mult: int, max_iter: int = 28):
     """Multiplicity-aware Newton iteration on f from seed z0.
 
-    Returns (best point, best |f|) over the iteration; near multiple roots
+    Returns (best point, its |f|) over the iteration; near multiple roots
     the step stalls at the evaluation noise floor, so acceptance is by
-    residual, not by step convergence.
+    residual, not by step convergence.  At a root of multiplicity >= 2
+    that floor is reached up to about sqrt(eps) away, where |f| no longer
+    ranks the iterates, while f' (through the log derivative, with no
+    cancellation against a shift) still vanishes to order mult - 1.  So
+    there the best point is the iterate of smallest |f'| among those whose
+    |f| is within _NOISE_BAND of the smallest; at mult 1 it is the iterate
+    of smallest |f|.
     """
     z = z0
-    best_z, best_r = z0, math.inf
+    best_r = math.inf
+    seen = []  # (|f|, |f'|, z) of the iterates with a finite residual
     stale = 0
     for _ in range(max_iter):
         fz_a, g_a = f.values_and_dlog(np.array([z]))
         fz = complex(fz_a[0])
         r = abs(fz)
+        fp = fz * complex(g_a[0])
         if r < 0.5 * best_r:
             stale = 0
         else:
             stale += 1
-        if r < best_r:
-            best_z, best_r = z, r
+        if r < math.inf:
+            seen.append((r, abs(fp) if math.isfinite(abs(fp)) else math.inf, z))
+            best_r = min(best_r, r)
         if stale >= 4:
             break
-        fp = fz * complex(g_a[0])
         if fp == 0 or not (math.isfinite(fp.real) and math.isfinite(fp.imag)):
             break
         dz = mult * fz / fp
         z = z - dz
         if abs(dz) < 1e-15 * max(1.0, abs(z)):
-            za = np.array([z])
-            r = abs(complex(f(za)[0]))
-            if r < best_r:
-                best_z, best_r = z, r
+            r = abs(complex(f(np.array([z]))[0]))
+            if r < math.inf:
+                seen.append((r, math.inf, z))
+                best_r = min(best_r, r)
             break
-    return best_z, best_r
+    if not seen:
+        return z0, math.inf
+    if mult == 1:
+        r, _, z = min(seen, key=lambda s: s[0])
+    else:
+        r, _, z = min((s for s in seen if s[0] <= _NOISE_BAND * best_r), key=lambda s: s[1])
+    return z, r
 
 
 class _GridRetry(Exception):

@@ -136,33 +136,39 @@ class EllipticFunction:
         return self.zeros.degree
 
     def _quotient(self, z, order: int):
-        """One pass over the zero and pole lifts at the points z.
+        """All zero and pole lifts at the points z in one theta kernel call.
 
-        Returns (f, L1, L2): the quotient values and the summed logarithmic
-        derivatives L1 = sum +-m theta'/theta and L2 = sum +-m (theta'/theta)'
-        in the normalized coordinate u = z / omega1, accumulated up to the
-        given derivative order (0, 1 or 2; higher orders stay zero).
+        The shifted arguments of every lift form one (lifts, points) array;
+        the kernel's rows are then reduced with the signed multiplicities
+        (+m for a zero, -m for a pole), the theta values through integer
+        powers.  Returns (f, L1, L2): the quotient values and the summed
+        logarithmic derivatives L1 = sum +-m theta'/theta and
+        L2 = sum +-m (theta'/theta)' in the normalized coordinate
+        u = z / omega1, up to the given derivative order (0, 1 or 2; higher
+        orders stay zero).
         """
         u = np.atleast_1d(np.asarray(z, dtype=complex)) / self.lattice.omega1
         h = (1.0 + self.lattice.tau) / 2.0
-        num, den = np.ones_like(u), np.ones_like(u)
-        logs, l1, l2 = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
         zlifts, plifts = self._lifts
+        nz = len(zlifts)
+        lifts = np.array([lift for lift, _ in zlifts + plifts])
+        mults = [m for _, m in zlifts + plifts]
+        signed = np.array(mults, dtype=float)[:, None]
+        signed[nz:] *= -1.0
+        d, logf = theta_derivs_reduced(u - h - lifts[:, None], self.lattice, order=order)
+        l1 = l2 = np.zeros_like(u)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for lifts, sign in ((zlifts, 1.0), (plifts, -1.0)):
-                for lift, mult in lifts:
-                    d, logf = theta_derivs_reduced(u - h - lift, self.lattice, order=order)
-                    if sign > 0:
-                        num = num * d[0] ** mult
-                        logs = logs + mult * logf
-                    else:
-                        den = den * d[0] ** mult
-                        logs = logs - mult * logf
-                    if order >= 1:
-                        l1 = l1 + sign * mult * d[1] / d[0]
-                    if order >= 2:
-                        r1 = d[1] / d[0]
-                        l2 = l2 + sign * mult * (d[2] / d[0] - r1 * r1)
+            if order >= 1:
+                r1 = d[1] / d[0]
+                l1 = (signed * r1).sum(axis=0)
+            if order >= 2:
+                l2 = (signed * (d[2] / d[0] - r1 * r1)).sum(axis=0)
+            vals = d[0]
+            for i, m in enumerate(mults):
+                if m > 1:
+                    vals[i] = vals[i] ** m
+            num, den = vals[:nz].prod(axis=0), vals[nz:].prod(axis=0)
+            logs = (signed * logf).sum(axis=0)
             return self.scale * (num / den) * np.exp(logs), l1, l2
 
     def values(self, z):

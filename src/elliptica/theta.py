@@ -7,10 +7,21 @@ relations.  There the n-th term of a derivative of order <= 3 is at most
 (2 pi n)^3 exp(-pi Im(tau) (n^2 - n)) (the explicit tail bound of Deconinck
 et al., Math. Comp. 73 (2004)), so by default the sum stops at the smallest
 N whose first omitted term n = N + 1 is below TAIL_EPS: N = 4 at
-Im tau = sqrt(3)/2, 3 at 1.5, 2 at 3 and 1 above Im tau = 7.81.  The terms
-come from a ladder whose step factors all have modulus <= 1, so no product
-can overflow for any Im tau or truncation.  The accumulated quasi-period
-factor is returned in logarithmic form by the low-level routine so that
+Im tau = sqrt(3)/2, 3 at 1.5, 2 at 3 and 1 above Im tau = 7.81.
+
+The terms of the two signs are c_n w^n with w = e^(-pi Im tau -+ 2 pi Im z)
+e^(+-2 pi i Re z), built from one cos/sin of 2 pi Re z and two real
+exponentials per point instead of two complex ones, and c_n =
+q^(n^2 - n) e^(i pi n Re tau).  In the band |w| <= 1 and |c_n| <= 1, so
+nothing can overflow for any Im tau or truncation.  Derivative order d sums
+the same rounded terms weighted by (2 pi i n)^d.  The points go through in blocks of _BLOCK (band reduction,
+sums and quasi-period factor together), so the temporaries stay a few
+hundred KB however many points a call has.  Every step is elementwise, with
+the same operand layout for any number of points, so a point's values are
+the same bits alone, in a (lifts, points) array or anywhere in a long call
+(a BLAS matrix product rounds a column by its position, and numpy rounds a
+strided complex product differently from a contiguous one).  The
+accumulated quasi-period factor is returned in logarithmic form so that
 theta quotients can cancel it without overflow.
 """
 from __future__ import annotations
@@ -23,6 +34,11 @@ import numpy as np
 from .lattice import Lattice
 
 TAIL_EPS = 1e-18
+# points per pass: the largest temporary, the weighted terms, holds
+# (order + 1) x nt x _BLOCK complex values (512 KB at order 3 and nt = 4)
+_BLOCK = 2048
+_SIGN = np.array([[-1.0], [1.0]])
+_SIGN.flags.writeable = False
 
 
 def _reduce_band(z: np.ndarray, tau: complex):
@@ -48,51 +64,80 @@ def _term_count(im_tau: float) -> int:
     return n - 1
 
 
-def _raw_derivs(z: np.ndarray, tau: complex, trunc: int | None, order: int) -> np.ndarray:
-    """Partial sums of theta and derivatives 0..order at band-reduced z.
+@lru_cache(maxsize=128)
+def _coefficients(tau: complex, nt: int, order: int):
+    """(c, weights, parity): c[n-1] = q^(n^2 - n) e^(i pi n Re tau), the
+    constant factor of the n-th term, shape (nt, 1, 1); weights[d-1, n-1] =
+    (2 pi i n)^d for d = 1..order, shape (order, nt, 1); parity[d] = d % 2,
+    the sum (0 even, 1 odd) that order d reads."""
+    n = np.arange(1, nt + 1)
+    c = np.exp(1j * np.pi * (tau * (n * n - n) + tau.real * n))[:, None, None]
+    weights = ((2j * np.pi * n) ** np.arange(1, order + 1)[:, None])[:, :, None]
+    out = c, weights, np.arange(order + 1) % 2
+    for a in out:
+        a.flags.writeable = False  # shared by every caller through the cache
+    return out
 
-    The terms q^(n^2) e^(+-2 pi i n z) (q = e^(i pi tau)) of the n and -n
-    ladders are cumulative products term_n = term_(n-1) * r * q^(2(n-1))
-    with r = e^(i pi tau +- 2 pi i z); in the band |r| <= 1, so every step
-    factor has modulus <= 1 and terms can only underflow to 0.  The two
-    ladders are mirror images, so theta(-z) = theta(z) holds exactly at
-    the summation level.
+
+def _raw_derivs(zr: np.ndarray, tau: complex, nt: int, order: int, out: np.ndarray) -> None:
+    """Partial sums of theta and derivatives 0..order at the band-reduced
+    points zr (1-d), written to out (order+1, len(zr)).
+
+    Row 0 of w is the +n sign, row 1 the -n sign.  Every order sums the same
+    rounded terms c_n w^n, weighted by (2 pi i n)^d.  Negating z swaps the
+    rows of w bitwise, so theta(-z) = theta(z) holds exactly at the
+    summation level.
     """
-    n = np.arange(1, (trunc if trunc is not None else _term_count(tau.imag)) + 1)
-    zf = z.reshape(-1)
-    step = np.exp(2j * np.pi * (n - 1) * tau)[:, None]
-    # the two exps take the same rounding path, so negating z swaps the
-    # ladders bitwise
-    ep = (np.exp(1j * np.pi * tau + 2j * np.pi * zf) * step).cumprod(axis=0)
-    em = (np.exp(1j * np.pi * tau - 2j * np.pi * zf) * step).cumprod(axis=0)
-    even, odd = ep + em, ep - em
-    fac = 2j * np.pi * n
-    out = np.empty((order + 1, zf.size), dtype=complex)
-    out[0] = 1.0 + even.sum(axis=0)
-    for d in range(1, order + 1):
-        out[d] = fac ** d @ (odd if d % 2 else even)
-    return out.reshape((order + 1,) + z.shape)
+    c, weights, parity = _coefficients(tau, nt, order)
+    x = zr.real * (2.0 * math.pi)
+    mod = np.exp(_SIGN * (zr.imag * (2.0 * math.pi)) - math.pi * tau.imag)
+    w = np.empty(mod.shape, dtype=complex)
+    np.multiply(mod, np.cos(x), out=w.real)
+    np.multiply(mod, np.sin(x) * -_SIGN, out=w.imag)
+    # every complex product below has contiguous operands or a constant
+    # factor, whatever the number of points
+    terms = np.empty((nt,) + w.shape, dtype=complex)
+    terms[:1] = w
+    for k in range(1, nt):
+        np.multiply(terms[k - 1], w, out=terms[k])
+    terms *= c
+    sums = np.empty((2, nt, w.shape[1]), dtype=complex)
+    np.add(terms[:, 0], terms[:, 1], out=sums[0])
+    np.subtract(terms[:, 0], terms[:, 1], out=sums[1])
+    parts = sums[parity]
+    parts[1:] *= weights
+    # (an explicit trunc < 1 is the empty sum)
+    out[...] = 0.0
+    for k in range(nt):
+        out += parts[:, k]
+    out[0] += 1.0
 
 
 def theta_derivs_reduced(z, lat: Lattice, trunc: int | None = None, order: int = 0):
-    """(derivs, log_factor): theta^(d)(z) values with the quasi-period factor
-    split off, theta^(d)(z) = sum_j C(d,j) a^(d-j) derivs_raw[j] * exp(log_factor),
-    already combined: returns derivs such that true theta^(d) = derivs[d]*exp(log_factor).
+    """(derivs, log_factor) with theta^(d)(z) = derivs[d] * exp(log_factor)
+    for d = 0..order; the quasi-period factor is split off as log_factor.
+
+    z may be a scalar or an array of any shape; a point's values do not
+    depend on that shape or on its place in the array.
     """
     tau = lat.tau
+    nt = trunc if trunc is not None else _term_count(tau.imag)
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zv = np.atleast_1d(z)
-    zr, k = _reduce_band(zv, tau)
-    out = _raw_derivs(zr, tau, trunc, order)
-    logf = -1j * np.pi * (k * k * tau + 2.0 * k * zr)
-    a = -2j * np.pi * k
-    # the binomial sum over j, as `order` passes of raw[j] += a * raw[j-1]
-    for i in range(order):
-        out[i + 1:] += a * out[i:-1]
-    if scalar:
+    zf = z.reshape(-1)
+    out = np.empty((order + 1, zf.size), dtype=complex)
+    logf = np.empty(zf.size, dtype=complex)
+    for s in range(0, zf.size, _BLOCK):
+        zr, k = _reduce_band(zf[s:s + _BLOCK], tau)
+        o = out[:, s:s + _BLOCK]
+        _raw_derivs(zr, tau, nt, order, o)
+        logf[s:s + _BLOCK] = -1j * np.pi * (k * k * tau + 2.0 * k * zr)
+        a = -2j * np.pi * k
+        # the binomial sum over j, as `order` passes of raw[j] += a * raw[j-1]
+        for i in range(order):
+            o[i + 1:] += a * o[i:-1]
+    if z.ndim == 0:
         return out[:, 0], logf[0]
-    return out, logf
+    return out.reshape((order + 1,) + z.shape), logf.reshape(z.shape)
 
 
 def theta(z, lat: Lattice, trunc: int | None = None):
@@ -100,7 +145,7 @@ def theta(z, lat: Lattice, trunc: int | None = None):
 
     Accepts a scalar or an ndarray.  trunc=None takes the term count from
     the tail bound (first omitted term below TAIL_EPS); an explicit trunc
-    is used as given.  The term ladder cannot overflow for any Im tau or
+    is used as given.  The terms cannot overflow for any Im tau or
     trunc.  The quasi-period factor picked up by reduction can overflow for
     |Im z| many multiples of Im(tau); within a few fundamental cells it is
     harmless.

@@ -27,6 +27,7 @@ from elliptica import (
     weierstrass_cubic,
 )
 from elliptica.covering import _match_permutation, _newton_rows
+from elliptica.cubic import IDENTITY
 from elliptica.divisors import match_divisors
 from elliptica.elliptic import wp_function
 from elliptica.errors import CollisionUnresolvedError, NotDegree3Error, PointOnCurveError
@@ -90,6 +91,20 @@ def test_fiber_residual_points(generic):
         _remove_nearest(entries, p)
         rest = next(u for u, m in entries if m > 0)
         assert rest.distance(embed_point(-2.0 * x.rep, generic)) < 1e-7
+
+
+def test_fiber_solve_retries_when_two_raw_points_polish_to_one(generic):
+    # from abel_divisors seed 9 task 162: the first parametrization's raw
+    # roots send two of them to one fiber point, whose "double" then moved
+    # onto the inflection [0:1:0] although q is on no inflectional tangent
+    cubic = weierstrass_cubic(generic)
+    q = proj_point(0.031192414228299072 - 0.6407577077738669j, 1.0,
+                   -0.004843664587808448 + 0.11403951239502527j)
+    fib = lambda_fiber(cubic, q)
+    assert [m for _, m in fib.entries] == [1] * 6
+    pts = [p for p, _ in fib.entries]
+    assert min(a.distance(b) for a, b in combinations(pts, 2)) > 1e-3
+    assert min(p.distance(IDENTITY) for p in pts) > 1e-3
 
 
 def test_fiber_double_on_each_tangent(generic):

@@ -9,13 +9,16 @@ from elliptica import (
     inflection_points,
     line_intersect_cubic,
     line_through,
+    make_lattice,
     proj_point,
     tangent_line,
     torsion_points,
     torus_distance,
     unembed,
     weierstrass_cubic,
+    weierstrass_invariants,
     wp_pair,
+    wp_values,
 )
 from elliptica.cubic import IDENTITY, group_negate
 from elliptica.errors import PointOffCurveError
@@ -60,6 +63,22 @@ def test_embed_parity(generic):
 def test_unembed_identity(generic):
     cubic = weierstrass_cubic(generic)
     assert unembed(IDENTITY, cubic, generic).rep == 0.0
+
+
+@pytest.mark.parametrize("tau, modulus", [(1j, 3e5), (0.3 + 1.4j, 1e6)])
+def test_unembed_near_the_pole(tau, modulus):
+    # wp is accurate to about 2e-13 relative near its pole, so a fiber point
+    # this far out must still come back
+    lat = make_lattice(1.0, tau)
+    cubic = weierstrass_cubic(lat)
+    g2, g3 = weierstrass_invariants(lat)
+    for k in range(8):
+        x = modulus * np.exp(2j * np.pi * k / 8)
+        y = np.sqrt(4 * x ** 3 - g2 * x - g3)
+        z = unembed(proj_point(x, y, 1.0), cubic, lat)
+        p, pp = wp_values(z.rep, lat)
+        assert abs(p - x) <= 1e-11 * (1 + abs(x))
+        assert abs(pp - y) <= 1e-5 * (1 + abs(y))
 
 
 def test_unembed_rejects_off_curve(generic):

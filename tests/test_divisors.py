@@ -38,6 +38,16 @@ def test_jacobi_sum_examples(generic):
     assert jacobi_sum(d1, generic).rep == jacobi_sum(d2, generic).rep
 
 
+def test_divisor_order_ignores_rounding_level_moves(square):
+    # two divisors whose points differ by 1 ulp list them in the same order
+    nudged = float(np.nextafter(0.6, 1.0))
+    d1 = divisor([(0.6 + 0.7j, 1), (complex(nudged, 0.2), 2)], square)
+    d2 = divisor([(complex(nudged, 0.7), 1), (0.6 + 0.2j, 2)], square)
+    assert [m for _, m in d1.points] == [m for _, m in d2.points] == [2, 1]
+    for (p, _), (q, _) in zip(d1.points, d2.points):
+        assert abs(p.rep - q.rep) <= 2e-16
+
+
 def test_jacobi_empty(generic):
     with pytest.raises(EmptyDivisorError):
         jacobi_sum(Divisor(()), generic)

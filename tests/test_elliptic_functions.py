@@ -249,3 +249,57 @@ def test_function_json_round_trip(generic):
     g = EllipticFunction.from_json(f.to_json())
     z = 0.37 * generic.omega1 + 0.21 * generic.omega2
     assert abs(f.values(z) - g.values(z)) < 1e-10 * (1.0 + abs(f.values(z)))
+
+
+def _per_lift_quotient(f, z):
+    """(f, L1, L2) from one kernel call per lift, summed lift by lift."""
+    from elliptica.theta import theta_derivs_reduced
+
+    lat = f.lattice
+    u = z / lat.omega1
+    h = (1.0 + lat.tau) / 2.0
+    num, den = np.ones_like(u), np.ones_like(u)
+    logs, l1, l2 = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    for lifts, sign in ((f._lifts[0], 1), (f._lifts[1], -1)):
+        for lift, mult in lifts:
+            d, logf = theta_derivs_reduced(u - h - lift, lat, order=2)
+            if sign > 0:
+                num = num * d[0] ** mult
+            else:
+                den = den * d[0] ** mult
+            logs = logs + sign * mult * logf
+            r1 = d[1] / d[0]
+            l1 = l1 + sign * mult * r1
+            l2 = l2 + sign * mult * (d[2] / d[0] - r1 * r1)
+    return f.scale * (num / den) * np.exp(logs), l1, l2
+
+
+@pytest.mark.parametrize("zeros, poles", [
+    ([(0.21 + 0.33j, 1), (0.64 + 0.87j, 1), (0.45 + 1.21j, 1)], [(0.12 + 0.95j, 1), (0.81 + 0.18j, 2)]),
+    ([(0.37 + 0.52j, 2), (0.6 + 0.2j, 1)], [(0.5 + 0.6j, 3)]),
+    ([(0.71 + 1.1j, 3)], [(0.25 + 0.4j, 1), (0.5 + 0.2j, 2)]),
+])
+def test_stacked_quotient_matches_per_lift_reference(generic, zeros, poles):
+    # the last zero is moved so that the Abel sum vanishes; the quotient
+    # evaluates every lift in one kernel call
+    lat = generic
+    shift = sum(m * p for p, m in poles) - sum(m * p for p, m in zeros)
+    p0, m0 = zeros[-1]
+    zeros = zeros[:-1] + [(p0 + shift / m0, m0)]
+    f = build_from_divisors(divisor(zeros, lat), divisor(poles, lat), lat)
+    assert sorted(m for _, m in f._lifts[0] + f._lifts[1]) == sorted(m for _, m in zeros + poles)
+    rng = np.random.default_rng(12)
+    z = rng.uniform(0, 1, 300) * lat.omega1 + rng.uniform(0, 1, 300) * lat.omega2
+    vals, l1, l2 = _per_lift_quotient(f, z)
+    w1 = lat.omega1
+
+    def close(a, b):
+        return np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
+
+    v, dl = f.values_and_dlog(z)
+    assert close(v, vals) and close(dl, l1 / w1)
+    fp, ratio = f.derivative_pair(z)
+    assert close(fp, vals * l1 / w1) and close(ratio, (l1 * l1 + l2) / (l1 * w1))
+    for k in (0, 17, 299):
+        v1, d1 = f.values_and_dlog(z[k])
+        assert abs(v1 - vals[k]) <= 1e-12 * abs(vals[k]) and abs(d1 - l1[k] / w1) <= 1e-12 * abs(l1[k] / w1)

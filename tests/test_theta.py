@@ -3,9 +3,10 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 
 from elliptica import Lattice, make_lattice, reduce_mod_lattice, theta, theta_shifted
-from elliptica.theta import theta_derivs_reduced
+from elliptica.theta import _BLOCK, theta_derivs_reduced
 
 
 def band_samples(rng, tau, n, imag_factor=1.0):
@@ -43,6 +44,27 @@ def test_even_exact_at_summation_level(generic):
     a = theta(zs, generic)
     b = theta(-zs, generic)
     assert (a == b).all()
+    # also across the kernel's blocks, with points outside the band
+    zs = band_samples(rng, generic.tau, 2 * _BLOCK + 25, imag_factor=2.0)
+    assert (theta(zs, generic) == theta(-zs, generic)).all()
+
+
+@pytest.mark.parametrize("tau", [0.3 + 1.4j, 0.5 + 0.8660254037844386j, 1j, -0.2 + 8.3j])
+def test_blocks_are_invisible(tau):
+    # a point's values, orders 0-3, are the same bits alone, inside a
+    # (lifts, points) array and anywhere in a call spanning several blocks
+    lat = Lattice(1.0 + 0j, tau)
+    rng = np.random.default_rng(10)
+    # three blocks, the last holding a single point
+    zs = band_samples(rng, tau, 2 * _BLOCK + 1, imag_factor=2.0)
+    picks = list(range(1000)) + [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK]
+    whole, lwhole = theta_derivs_reduced(zs, lat, order=3)
+    stacked, lstacked = theta_derivs_reduced(zs[:6 * 41].reshape(6, 41), lat, order=3)
+    for i in picks:
+        alone, lalone = theta_derivs_reduced(zs[i], lat, order=3)
+        assert (alone == whole[:, i]).all() and lalone == lwhole[i]
+        if i < 6 * 41:
+            assert (alone == stacked[:, i // 41, i % 41]).all() and lalone == lstacked[i // 41, i % 41]
 
 
 def test_shifted_zero(generic):
