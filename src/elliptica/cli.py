@@ -237,15 +237,21 @@ def _cmd_lattice(args, cfg: RunConfig):
     return doc, (header, [row]), None
 
 
+def _trunc(args) -> int | None:
+    if args.trunc is not None and args.trunc < 0:
+        raise InvalidArgumentError(f"--trunc must be at least 0, got {args.trunc}")
+    return args.trunc
+
+
 def _cmd_theta(args, cfg: RunConfig):
     lat = _require_lattice(cfg)
-    v = theta(args.z, lat, args.trunc)
+    v = theta(args.z, lat, _trunc(args))
     return {"z": _pair(args.z), "value": _pair(complex(v))}, None, None
 
 
 def _cmd_wp(args, cfg: RunConfig):
     lat = _require_lattice(cfg)
-    p, pp = wp_pair(args.z, lat, trunc=args.trunc)
+    p, pp = wp_pair(args.z, lat, trunc=_trunc(args))
     return {"z": _pair(args.z), "p": _sphere_json(p), "pprime": _sphere_json(pp)}, None, None
 
 
@@ -530,7 +536,9 @@ def _run(argv: list[str]):
         return 0, payload, cfg.out
     except EllipticaError as exc:
         return 1, to_json_bytes({"error": exc.to_json()}), None
-    except (ValueError, ZeroDivisionError) as exc:  # np.linalg.LinAlgError is a ValueError
+    # np.linalg.LinAlgError is a ValueError; ArithmeticError covers
+    # ZeroDivisionError and the OverflowError of math.floor(inf)
+    except (ValueError, ArithmeticError) as exc:
         err = InternalError(f"{args.command}: {exc}", exception=type(exc).__name__)
         return 1, to_json_bytes({"error": err.to_json()}), None
 

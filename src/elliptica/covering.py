@@ -28,7 +28,7 @@ from .cubic import (
     unembed,
     weierstrass_cubic,
 )
-from .divisors import Divisor, Evaluable, divisor, jacobi_sum, locate_zeros, reciprocal
+from .divisors import Divisor, Evaluable, divisor, jacobi_sum, locate_zeros
 from .elliptic import EllipticFunction, eval_elliptic
 from .errors import (
     CollisionUnresolvedError,
@@ -368,24 +368,13 @@ def branch_divisors_via_tangents(f: EllipticFunction, lat: Lattice,
     return out
 
 
-def _derivative_evaluable(f: EllipticFunction) -> Evaluable:
-    def fp(z):
-        v, d = f.values_and_dlog(np.asarray(z, dtype=complex))
-        return v * d
-
-    return Evaluable(fp, f.derivative_pair)
-
-
 def _shifted_evaluable(f: EllipticFunction, v: complex) -> Evaluable:
-    def g(z):
-        return f.values(z) - v
-
     def gpair(z):
         fv, d = f.values_and_dlog(np.asarray(z, dtype=complex))
         with np.errstate(divide="ignore", invalid="ignore"):
             return fv - v, fv * d / (fv - v)
 
-    return Evaluable(g, gpair)
+    return Evaluable(gpair)
 
 
 def branch_divisors_direct(f: EllipticFunction, lat: Lattice,
@@ -396,7 +385,7 @@ def branch_divisors_direct(f: EllipticFunction, lat: Lattice,
     if f.degree < 2:
         raise NotDegree3Error(f"degree is {f.degree}, need >= 2")
     try:
-        crit = locate_zeros(_derivative_evaluable(f), lat, tol, seed)
+        crit = locate_zeros(Evaluable(f.derivative_pair), lat, tol, seed)
     except Exception as exc:
         raise DerivativeLocationError(f"derivative zero location failed: {exc}")
     crit_values: list[complex] = []
@@ -410,11 +399,9 @@ def branch_divisors_direct(f: EllipticFunction, lat: Lattice,
         if any(chordal(v, u) < 1e-7 for u in seen):
             continue
         seen.append(v)
-        if is_infinite(v):
-            fib = locate_zeros(reciprocal(f), lat, tol, seed)
-        else:
-            fib = locate_zeros(_shifted_evaluable(f, v), lat, tol, seed)
-        out.append(fib)
+        # the fiber over infinity is the pole divisor, known exactly
+        out.append(f.poles if is_infinite(v)
+                   else locate_zeros(_shifted_evaluable(f, v), lat, tol, seed))
     return out
 
 

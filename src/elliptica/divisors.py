@@ -1,21 +1,21 @@
 """Divisors on the torus, the Jacobi map, the Abel condition, and numerical
 location of zeros and poles through the argument principle.
 
-The contour routines accept one protocol: an object that is callable
-elementwise on a complex ndarray and has values_and_dlog(z) returning the
-pair (f(z), f'(z)/f(z)).  An EllipticFunction, elliptic.wp_evaluable(...)
-and reciprocal(...) of either satisfy it; Evaluable(f, pair) builds one from
-two functions.  Location subdivides the fundamental parallelogram into
-cells and integrates f'/f over a circle circumscribing each cell.  These
-moments are signed, zeros minus poles, so one sweep finds both divisors:
-the eigenvalues of a Hankel pencil on a cell's moments are its zeros and
-poles, with integer weights (positive for a zero, negative for a pole)
-fitted to the same moments.  Each point is Newton-polished at its
-multiplicity, a pole through 1/f, and verified.  Cells whose data is
-inconsistent are subdivided, and the whole grid is re-shifted when a cell
-boundary passes too close to a zero or pole.  contour_power_sums and
-Newton's identities (newton_elementary) give the power sums and the
-polynomial of the zeros inside one circle.
+The contour routines accept one protocol: an object whose
+values_and_dlog(z) returns the pair (f(z), f'(z)/f(z)) elementwise on a
+complex ndarray.  An EllipticFunction and elliptic.wp_evaluable(...)
+satisfy it; Evaluable(pair) builds one from that function.  Location
+subdivides the fundamental parallelogram into cells and integrates f'/f
+over a circle circumscribing each cell.  These moments are signed, zeros
+minus poles, so one sweep finds both divisors: the eigenvalues of a Hankel
+pencil on a cell's moments are its zeros and poles, with integer weights
+(positive for a zero, negative for a pole) fitted to the same moments.
+Each point is Newton-polished at its multiplicity, on f for a zero and on
+1/f for a pole, and verified.  The cells form a worklist: one whose data is
+inconsistent is replaced by its four quarters, and the whole grid is
+re-shifted when a cell boundary passes too close to a zero or pole.
+contour_power_sums and Newton's identities (newton_elementary) give the
+power sums and the polynomial of the zeros inside one circle.
 """
 from __future__ import annotations
 
@@ -195,15 +195,11 @@ def _sums_from_samples(w, g, kmax: int) -> list[complex]:
 
 
 class Evaluable:
-    """An elementwise function f with pair(z) = (f(z), f'(z)/f(z)): the
-    protocol the contour routines accept."""
+    """The protocol the contour routines accept, from pair(z) = (f(z),
+    f'(z)/f(z)) for an elementwise f."""
 
-    def __init__(self, f, pair):
-        self._f = f
+    def __init__(self, pair):
         self.values_and_dlog = pair
-
-    def __call__(self, z):
-        return self._f(z)
 
 
 def contour_power_sums(
@@ -267,25 +263,38 @@ def monic_from_elementary(sym: list[complex]) -> np.ndarray:
 _NOISE_BAND = 64.0
 
 
-def _newton_polish(f, z0: complex, mult: int, max_iter: int = 28):
-    """Multiplicity-aware Newton iteration on f from seed z0.
+def _oriented(f, z: complex, weight: int):
+    """(h(z), h'(z)/h(z)) as length-1 arrays from one f.values_and_dlog
+    call: h = f for a positive weight, h = 1/f for a negative one."""
+    v, d = f.values_and_dlog(np.array([z]))
+    if weight > 0:
+        return v, d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 1.0 / np.asarray(v), -np.asarray(d)
 
-    Returns (best point, its |f|) over the iteration; near multiple roots
-    the step stalls at the evaluation noise floor, so acceptance is by
-    residual, not by step convergence.  At a root of multiplicity >= 2
-    that floor is reached up to about sqrt(eps) away, where |f| no longer
-    ranks the iterates, while f' (through the log derivative, with no
-    cancellation against a shift) still vanishes to order mult - 1.  So
-    there the best point is the iterate of smallest |f'| among those whose
-    |f| is within _NOISE_BAND of the smallest; at mult 1 it is the iterate
-    of smallest |f|.
+
+def _newton_polish(f, z0: complex, weight: int, max_iter: int = 28):
+    """Multiplicity-aware Newton iteration from seed z0 on f for a positive
+    weight, on 1/f for a negative one, at multiplicity |weight|.
+
+    Returns (best point, its |f| or |1/f|) over the iteration; near
+    multiple roots the step stalls at the evaluation noise floor, so
+    acceptance is by residual, not by step convergence.  At a root of
+    multiplicity >= 2 that floor is reached up to about sqrt(eps) away,
+    where the residual no longer ranks the iterates, while the derivative
+    (through the log derivative, with no cancellation against a shift)
+    still vanishes to order mult - 1.  So there the best point is the
+    iterate of smallest derivative among those whose residual is within
+    _NOISE_BAND of the smallest; at mult 1 it is the iterate of smallest
+    residual.
     """
+    mult = abs(weight)
     z = z0
     best_r = math.inf
-    seen = []  # (|f|, |f'|, z) of the iterates with a finite residual
+    seen = []  # (residual, |derivative|, z) of the iterates with a finite residual
     stale = 0
     for _ in range(max_iter):
-        fz_a, g_a = f.values_and_dlog(np.array([z]))
+        fz_a, g_a = _oriented(f, z, weight)
         fz = complex(fz_a[0])
         r = abs(fz)
         fp = fz * complex(g_a[0])
@@ -303,7 +312,7 @@ def _newton_polish(f, z0: complex, mult: int, max_iter: int = 28):
         dz = mult * fz / fp
         z = z - dz
         if abs(dz) < 1e-15 * max(1.0, abs(z)):
-            r = abs(complex(f(np.array([z]))[0]))
+            r = abs(complex(_oriented(f, z, weight)[0][0]))
             if r < math.inf:
                 seen.append((r, math.inf, z))
                 best_r = min(best_r, r)
@@ -315,14 +324,6 @@ def _newton_polish(f, z0: complex, mult: int, max_iter: int = 28):
     else:
         r, _, z = min((s for s in seen if s[0] <= _NOISE_BAND * best_r), key=lambda s: s[1])
     return z, r
-
-
-class _GridRetry(Exception):
-    pass
-
-
-# a cell circle that fails like this is a reason to subdivide or re-shift
-_RETRY = (_GridRetry, ContourTooCloseError, NonIntegerCountError)
 
 
 def _cell_circle(lat: Lattice, a0, b0, sa, sb):
@@ -379,43 +380,33 @@ def _models(s):
             yield x, m, gap
 
 
-def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, zeros, poles):
-    """Resolve one cell: add the zeros it holds to `zeros` and its poles to
-    `poles`, as (point, multiplicity) pairs, or subdivide it.
+def _resolve_cell(f, lat, a0, b0, sa, sb, depth, tol):
+    """The (point, signed multiplicity) pairs of the cell [a0, a0 + sa) x
+    [b0, b0 + sb) in lattice coordinates, positive for a zero and negative
+    for a pole, or None when the cell must be subdivided.
 
     The signed moments of f'/f on the cell circle, scaled by radius^p, are
     fitted by weighted points (_models), fewest first, and the first model
     that explains them and whose points pass is accepted.  Each point is
-    Newton-polished once at its multiplicity, a zero (positive weight)
-    through f and a pole through reciprocal(f): its residual must pass, it
-    may move at most 0.2 x the radius, and a multiple point must be one
-    point to within tol; the polished points must still explain the
-    moments.  A model of more than 3 points counted with multiplicity is
-    not taken above the deepest level.  The cell is subdivided when no
-    model passes.
+    Newton-polished once at its signed weight (a pole as a zero of 1/f):
+    its residual must pass, it may move at most 0.2 x the radius, and a
+    multiple point must be one point to within tol; the polished points
+    must still explain the moments.  A model of more than 3 points counted
+    with multiplicity is not taken above the deepest level.  None when no
+    model passes or a zero or pole sits too close to the circle.
     """
     center, radius = _cell_circle(lat, a0, b0, sa, sb)
 
-    def subdivide():
-        if depth >= MAX_CELL_DEPTH:
-            raise _GridRetry()
-        for da in (0.0, 0.5):
-            for db in (0.0, 0.5):
-                _process_cell(
-                    f, lat, a0 + da * sa, b0 + db * sb,
-                    sa / 2.0, sb / 2.0, depth + 1, tol, zeros, poles,
-                )
-
     def polish(seed, weight):
         # a pole is a zero of 1/f, whose median modulus on the circle is 1/scale
-        h, bound = (f, 1e-6 * scale) if weight > 0 else (reciprocal(f), 1e-6 / scale)
-        mult = abs(weight)
-        z, resid = _newton_polish(h, seed, mult)
-        # |h| grows like distance^mult away from a multiple point but not
-        # around points more than tol apart, which the moments may not tell
-        # from one point
+        bound = 1e-6 * scale if weight > 0 else 1e-6 / scale
+        z, resid = _newton_polish(f, seed, weight)
+        # the residual grows like distance^mult away from a multiple point
+        # but not around points more than tol apart, which the moments may
+        # not tell from one point
         ok = resid <= bound and abs(z - seed) <= 0.2 * radius and (
-            mult == 1 or resid * 4 ** mult <= abs(complex(h(np.array([z + 2 * tol]))[0])))
+            abs(weight) == 1
+            or resid * 4 ** abs(weight) <= abs(complex(_oriented(f, z + 2 * tol, weight)[0][0])))
         return z if ok else None
 
     def resolve(s):
@@ -448,17 +439,16 @@ def _process_cell(f, lat, a0, b0, sa, sb, depth, tol, zeros, poles):
             # contamination
             w, g, _ = _circle_samples(f, center, radius, 768, CELL_MIN_MODULUS_REL)
             points, _ = resolve(_scaled_moments(count, w, g, radius))
-    except _RETRY:
+    except (ContourTooCloseError, NonIntegerCountError):
         # a feature sits too close to this cell's circle; subdividing moves
         # every boundary, so trouble stays local instead of restarting the grid
-        points = None
-    if points is None:
-        subdivide()
-        return
-    for z, mk in points:
+        return None
+
+    def inside(z):  # a point polished into a neighbouring cell is reported there
         a, b = lat.coords(z)
-        if a0 <= a < a0 + sa and b0 <= b < b0 + sb:
-            (zeros if mk > 0 else poles).append((z, int(abs(mk))))
+        return a0 <= a < a0 + sa and b0 <= b < b0 + sb
+
+    return None if points is None else [(z, int(mk)) for z, mk in points if inside(z)]
 
 
 def _grid_offsets(seed: int):
@@ -473,18 +463,32 @@ def _grid_offsets(seed: int):
 
 def _sweep(f, lat: Lattice, tol: float, grids):
     """(zeros, poles) from the first of at most MAX_GRID_SHIFTS base grids
-    taken from `grids` whose cells all resolve."""
+    taken from `grids` whose cells all resolve.
+
+    The cells of a grid form a worklist, taken depth first: a cell that
+    does not resolve is replaced by its four quarters, and one past
+    MAX_CELL_DEPTH drops the grid."""
     _require_dlog(f)
     s = 1.0 / BASE_SUBDIVISION
     for oa, ob in itertools.islice(grids, MAX_GRID_SHIFTS):
-        zeros, poles = [], []
-        try:
-            for i in range(BASE_SUBDIVISION):
-                for j in range(BASE_SUBDIVISION):
-                    _process_cell(f, lat, oa + i * s, ob + j * s, s, s, 0, tol, zeros, poles)
-        except _RETRY:
-            continue
-        return divisor(zeros, lat), divisor(poles, lat)
+        # (a0, b0, side, depth), popped from the end
+        cells = [(oa + i * s, ob + j * s, s, 0)
+                 for i in reversed(range(BASE_SUBDIVISION))
+                 for j in reversed(range(BASE_SUBDIVISION))]
+        found = []
+        while cells:
+            a0, b0, side, depth = cells.pop()
+            points = _resolve_cell(f, lat, a0, b0, side, side, depth, tol)
+            if points is not None:
+                found += points
+            elif depth < MAX_CELL_DEPTH:
+                h = side / 2.0
+                cells += [(a0 + da, b0 + db, h, depth + 1) for da in (h, 0.0) for db in (h, 0.0)]
+            else:
+                break
+        else:
+            return (divisor([(z, m) for z, m in found if m > 0], lat),
+                    divisor([(z, -m) for z, m in found if m < 0], lat))
     raise SubdivisionFailureError(
         "no zero-free subdivision grid found within the shift budget"
     )
@@ -501,32 +505,17 @@ def locate_zeros(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int = 0) ->
     return locate_divisor_pair(f, lat, tol, seed)[0]
 
 
-def reciprocal(f):
-    """Evaluable 1/f for pole location; log derivative flips sign."""
-    pair = f.values_and_dlog
-
-    def g(z):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / np.asarray(f(z))
-
-    def rpair(z):
-        v, d = pair(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / np.asarray(v), -np.asarray(d)
-
-    return Evaluable(g, rpair)
-
-
 def locate_divisor_pair(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int = 0):
     """(zeros, poles) of f from one sweep over the cells, with a global
     degree cross-check.
 
     The signed moments of f'/f on each cell circle give the cell's zeros
-    and poles together, as the weighted points of one Hankel pencil; zeros
-    are polished through f and poles through reciprocal(f).  When the
-    degrees differ the sweep is repeated, at most twice, each time on base
-    grids not swept before.  Raises SubdivisionFailureError when they still
-    differ or no admissible grid is found.
+    and poles together, as the weighted points of one Hankel pencil; the
+    sign of a point's weight says whether it is polished on f or on 1/f,
+    both read from f.values_and_dlog.  When the degrees differ the sweep is
+    repeated, at most twice, each time on base grids not swept before.
+    Raises SubdivisionFailureError when they still differ or no admissible
+    grid is found.
     """
     grids = _grid_offsets(seed)
     for _ in range(3):

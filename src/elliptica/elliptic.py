@@ -308,16 +308,13 @@ def eval_elliptic(f: EllipticFunction, z: complex) -> complex:
 def wp_evaluable(lat: Lattice, shift: complex = 0j):
     """wp - shift as an Evaluable with analytic log derivative, for zero
     location."""
-    def f(z):
-        return wp_values(z, lat)[0] - shift
-
     def pair(z):
         p, pp = wp_values(z, lat)
         v = p - shift
         with np.errstate(divide="ignore", invalid="ignore"):
             return v, pp / v
 
-    return Evaluable(f, pair)
+    return Evaluable(pair)
 
 
 def wp_function(lat: Lattice) -> EllipticFunction:

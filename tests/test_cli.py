@@ -229,6 +229,7 @@ def test_monodromy_json_solves_the_basepoint_fiber_once(monkeypatch):
         (["monodromy", "--tau", "0.3,1.4", "--circle-samples", "0"], "parse_arguments"),
         (["monodromy", "--tau", "0.3,1.4", "--circle-samples=-3"], "parse_arguments"),
         (["hesse-scan", "--t", "6,0", "--radius", "3"], "parse_arguments"),
+        (["theta", "--tau", "0,1", "--z", "0,1", "--trunc=-2"], "parse_arguments"),
     ],
 )
 def test_bad_input_or_nonfinite_result_is_domain_error(argv, operation):
@@ -248,7 +249,8 @@ def test_negative_real_parts_need_no_equals_sign():
 
 
 @pytest.mark.parametrize("exc", [ValueError("bad"), ZeroDivisionError("division by zero"),
-                                 np.linalg.LinAlgError("Singular matrix")])
+                                 np.linalg.LinAlgError("Singular matrix"),
+                                 OverflowError("cannot convert float infinity to integer")])
 def test_library_fault_is_one_structured_internal_error(exc, monkeypatch, capsys):
     from elliptica import cli
 
@@ -262,6 +264,20 @@ def test_library_fault_is_one_structured_internal_error(exc, monkeypatch, capsys
     doc = json.loads(err)["error"]  # exactly one JSON document
     assert doc["operation"] == "internal"
     assert doc["details"] == {"exception": type(exc).__name__}
+
+
+def test_infinite_argument_is_one_structured_error():
+    # math.floor(inf) in the torus reduction raises OverflowError
+    src = os.path.dirname(os.path.dirname(elliptica.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "elliptica", "wp", "--tau", "0,1", "--z", "inf,0"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == b""
+    doc = json.loads(proc.stderr)["error"]  # exactly one JSON document
+    assert doc["operation"] == "internal"
+    assert doc["details"] == {"exception": "OverflowError"}
 
 
 def test_wp_at_large_im_tau_matches_trigonometric_limit():

@@ -247,6 +247,17 @@ def test_branch_divisors_direct_finds_critical_point_between_double_poles():
         unmatched.remove(hits[0])
 
 
+def test_branch_divisors_direct_fiber_over_infinity_is_the_pole_divisor():
+    # a double pole makes infinity a critical value; its fiber is f's own
+    # pole divisor, not a located copy of it
+    from elliptica import build_from_divisors, divisor
+
+    lat = make_lattice(1.0, 1j)
+    f = build_from_divisors(divisor([(0.2 + 0.3j, 1), (0.6 + 0.5j, 1), (0.4j, 1)], lat),
+                            divisor([(0.4 + 0.1j, 2), (1j, 1)], lat), lat)
+    assert f.poles in branch_divisors_direct(f, lat)
+
+
 def test_branch_divisors_with_large_fiber_coordinates(square):
     # a fiber point of this function has |x| about 310 on the square
     # lattice, so unembedding it inverts wp near its pole

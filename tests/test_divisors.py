@@ -12,12 +12,17 @@ from elliptica import (
     newton_elementary,
     torus_distance,
 )
+from elliptica import divisors
 from elliptica.divisors import (
+    CLUSTER_RADIUS,
+    MAX_CELL_DEPTH,
+    MAX_GRID_SHIFTS,
     Divisor,
+    Evaluable,
+    _newton_polish,
     locate_divisor_pair,
     match_divisors,
     monic_from_elementary,
-    reciprocal,
 )
 from elliptica.elliptic import wp_evaluable, wp_pair
 from elliptica.errors import (
@@ -26,6 +31,7 @@ from elliptica.errors import (
     EmptyDivisorError,
     InsufficientSumsError,
     NonIntegerCountError,
+    SubdivisionFailureError,
 )
 
 
@@ -179,7 +185,7 @@ def test_newton_insufficient(generic):
 
 def test_locate_wp_divisors(generic):
     zeros = locate_zeros(wp_evaluable(generic), generic)
-    poles = locate_zeros(reciprocal(wp_evaluable(generic)), generic)
+    poles = locate_divisor_pair(wp_evaluable(generic), generic)[1]
     assert zeros.degree == 2 and poles.degree == 2
     assert poles.points[0][1] == 2
     assert torus_distance(poles.points[0][0].rep, 0.0, generic) < 1e-8
@@ -227,24 +233,20 @@ def test_divisor_json_round_trip(generic):
 def test_contour_half_count_with_exact_log_derivative(generic):
     # sqrt(z - a) has f'/f = 1/(2 (z - a)): the count integral is 1/2 at
     # every node count
-    from elliptica.divisors import Evaluable
-
     a = 0.5
-    f = Evaluable(lambda z: np.sqrt(z - a), lambda z: (np.sqrt(z - a), 0.5 / (z - a)))
+    f = Evaluable(lambda z: (np.sqrt(z - a), 0.5 / (z - a)))
     with pytest.raises(NonIntegerCountError):
         contour_power_sums(f, a + 0.2, 0.4, 2, generic)
 
 
 def test_contour_nan_value_is_degenerate(generic):
     # one NaN node must not hide behind the median of the finite ones
-    from elliptica.divisors import Evaluable
-
     def pair(z):
         v = z - 0.5
         v[3] = np.nan
         return v, 1.0 / (z - 0.5)
 
-    f = Evaluable(lambda z: z - 0.5, pair)
+    f = Evaluable(pair)
     with pytest.raises(ContourTooCloseError, match="degenerate"):
         contour_power_sums(f, 0.5, 0.1, 2, generic)
 
@@ -320,8 +322,6 @@ def test_pair_finds_multiple_pole(generic):
 def test_pair_samples_each_circle_once(generic, monkeypatch):
     # the signed moments of one sweep give zeros and poles together: no
     # circle is sampled again at the same node count, for 1/f or otherwise
-    from elliptica import divisors
-
     seen = []
     sample = divisors._circle_samples
 
@@ -340,26 +340,95 @@ def test_degree_mismatch_retries_on_fresh_grids(generic, monkeypatch):
     # z - c has one zero and no pole in every base grid (c sits at lattice
     # coordinates (0.98, 0.98), inside every grid's parallelogram), so the
     # degrees differ on each attempt; each retry must sweep a new grid
-    from elliptica import divisors
-    from elliptica.divisors import Evaluable
-    from elliptica.errors import SubdivisionFailureError
-
     c = generic.from_coords(0.98, 0.98)
 
     def pair(z):
         with np.errstate(divide="ignore", invalid="ignore"):  # Newton lands on c
             return z - c, 1.0 / (z - c)
 
-    f = Evaluable(lambda z: z - c, pair)
+    f = Evaluable(pair)
     grids = set()
-    process = divisors._process_cell
+    process = divisors._resolve_cell
 
     def recorded(f, lat, a0, b0, sa, sb, depth, *rest):
         if depth == 0:
             grids.add((round(a0 % sa, 9), round(b0 % sb, 9)))
         return process(f, lat, a0, b0, sa, sb, depth, *rest)
 
-    monkeypatch.setattr(divisors, "_process_cell", recorded)
+    monkeypatch.setattr(divisors, "_resolve_cell", recorded)
     with pytest.raises(SubdivisionFailureError, match="degree mismatch"):
         locate_divisor_pair(f, generic)
     assert len(grids) >= 3
+
+
+def test_dead_grid_is_dropped_for_the_next(generic, monkeypatch):
+    # every cell of the first grid fails to resolve: the worklist goes
+    # depth first down to MAX_CELL_DEPTH, drops the grid there, and the
+    # sweep returns what the next grid alone gives
+    f = random_abel_function(np.random.default_rng(2), generic)
+    grids = [(0.31007, 0.24203), (0.1, 0.6)]
+    expected = divisors._sweep(f, generic, CLUSTER_RADIUS, iter(grids[1:]))
+    resolve = divisors._resolve_cell
+    depths = []
+
+    def dead_first_grid(f, lat, a0, b0, sa, sb, depth, tol):
+        depths.append(depth)
+        if len(depths) <= MAX_CELL_DEPTH + 1:
+            return None
+        return resolve(f, lat, a0, b0, sa, sb, depth, tol)
+
+    monkeypatch.setattr(divisors, "_resolve_cell", dead_first_grid)
+    zf, pf = divisors._sweep(f, generic, CLUSTER_RADIUS, iter(grids))
+    assert depths[:MAX_CELL_DEPTH + 2] == list(range(MAX_CELL_DEPTH + 1)) + [0]
+    assert (zf, pf) == expected
+    assert match_divisors(zf, f.zeros, generic, 1e-6)
+    assert match_divisors(pf, f.poles, generic, 1e-6)
+
+
+def test_no_resolvable_grid_exhausts_the_shift_budget(generic, monkeypatch):
+    f = random_abel_function(np.random.default_rng(2), generic)
+    bases = []
+
+    def never(f, lat, a0, b0, sa, sb, depth, tol):
+        if depth == 0:
+            bases.append((a0, b0))
+        return None
+
+    monkeypatch.setattr(divisors, "_resolve_cell", never)
+    with pytest.raises(SubdivisionFailureError, match="shift budget"):
+        locate_divisor_pair(f, generic)
+    # one base cell per grid, each followed down to the depth limit
+    assert len(bases) == len(set(bases)) == MAX_GRID_SHIFTS
+
+
+def _reciprocal(f):
+    """1/f, whose log derivative is -f'/f: the evaluable that poles were
+    once polished on, kept as the oracle of the signed polish."""
+    pair = f.values_and_dlog
+
+    def rpair(z):
+        v, d = pair(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / np.asarray(v), -np.asarray(d)
+
+    return Evaluable(rpair)
+
+
+def test_signed_polish_is_the_polish_of_the_reciprocal(generic):
+    # a negative weight polishes 1/f with the operations of the 1/f
+    # evaluable, so the two agree bit for bit: seeded poles of multiplicity
+    # 1-3 of degree-3 functions, and the double pole of wp at 0
+    rng = np.random.default_rng(5)
+    p = 0.3 + 0.7j
+    cases = [(wp_evaluable(generic), 0j, 2)]
+    for mult in (1, 2, 3):
+        poles = [(p, mult)] + [(0.8 + 0.3j, 1), (0.15 + 1.0j, 1)][:3 - mult]
+        zeros = [(0.1 + 0.2j, 1), (0.6 + 1.1j, 1)]
+        zeros.append((sum(m * q for q, m in poles) - sum(z for z, _ in zeros), 1))
+        f = _abel_function(zeros, poles, generic)
+        cases += [(f, q.rep, m) for q, m in f.poles.points]
+    for h, pole, m in cases:
+        for seed in pole + 1e-3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)):
+            z, r = _newton_polish(h, complex(seed), -m)
+            assert (z, r) == _newton_polish(_reciprocal(h), complex(seed), m)
+            assert torus_distance(z, pole, generic) < 1e-6
