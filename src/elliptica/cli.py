@@ -32,6 +32,7 @@ from .elliptic import (
 )
 from .errors import EllipticaError, InternalError, InvalidArgumentError, NonFiniteResultError
 from .lattice import (
+    CLASSIFY_TOL,
     Lattice,
     classify_lattice,
     lattice_to_json,
@@ -133,7 +134,7 @@ def _function_from_args(args, lat: Lattice) -> EllipticFunction:
 
         try:
             with open(args.fn) as fh:
-                return EllipticFunction.from_json(_json.load(fh))
+                f = EllipticFunction.from_json(_json.load(fh))
         except OSError as exc:
             raise InvalidArgumentError(f"--fn {args.fn}: {exc.strerror}") from None
         except (ValueError, TypeError, KeyError, IndexError) as exc:
@@ -141,6 +142,13 @@ def _function_from_args(args, lat: Lattice) -> EllipticFunction:
             raise InvalidArgumentError(
                 f"--fn {args.fn}: not an elliptic function document ({type(exc).__name__}: {exc})"
             ) from None
+        # the same lattice: the file's basis is a unimodular integral change of ours
+        (a, b), (c, d) = [lat.coords(w) for w in (f.lattice.omega1, f.lattice.omega2)]
+        if max(abs(x - round(x)) for x in (a, b, c, d)) > CLASSIFY_TOL or abs(round(a * d - b * c)) != 1:
+            raise InvalidArgumentError(f"--fn {args.fn}: the function was built on another lattice",
+                                       fn_omega1=f.lattice.omega1, fn_omega2=f.lattice.omega2,
+                                       omega1=lat.omega1, omega2=lat.omega2)
+        return f
     if not args.zeros or not args.poles:
         raise EllipticaError("give --zeros and --poles (re,im,mult each) or --fn FILE")
     zeros = divisor(args.zeros, lat)

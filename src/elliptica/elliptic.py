@@ -10,7 +10,7 @@ under band reduction and accurate to near machine precision everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .lattice import (
     torus_distance,
 )
 from .sphere import INF, MobiusTransform, chordal, is_infinite, mobius_through
-from .theta import theta_derivs_reduced
+from .theta import _term_count, theta_sums
 
 POLE_THRESHOLD = 1e-9
 ABEL_TOL = 1e-9
@@ -42,34 +42,33 @@ RECONSTRUCTION_TOL = 1e-6
 
 @lru_cache(maxsize=128)
 def _wp_constant(lat: Lattice, trunc: int | None) -> complex:
-    # C = B'''(0)/(3 B'(0)) - B''(0)^2 / (4 B'(0)^2) for B(u) = theta(u - h)
-    h = (1.0 + lat.tau) / 2.0
-    d, logf = theta_derivs_reduced(np.array([-h]), lat, trunc, order=3)
-    b1, b2, b3 = d[1][0], d[2][0], d[3][0]
-    return b3 / (3.0 * b1) - b2 * b2 / (4.0 * b1 * b1)
+    """C = B'''(0)/(3 B'(0)) - B''(0)^2/(4 B'(0)^2) for B(u) = theta(u - h), as
+    -(pi^2/3) S3/S1, S_k = sum_n (-1)^n (2n+1)^k q^(n(n+1)): the B form loses
+    a digit to cancellation against B''(0)/B'(0) = 2 pi i."""
+    n = np.arange((trunc if trunc is not None else _term_count(lat.tau.imag)) + 1)
+    t = (-1.0) ** n * (2 * n + 1) * np.exp(1j * np.pi * lat.tau * (n * n + n))
+    return -(np.pi ** 2 / 3.0) * np.sum(t * (2 * n + 1) ** 2) / np.sum(t)
 
 
 def wp_values(z, lat: Lattice, trunc: int | None = None):
     """Vectorized raw (wp, wp') without pole masking; z may be any shape.
 
-    Values at (numerical) lattice points come out non-finite.
+    wp = -(log B)'' + C and wp' = -(log B)''' for B(u) = theta(u - h) read the
+    kernel's band-reduced sums at the shift h = (1+tau)/2 as they are: these
+    log-derivatives do not see the quasi-period factor.  Values at
+    (numerical) lattice points come out non-finite.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    u = np.atleast_1d(z) / lat.omega1
-    tau = lat.tau
-    h = (1.0 + tau) / 2.0
-    d, _ = theta_derivs_reduced(u - h, lat, trunc, order=3)
-    b0, b1, b2, b3 = d[0], d[1], d[2], d[3]
-    c = _wp_constant(lat, trunc)
+    d, _ = theta_sums(z.reshape(-1) / lat.omega1, [(1.0 + lat.tau) / 2.0], lat, trunc, 3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = -(b2 * b0 - b1 * b1) / (b0 * b0) + c
-        pp = -(b3 * b0 * b0 - 3.0 * b2 * b1 * b0 + 2.0 * b1 ** 3) / (b0 ** 3)
-    p = p / lat.omega1 ** 2
-    pp = pp / lat.omega1 ** 3
-    if scalar:
+        inv = 1.0 / d[0, 0]
+        r1, r2, r3 = d[1, 0] * inv, d[2, 0] * inv, d[3, 0] * inv
+        r11 = r1 * r1
+        p = (r11 - r2 + _wp_constant(lat, trunc)) * lat.omega1 ** -2
+        pp = (r1 * (3.0 * r2 - 2.0 * r11) - r3) * lat.omega1 ** -3
+    if z.ndim == 0:
         return complex(p[0]), complex(pp[0])
-    return p, pp
+    return p.reshape(z.shape), pp.reshape(z.shape)
 
 
 def wp_pair(z: complex, lat: Lattice, trunc: int | None = None):
@@ -135,41 +134,53 @@ class EllipticFunction:
     def degree(self) -> int:
         return self.zeros.degree
 
+    @cached_property
+    def _rows(self):
+        """(shifts c = h + lift, s, s c, multiplicities, zero count) of the
+        lifts, zeros first; s = +m for a zero, -m for a pole, as a column."""
+        zlifts, plifts = self._lifts
+        shifts = tuple((1.0 + self.lattice.tau) / 2.0 + lift for lift, _ in zlifts + plifts)
+        s = np.array([m for _, m in zlifts] + [-m for _, m in plifts], dtype=float)[:, None]
+        return shifts, s, s * np.array(shifts)[:, None], [m for _, m in zlifts + plifts], len(zlifts)
+
+    @np.errstate(divide="ignore", invalid="ignore")
     def _quotient(self, z, order: int):
         """All zero and pole lifts at the points z in one theta kernel call.
 
-        The shifted arguments of every lift form one (lifts, points) array;
-        the kernel's rows are then reduced with the signed multiplicities
-        (+m for a zero, -m for a pole), the theta values through integer
-        powers.  Returns (f, L1, L2): the quotient values and the summed
-        logarithmic derivatives L1 = sum +-m theta'/theta and
-        L2 = sum +-m (theta'/theta)' in the normalized coordinate
-        u = z / omega1, up to the given derivative order (0, 1 or 2; higher
-        orders stay zero).
+        Returns (f, L1, L2), the values and the summed log-derivatives in
+        u = z / omega1 up to the given order (0, 1 or 2; higher stay zero),
+        from the kernel's sums and k at the shifts c = h + lift, with one
+        complex exp per point for the quasi-period factors (s = +-m):
+
+            L1 = sum s sums1/sums0 - 2 pi i sum s k,
+            L2 = sum s (sums2/sums0 - (sums1/sums0)^2),
+            f = scale prod sums0^s exp(sum s (i pi k^2 tau - 2 pi i k (u - c))).
         """
-        u = np.atleast_1d(np.asarray(z, dtype=complex)) / self.lattice.omega1
-        h = (1.0 + self.lattice.tau) / 2.0
-        zlifts, plifts = self._lifts
-        nz = len(zlifts)
-        lifts = np.array([lift for lift, _ in zlifts + plifts])
-        mults = [m for _, m in zlifts + plifts]
-        signed = np.array(mults, dtype=float)[:, None]
-        signed[nz:] *= -1.0
-        d, logf = theta_derivs_reduced(u - h - lifts[:, None], self.lattice, order=order)
+        lat = self.lattice
+        shifts, s, sc, mults, nz = self._rows
+        u = np.asarray(z, dtype=complex).reshape(-1) / lat.omega1
+        n = u.size
+        if n == 1:  # numpy sums the lifts of two points row by row, of one pairwise
+            u = u.repeat(2)
+        d, k = theta_sums(u, shifts, lat, order=order)
+        sk, sk2 = s[:, 0] @ k, s[:, 0] @ (k * k)  # integers: exact in any order
+
+        def total(rows):  # sum s rows over the lifts, as a real product
+            return (rows.view(float) * s).view(complex).sum(axis=0)
+
         l1 = l2 = np.zeros_like(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if order >= 1:
-                r1 = d[1] / d[0]
-                l1 = (signed * r1).sum(axis=0)
-            if order >= 2:
-                l2 = (signed * (d[2] / d[0] - r1 * r1)).sum(axis=0)
-            vals = d[0]
-            for i, m in enumerate(mults):
-                if m > 1:
-                    vals[i] = vals[i] ** m
-            num, den = vals[:nz].prod(axis=0), vals[nz:].prod(axis=0)
-            logs = (signed * logf).sum(axis=0)
-            return self.scale * (num / den) * np.exp(logs), l1, l2
+        if order >= 1:
+            r1 = d[1] / d[0]
+            l1 = total(r1) - 2j * np.pi * sk
+        if order >= 2:
+            l2 = total(d[2] / d[0] - r1 * r1)
+        vals = d[0]
+        for i, m in enumerate(mults):
+            if m > 1:
+                vals[i] = vals[i] ** m
+        logs = (1j * np.pi * lat.tau) * sk2 - 2j * np.pi * (sk * u - (k * sc).sum(axis=0))
+        f = self.scale * (reduce(np.multiply, vals[:nz]) / reduce(np.multiply, vals[nz:])) * np.exp(logs)
+        return f[:n], l1[:n], l2[:n]
 
     def values(self, z):
         """Raw vectorized evaluation (no pole thresholding)."""
@@ -179,7 +190,6 @@ class EllipticFunction:
     def __call__(self, z):
         return self.values(z)
 
-    @np.errstate(divide="ignore", invalid="ignore")
     def values_and_dlog(self, z):
         """(f(z), f'(z)/f(z)) in one pass; the theta factors are shared."""
         vals, l1, _ = self._quotient(z, 1)

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +10,14 @@ SQUARE = make_lattice(1.0, 1j)
 HEXAGONAL = make_lattice(1.0, np.exp(1j * np.pi / 3.0))
 GENERIC = make_lattice(1.0, 0.3 + 1.4j)
 GENERIC2 = make_lattice(1.0, 2j)
+# Im tau of the mpmath oracles, from the reduced hexagonal corner to 50
+ORACLE_IM_TAUS = (math.sqrt(3.0) / 2.0, 1.0, 1.3, 2.0, 3.7, 6.0, 9.4, 12.0, 20.0, 35.0, 50.0)
+
+
+def mp_theta(x, q, d=0):
+    """theta^(d)(x) = pi^d jtheta(3, pi x, q, d) (DLMF 20.2.3) at mpmath's
+    working precision, for q = exp(i pi tau)."""
+    return mpmath.pi ** d * mpmath.jtheta(3, mpmath.pi * x, q, d)
 
 
 @pytest.fixture

@@ -176,6 +176,32 @@ def test_malformed_fn_file_is_argument_error(tmp_path, capsys):
     assert err["operation"] == "parse_arguments"
 
 
+def _readme_fn_file(tmp_path):
+    # the README's build-fn example: a degree-3 function on tau = 0.3+1.4i
+    status, payload = dispatch([
+        "build-fn", "--tau", "0.3,1.4", "--zeros", "0.2,0.3,1", "--zeros", "0.5,1.0,1",
+        "--zeros=-0.7,-1.3,1", "--poles", "0.1,0.1,1", "--poles", "0.6,1.0,1", "--poles=-0.7,-1.1,1",
+    ])
+    assert status == 0, payload
+    fn_file = tmp_path / "fn.json"
+    fn_file.write_bytes(payload)
+    return str(fn_file)
+
+
+@pytest.mark.parametrize("command", ["zeros", "branch-divisors"])
+def test_fn_file_on_another_lattice_is_argument_error(command, tmp_path, capsys):
+    # the function lives on tau = 0.3+1.4i; locating it on Z + iZ gave
+    # degree-2 divisors with abel_defect 0.5 and exit status 0
+    fn_file = _readme_fn_file(tmp_path)
+    for lattice in (["--tau", "0,1"], ["--omega1", "2,0", "--omega2", "0.6,2.8"]):
+        err = main_error([command, *lattice, "--fn", fn_file], capsys)
+        assert err["operation"] == "parse_arguments"
+        assert err["details"]["fn_omega2"] == [0.3, 1.4]
+    # another basis of the same lattice is the same lattice
+    doc = run_json(["zeros", "--omega1", "1,0", "--omega2", "1.3,1.4", "--fn", fn_file])
+    assert len(doc["zeros"]) == 3 and len(doc["poles"]) == 3 and doc["abel_defect"] < 1e-9
+
+
 def test_out_into_missing_directory_is_argument_error(tmp_path, capsys):
     out = tmp_path / "missing" / "report.json"
     err = main_error(["lattice", "--tau", "0,1", "--out", str(out)], capsys)

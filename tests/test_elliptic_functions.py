@@ -1,9 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_abel_function
+from conftest import ORACLE_IM_TAUS, mp_theta, random_abel_function
 from elliptica import (
     INF,
+    Lattice,
     MobiusTransform,
     TorusPoint,
     build_from_divisors,
@@ -303,3 +305,38 @@ def test_stacked_quotient_matches_per_lift_reference(generic, zeros, poles):
     for k in (0, 17, 299):
         v1, d1 = f.values_and_dlog(z[k])
         assert abs(v1 - vals[k]) <= 1e-12 * abs(vals[k]) and abs(d1 - l1[k] / w1) <= 1e-12 * abs(l1[k] / w1)
+
+
+def test_quotient_against_mpmath_jtheta():
+    # values_and_dlog and derivative_pair of a degree-3 quotient against
+    # scale * prod theta(u - h - lift)^(+-m) in mpmath, over the Im tau sweep
+    # of the theta oracle: band points within 1e-12 relative, and points
+    # 1e-6 from a zero and from a pole within 1e-8 (there the 1e-16 rounding
+    # of z alone moves the value by 1e-10 of itself)
+    rng = np.random.default_rng(13)
+    for im in ORACLE_IM_TAUS:
+        tau = complex(rng.uniform(-0.5, 0.5) if im >= 1.0 else 0.5, im)
+        lat = Lattice(1.0 + 0j, tau)
+        zeros = [0.21 + 0.33 * tau, 0.64 + 0.57 * tau]
+        poles = [0.12 + 0.75 * tau, 0.81 + 0.18 * tau, 0.45 + 0.52 * tau]
+        zeros.append(sum(poles) - sum(zeros))
+        f = build_from_divisors(divisor([(p, 1) for p in zeros], lat), divisor([(p, 1) for p in poles], lat), lat)
+        z = np.append(rng.uniform(0.05, 0.95, 5) + rng.uniform(0.05, 0.95, 5) * tau,
+                      [zeros[0] + 1e-6, poles[0] + 1e-6j])
+        got = np.stack([*f.values_and_dlog(z), *f.derivative_pair(z)], axis=1)
+        # 50 digits, plus the 2 Im tau that jtheta's own sum cancels at
+        # |Im x| ~ 1.5 Im tau
+        with mpmath.workdps(50 + int(2 * im)):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            h = (1 + mpmath.mpc(tau)) / 2
+            lifts = [(mpmath.mpc(c), m) for c, m in f._lifts[0]] + [(mpmath.mpc(c), -m) for c, m in f._lifts[1]]
+            ref = []
+            for x in z:
+                val, l1, l2 = mpmath.mpc(f.scale), 0, 0
+                for c, s in lifts:
+                    t0, t1, t2 = (mp_theta(mpmath.mpc(x) - h - c, q, d) for d in range(3))
+                    val, l1, l2 = val * t0 ** s, l1 + s * t1 / t0, l2 + s * (t2 / t0 - (t1 / t0) ** 2)
+                ref.append([complex(v) for v in (val, l1, val * l1, (l1 * l1 + l2) / l1)])
+        rel = np.abs(got - ref) / np.abs(ref)
+        assert rel[:5].max() <= 1e-12, (tau, rel[:5].max(axis=0))
+        assert rel[5:].max() <= 1e-8, (tau, rel[5:].max(axis=0))

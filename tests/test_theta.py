@@ -1,12 +1,21 @@
 import cmath
-import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from elliptica import Lattice, make_lattice, reduce_mod_lattice, theta, theta_shifted
-from elliptica.theta import _BLOCK, theta_derivs_reduced
+from conftest import ORACLE_IM_TAUS
+from elliptica import (
+    Lattice,
+    build_from_divisors,
+    divisor,
+    make_lattice,
+    reduce_mod_lattice,
+    theta,
+    theta_shifted,
+    wp_values,
+)
+from elliptica.theta import _BLOCK, theta_derivs_reduced, theta_sums
 
 
 def band_samples(rng, tau, n, imag_factor=1.0):
@@ -65,6 +74,34 @@ def test_blocks_are_invisible(tau):
         assert (alone == whole[:, i]).all() and lalone == lwhole[i]
         if i < 6 * 41:
             assert (alone == stacked[:, i // 41, i % 41]).all() and lalone == lstacked[i // 41, i % 41]
+    # the kernel: a (shift, point) pair is the same bits alone and among
+    # seven shifts, anywhere in a call spanning several blocks
+    shifts = band_samples(rng, tau, 7, imag_factor=1.5)
+    step = _BLOCK // 7
+    sums, k = theta_sums(zs[:2 * step + 1], shifts, lat, order=3)
+    for i in (0, 1, step - 1, step, 2 * step):
+        for j in range(7):
+            alone, kalone = theta_sums(zs[i:i + 1], shifts[j:j + 1], lat, order=3)
+            assert (alone[:, 0, 0] == sums[:, j, i]).all() and kalone[0, 0] == k[j, i]
+    # wp and theta quotients of 4, 5 and 8 lifts: a point's values_and_dlog
+    # and wp_values are the same bits alone and in a call of several blocks
+    p, pp = wp_values(zs[:1000], lat)
+    for i in range(0, 1000, 37):
+        assert wp_values(zs[i], lat) == (p[i], pp[i])
+    cell = [0.21 + 0.33 * tau, 0.64 + 0.87 * tau, 0.12 + 0.55 * tau, 0.81 + 0.18 * tau,
+            0.45 + 0.71 * tau, 0.33 + 0.05 * tau, 0.9 + 0.4 * tau]
+    for zeros, poles in (([(cell[0], 1)], [(cell[1], 1), (cell[2], 1)]),
+                         ([(cell[0], 1), (cell[1], 1)], [(cell[2], 1), (cell[3], 2)]),
+                         ([(cell[0], 1), (cell[1], 1), (cell[2], 1)], [(cell[3], 1), (cell[4], 1), (cell[5], 1), (cell[6], 1)])):
+        # the last zero closes the Abel sum
+        zeros = zeros + [(sum(m * c for c, m in poles) - sum(m * c for c, m in zeros), 1)]
+        f = build_from_divisors(divisor(zeros, lat), divisor(poles, lat), lat)
+        step = _BLOCK // sum(len(lifts) for lifts in f._lifts)
+        zz = zs[:2 * step + 1]
+        v, dl = f.values_and_dlog(zz)
+        for i in list(range(0, 2 * step + 1, 41)) + [step - 1, step, 2 * step]:
+            va, dla = f.values_and_dlog(zz[i:i + 1])
+            assert va[0] == v[i] and dla[0] == dl[i]
 
 
 def test_shifted_zero(generic):
@@ -139,7 +176,7 @@ def test_against_mpmath_jtheta():
     # at 50 digits, from the reduced hexagonal corner to Im tau = 50
     rng = np.random.default_rng(9)
     with mpmath.workdps(50):
-        for im in (math.sqrt(3.0) / 2.0, 1.0, 1.3, 2.0, 3.7, 6.0, 9.4, 12.0, 20.0, 35.0, 50.0):
+        for im in ORACLE_IM_TAUS:
             tau = complex(rng.uniform(-0.5, 0.5) if im >= 1.0 else 0.5, im)
             lat = Lattice(1.0 + 0j, tau)
             zs = np.concatenate([

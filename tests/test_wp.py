@@ -1,7 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 
+from conftest import ORACLE_IM_TAUS, mp_theta
 from elliptica import (
+    Lattice,
     half_period_values,
     half_periods,
     is_infinite,
@@ -141,3 +144,32 @@ def test_wp_inverse_large_values(lat, modulus, tol):
         v = modulus * np.exp(2j * np.pi * k / 8)
         z = wp_inverse(v, lat, tol=tol)
         assert abs(wp_values(z.rep, lat)[0] - v) <= 10 * tol * (1 + abs(v))
+
+
+def test_wp_against_mpmath_jtheta():
+    # wp = -(log B)'' + C and wp' = -(log B)''' for B(u) = theta(u - h),
+    # h = (1+tau)/2, with C = B'''(0)/(3 B'(0)) - (B''(0)/B'(0))^2/4, in
+    # mpmath over the Im tau sweep of the theta oracle: band points within
+    # 1e-12 relative, and a point 1e-6 from the pole within 1e-8, as for the
+    # theta quotient
+    rng = np.random.default_rng(14)
+    for im in ORACLE_IM_TAUS:
+        tau = complex(rng.uniform(-0.5, 0.5) if im >= 1.0 else 0.5, im)
+        lat = Lattice(1.0 + 0j, tau)
+        z = np.append(rng.uniform(0.05, 0.95, 5) + rng.uniform(0.05, 0.95, 5) * tau, 1e-6j)
+        got = np.stack(wp_values(z, lat), axis=1)
+        # 50 digits, plus the 2 Im tau that jtheta's own sum cancels at
+        # |Im x| ~ Im tau
+        with mpmath.workdps(50 + int(2 * im)):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            h = (1 + mpmath.mpc(tau)) / 2
+            b = [mp_theta(-h, q, d) for d in range(4)]
+            c = b[3] / (3 * b[1]) - (b[2] / b[1]) ** 2 / 4
+            ref = []
+            for x in z:
+                b = [mp_theta(mpmath.mpc(x) - h, q, d) for d in range(4)]
+                r1, r2, r3 = b[1] / b[0], b[2] / b[0], b[3] / b[0]
+                ref.append([complex(r1 * r1 - r2 + c), complex(-(r3 - 3 * r1 * r2 + 2 * r1 ** 3))])
+        rel = np.abs(got - ref) / np.abs(ref)
+        assert rel[:5].max() <= 1e-12, (tau, rel[:5].max(axis=0))
+        assert rel[5:].max() <= 1e-8, (tau, rel[5:].max(axis=0))
