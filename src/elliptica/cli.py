@@ -212,13 +212,8 @@ def _cubic_svg(cubic: Cubic, lat, extra_points=None, lines=None, paths=None):
             seg = _line_window_segment(dual, w)
             if seg:
                 canvas.segment(seg[0], seg[1], color="steelblue", width=0.7)
-        for path in paths or []:
-            trace = [
-                ((x / z).real, (y / z).real)
-                for x, y, z in (p.coords for p in path)
-                if abs(z) > 1e-9
-            ]
-            canvas.polyline(trace, color="darkorange", width=0.9)
+        for x, y, z in (path[np.abs(path[:, 2]) > 1e-9].T for path in paths or []):
+            canvas.polyline(list(zip((x / z).real, (y / z).real)), color="darkorange", width=0.9)
         for p in pts:
             x, y, z = p.coords
             if abs(z) > 1e-9:

@@ -9,7 +9,8 @@ cubic form evaluated at q.
 
 Monodromy tracks the six fiber points as one (6, 3) array along the
 projective geodesics between loop samples, halving or doubling its own
-steps, so the spacing of the samples is not capped.
+steps, so the spacing of the samples is not capped.  A loop's samples are
+the rows of one (n, 3) array.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from .projective import (
     lines_meet,
     point_from_vec,
     proj_distance,
+    scaled_rows,
 )
 from .sphere import chordal, is_infinite
 
@@ -83,17 +85,27 @@ class Fiber:
         return [p for p, _ in self.entries]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopPath:
     """Closed sampled path in the cubic complement (first sample = last).
     Consecutive samples are joined by the projective geodesic; their
-    spacing is free, since the tracker refines its own steps."""
+    spacing is free, since the tracker refines its own steps.
 
-    samples: tuple[ProjPoint, ...]
+    samples is an (n, 3) complex array, scaled row by row like ProjPoint's
+    coordinates, or a sequence of ProjPoints, taken as they are; it is
+    stored as a read-only (n, 3) array."""
+
+    samples: np.ndarray
 
     def __post_init__(self):
-        if len(self.samples) < 2 or not self.samples[0].close_to(self.samples[-1], 1e-12):
-            raise ValueError("loop must be closed (first sample = last)")
+        s = self.samples
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero row scales to NaN
+            rows = scaled_rows(s) if isinstance(s, np.ndarray) else np.array([p.vec for p in s])
+        if (len(rows) < 2 or not np.isfinite(rows).all()
+                or _row_distances(rows[:1], rows[-1:])[0] > 1e-12):
+            raise ValueError("loop must be finite, nonzero and closed (first sample = last)")
+        rows.setflags(write=False)
+        object.__setattr__(self, "samples", rows)
 
 
 @dataclass(frozen=True)
@@ -421,14 +433,14 @@ def continue_fiber(cubic: Cubic, path: LoopPath, start: Fiber) -> Fiber:
     """
     if start.total != 6 or len(start.entries) != 6:
         raise CollisionUnresolvedError("continuation needs 6 simple starting points")
-    if proj_distance(start.base, path.samples[0]) > 1e-9:
+    if _row_distances(start.base.vec[None], path.samples[:1])[0] > 1e-9:
         raise SolveFailureError("start fiber is not over the path's first sample")
     pts = np.array([p.vec for p, _ in start.entries])
     i, j = np.triu_indices(6, 1)  # all 15 pairs of sheets
     sep = _row_distances(pts[i], pts[j]).min()
     for qa, qb in zip(path.samples, path.samples[1:]):
         # unit length keeps the pace in t even on near-orthogonal samples
-        a, b = qa.vec / np.linalg.norm(qa.vec), qb.vec / np.linalg.norm(qb.vec)
+        a, b = qa / np.linalg.norm(qa), qb / np.linalg.norm(qb)
         b = b * np.exp(1j * np.angle(np.vdot(b, a)))
         t, h = 0.0, 1.0
         while t < 1.0:
@@ -444,7 +456,7 @@ def continue_fiber(cubic: Cubic, path: LoopPath, start: Fiber) -> Fiber:
             h *= 0.5
             if h < 2.0 ** -HALVING_LIMIT:
                 raise HalvingLimitError("continuation step halving limit reached")
-    return Fiber(path.samples[-1], tuple((point_from_vec(v), 1) for v in pts))
+    return Fiber(point_from_vec(path.samples[-1]), tuple((point_from_vec(v), 1) for v in pts))
 
 
 def _match_permutation(start_pts: list[ProjPoint], end_pts: list[ProjPoint]) -> Permutation:
@@ -504,61 +516,43 @@ def tangent_loop_library(cubic: Cubic, basepoint: ProjPoint,
         raise ValueError(f"circle_samples must be at least 3, got {circle_samples}")
     rng = np.random.default_rng(seed)
     infl = inflection_points(cubic, lat)
-    duals = [tangent_line(cubic, p, tol=1e-6).dual.vec for p in infl]
+    duals = np.array([tangent_line(cubic, p, tol=1e-6).dual.vec for p in infl])
     bvec = basepoint.vec
     for attempt in range(40):
         d = rng.standard_normal(6).view(np.complex128)
         d = d - (d @ bvec.conjugate()) * bvec / (bvec @ bvec.conjugate())
         d = d / np.abs(d).max()
-
-        def at(s):
-            return bvec + s * d
-
-        svals = []
-        okd = True
-        for dv in duals:
-            den = dv @ d
-            if abs(den) < 1e-6:
-                okd = False
-                break
-            svals.append(complex(-(dv @ bvec) / den))
-        if not okd:
+        # the tangents meet the affine line s -> bvec + s d at these s
+        den = duals @ d
+        if (np.abs(den) < 1e-6).any():
             continue
+        svals = list(-(duals @ bvec) / den)
         # curve intersections of the line
         coeffs = cubic.line_coefficients(bvec, d)
         scurve = list(np.roots(coeffs)) if abs(coeffs[0]) > 1e-12 else []
         if len(scurve) != 3:
             continue
         loops = []
-        ok = True
         for i, si in enumerate(svals):
-            others = [s for j, s in enumerate(svals) if j != i] + scurve
+            others = svals[:i] + svals[i + 1:] + scurve
             gap = min(abs(si - s) for s in others)
             radius = min(0.35 * gap, 0.45 * abs(si))
             if radius < 1e-6:
-                ok = False
                 break
             # tail from 0 to the circle start (nearest point toward base);
             # passing near other features is fine (step halving absorbs it),
             # passing through them is not
             start = si * (1.0 - radius / abs(si))
-            tail_clear = min(
-                _seg_point_dist(0.0, start, s) for s in others
-            )
+            tail_clear = min(_seg_point_dist(0.0, start, s) for s in others)
             if tail_clear < 5e-4 * (1.0 + abs(start)):
-                ok = False
                 break
             ntail = max(6, int(3.0 * abs(start) / max(tail_clear, radius)))
-            tail = [start * k / ntail for k in range(ntail)]
-            ang0 = np.angle(start - si)
-            circle = [
-                si + radius * np.exp(1j * (ang0 + 2.0 * np.pi * k / circle_samples))
-                for k in range(circle_samples + 1)
-            ]
-            svveep = tail + circle + tail[::-1] + [0.0]
-            samples = tuple(point_from_vec(at(s)) for s in svveep)
-            loops.append(LoopPath(samples))
-        if ok:
+            tail = start * np.arange(ntail) / ntail
+            turns = 2.0 * np.pi * np.arange(circle_samples + 1) / circle_samples
+            circle = si + radius * np.exp(1j * (np.angle(start - si) + turns))
+            sweep = np.concatenate([tail, circle, tail[::-1], [0.0]])
+            loops.append(LoopPath(bvec + sweep[:, None] * d))
+        else:
             return loops
     raise SolveFailureError("no admissible loop direction found")
 

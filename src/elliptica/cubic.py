@@ -3,7 +3,10 @@ line intersections, the chord-tangent group law, and inflection points.
 
 Two families are supported: the standard Weierstrass form
 y^2 z - 4 x^3 + g2 x z^2 + g3 z^3 and the Hesse pencil
-x^3 + y^3 + z^3 + t x y z.
+x^3 + y^3 + z^3 + t x y z, both as the symmetric (3, 3, 3) coefficient
+tensor T of the form, built from a per-family table of nonzero coefficients:
+F, grad F, Hess F, the residual scale and the line restriction are its
+contractions.
 
 chart_newton solves {F = 0, G = 0} for a batch of points: the inflection
 points (G = det Hess F, with its analytic gradient) and the tangency fibers
@@ -11,8 +14,10 @@ of the covering module (G a polar conic) both go through it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,73 +53,83 @@ LINE_CLUSTER_TOL = 1e-6
 MULT_CONFIRM_TOL = 1e-8
 
 
+# The nonzero coefficients of each family's form, keyed by monomial as sorted
+# indices (x, y, z = 0, 1, 2): fixed ones, then the cubic's named parameters.
+_FORMS = {
+    "weierstrass": ({(1, 1, 2): 1.0, (0, 0, 0): -4.0}, {"g2": (0, 2, 2), "g3": (2, 2, 2)}),
+    "hesse": ({(0, 0, 0): 1.0, (1, 1, 1): 1.0, (2, 2, 2): 1.0}, {"t": (0, 1, 2)}),
+}
+
+
+def _contract(T, v) -> np.ndarray:
+    """T[., ., v] for v of shape (3, ...); shape (3, 3) + v.shape[1:]."""
+    return (T.reshape(9, 3) @ v.reshape(3, -1)).reshape((3, 3) + v.shape[1:])
+
+
+def _tvv(T, v) -> np.ndarray:
+    """T[., v, v] for v of shape (3, ...); in place, since on a large grid
+    a fresh (3, 3, ...) temporary costs more than the arithmetic."""
+    a = _contract(T, v)
+    a *= v
+    return a.sum(axis=1)
+
+
+def _tvvv(T, v):
+    """T[v, v, v] for v of shape (3, ...)."""
+    b = _tvv(T, v)
+    b *= v
+    return b.sum(axis=0)
+
+
 @dataclass(frozen=True)
 class Cubic:
-    """Homogeneous degree-3 form with its gradient and Hessian evaluators."""
+    """Homogeneous degree-3 form F(v) = T[v, v, v]; every evaluator takes one
+    point, shape (3,), or an array of points, shape (3, ...)."""
 
     family: str  # "weierstrass" | "hesse"
     g2: complex = 0j
     g3: complex = 0j
     t: complex = 0j
 
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """The symmetric (3, 3, 3) coefficient tensor T: each monomial's
+        coefficient is spread evenly over the permutations of its indices."""
+        fixed, params = _FORMS[self.family]
+        coeffs = {**fixed, **{m: getattr(self, name) for name, m in params.items()}}
+        T = np.zeros((3, 3, 3), dtype=complex)
+        for m, c in coeffs.items():
+            perms = set(itertools.permutations(m))
+            for idx in perms:
+                T[idx] = c / len(perms)
+        T.setflags(write=False)
+        return T
+
     def F(self, v) -> complex:
-        x, y, z = np.asarray(v, dtype=complex)
-        if self.family == "weierstrass":
-            return y * y * z - 4.0 * x ** 3 + self.g2 * x * z * z + self.g3 * z ** 3
-        return x ** 3 + y ** 3 + z ** 3 + self.t * x * y * z
+        return _tvvv(self.tensor, np.asarray(v, dtype=complex))
+
+    def grad(self, v) -> np.ndarray:
+        return 3.0 * _tvv(self.tensor, np.asarray(v, dtype=complex))
+
+    def hessian_matrix(self, v) -> np.ndarray:
+        return 6.0 * _contract(self.tensor, np.asarray(v, dtype=complex))
 
     def term_scale(self, v):
-        """Sum of the monomial magnitudes; the natural residual scale.
-        A float for one point, an array for a (3, N) array of points.
+        """|T|[|v|, |v|, |v|], the sum of the monomial magnitudes; the
+        natural residual scale.  A float for one point, an array for an
+        array of points.
 
         Floored at a small multiple of the coefficient scale: near [0,1,0]
         every monomial vanishes together with F and the bare ratio would
         misjudge points that sit numerically on the curve.
         """
-        x, y, z = np.abs(np.asarray(v, dtype=complex))
-        m = np.maximum(np.maximum(x, y), z)
-        if self.family == "weierstrass":
-            floor = 1e-12 * (1.0 + abs(self.g2) + abs(self.g3)) * m ** 3
-            s = (y * y * z + 4.0 * x ** 3 + abs(self.g2) * x * z * z
-                 + abs(self.g3) * z ** 3 + floor + 1e-300)
-        else:
-            floor = 1e-12 * (1.0 + abs(self.t)) * m ** 3
-            s = x ** 3 + y ** 3 + z ** 3 + abs(self.t) * x * y * z + floor + 1e-300
+        a = np.abs(np.asarray(v, dtype=complex))
+        coeff = 1.0 + sum(abs(getattr(self, name)) for name in _FORMS[self.family][1])
+        s = _tvvv(np.abs(self.tensor), a) + 1e-12 * coeff * a.max(axis=0) ** 3 + 1e-300
         return s if np.ndim(s) else float(s)
 
     def residual(self, p: ProjPoint) -> float:
         return abs(self.F(p.vec)) / self.term_scale(p.vec)
-
-    def grad(self, v) -> np.ndarray:
-        x, y, z = np.asarray(v, dtype=complex)
-        if self.family == "weierstrass":
-            return np.array(
-                [
-                    -12.0 * x * x + self.g2 * z * z,
-                    2.0 * y * z,
-                    y * y + 2.0 * self.g2 * x * z + 3.0 * self.g3 * z * z,
-                ]
-            )
-        t = self.t
-        return np.array(
-            [3.0 * x * x + t * y * z, 3.0 * y * y + t * x * z, 3.0 * z * z + t * x * y]
-        )
-
-    def hessian_matrix(self, v) -> np.ndarray:
-        x, y, z = np.asarray(v, dtype=complex)
-        if self.family == "weierstrass":
-            g2, g3 = self.g2, self.g3
-            return np.array(
-                [
-                    [-24.0 * x, 0.0, 2.0 * g2 * z],
-                    [0.0, 2.0 * z, 2.0 * y],
-                    [2.0 * g2 * z, 2.0 * y, 2.0 * g2 * x + 6.0 * g3 * z],
-                ]
-            )
-        t = self.t
-        return np.array(
-            [[6.0 * x, t * z, t * y], [t * z, 6.0 * y, t * x], [t * y, t * x, 6.0 * z]]
-        )
 
     def hessian_det(self, v) -> complex:
         return complex(np.linalg.det(self.hessian_matrix(v)))
@@ -122,25 +137,25 @@ class Cubic:
     def hessian_det_rows(self, v):
         """(det Hess F, its gradient) for every row of the (N, 3) array v.
 
-        The Hessian is linear in v, H(v) = sum_k v_k H(e_k), so the
-        derivative of det H along e_k is <cof H(v), H(e_k)>; the cofactor
-        rows are cross products of the Hessian rows.
+        The Hessian is linear in v, H(v) = sum_k v_k H(e_k) with H(e_k) =
+        6 T[., ., e_k], so the derivative of det H along e_k is
+        <cof H(v), H(e_k)>; the cofactor rows are cross products of the
+        Hessian rows.
         """
-        hk = np.array([self.hessian_matrix(e) for e in np.eye(3)])
-        h = (v @ hk.reshape(3, 9)).reshape(-1, 3, 3)
+        hk = 6.0 * self.tensor.reshape(3, 9)  # row k is H(e_k), T being symmetric
+        h = (v @ hk).reshape(-1, 3, 3)
         cof = np.stack([cross(h[:, 1].T, h[:, 2].T), cross(h[:, 2].T, h[:, 0].T),
                         cross(h[:, 0].T, h[:, 1].T)], axis=1).transpose(2, 1, 0)
         det = (h[:, 0] * cof[:, 0]).sum(axis=1)
-        return det, cof.reshape(-1, 9) @ hk.reshape(3, 9).T
+        return det, cof.reshape(-1, 9) @ hk.T
 
     def line_coefficients(self, w1, w2) -> np.ndarray:
-        """[c3, c2, c1, c0] of the cubic s -> F(w1 + s w2), from four
-        evaluations of F."""
-        c0 = self.F(w1)
-        c3 = self.F(w2)
-        fp = self.F(w1 + w2)
-        fm = self.F(w1 - w2)
-        return np.array([c3, (fp + fm) / 2.0 - c0, (fp - fm) / 2.0 - c3, c0])
+        """[c3, c2, c1, c0] of the cubic s -> F(w1 + s w2), exactly: with
+        g_i = T[., w_i, w_i], c0 = w1.g1, c1 = 3 w2.g1, c2 = 3 w1.g2 and
+        c3 = w2.g2."""
+        w1, w2 = np.asarray(w1, dtype=complex), np.asarray(w2, dtype=complex)
+        g1, g2 = _tvv(self.tensor, w1), _tvv(self.tensor, w2)
+        return np.array([w2 @ g2, 3.0 * (w1 @ g2), 3.0 * (w2 @ g1), w1 @ g1])
 
     def on_curve(self, p: ProjPoint, tol: float = ON_CURVE_TOL) -> bool:
         return self.residual(p) <= tol
@@ -232,19 +247,6 @@ def tangent_line(cubic: Cubic, p: ProjPoint, tol: float = ON_CURVE_TOL) -> ProjL
     return ProjLine(point_from_vec(g))
 
 
-def _poly_derivative_small(coeffs: np.ndarray, s: complex, order: int, scale: float) -> bool:
-    # coeffs: [c3, c2, c1, c0]; check |p^(j)(s)| small for j = 1..order-1
-    c3, c2, c1, c0 = coeffs
-    derivs = [
-        3.0 * c3 * s * s + 2.0 * c2 * s + c1,
-        6.0 * c3 * s + 2.0 * c2,
-    ]
-    for j in range(1, order):
-        if abs(derivs[j - 1]) > MULT_CONFIRM_TOL * scale:
-            return False
-    return True
-
-
 def line_intersect_cubic(line: ProjLine, cubic: Cubic,
                          seed: int = 0) -> IntersectionList:
     """The three intersection points of a line with the cubic, counted with
@@ -286,7 +288,9 @@ def line_intersect_cubic(line: ProjLine, cubic: Cubic,
         for grp in groups:
             centroid = sum(grp) / len(grp)
             m = len(grp)
-            if m > 1 and not _poly_derivative_small(coeffs, centroid, m, dscale):
+            # a multiple root needs |p^(j)(centroid)| small for j = 1..m-1
+            if m > 1 and any(abs(np.polyval(np.polyder(coeffs, j), centroid))
+                             > MULT_CONFIRM_TOL * dscale for j in range(1, m)):
                 # genuinely distinct roots inside the coarse radius
                 spread = max(abs(s - centroid) for s in grp)
                 if spread > LINE_CLUSTER_TOL * (1.0 + abs(centroid)):
@@ -295,13 +299,10 @@ def line_intersect_cubic(line: ProjLine, cubic: Cubic,
                     continue
                 ok = False
                 break
-            # polish simple roots by one Newton step on the exact cubic
-            if m == 1:
-                c3v, c2v, c1v, c0v = coeffs
-                p = ((c3v * centroid + c2v) * centroid + c1v) * centroid + c0v
-                dp = (3.0 * c3v * centroid + 2.0 * c2v) * centroid + c1v
+            if m == 1:  # polish simple roots by one Newton step on the exact cubic
+                dp = np.polyval(np.polyder(coeffs), centroid)
                 if dp != 0:
-                    centroid = centroid - p / dp
+                    centroid = centroid - np.polyval(coeffs, centroid) / dp
             entries.append((point_from_vec(w1 + centroid * w2), m))
         if not ok:
             continue

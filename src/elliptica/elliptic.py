@@ -92,18 +92,21 @@ def wp_inverse(v: complex, lat: Lattice, tol: float = 1e-12) -> TorusPoint:
     """One solution z of wp(z) = v (the other is -z); INF maps to 0.
 
     Newton's method on wp - v (divisors._newton_polish) from the seeds
-    closest in |wp - v|: a 17 x 17 grid over the cell and the Laurent seed
-    v^(-1/2), since wp(z) ~ 1/z^2 near the pole.  The first seed whose
-    polished residual is below tol (1 + |v|) gives the answer.
+    closest in |wp - v|: a 17 x 17 grid over the cell and omega1 asin(pi /
+    sqrt(v omega1^2 + pi^2/3)) / pi, the inverse on the degenerate lattice
+    q = 0, which is finite at v = 0, near v^(-1/2) for large v, and near a
+    solution at large Im tau.  The first seed whose polished residual is
+    below tol (1 + |v|) gives the answer.
     """
     if is_infinite(v):
         return TorusPoint(0.0, lat)
     gs = np.linspace(0.04, 0.96, 17)
     aa, bb = np.meshgrid(gs, gs)
-    # v = 0 gives a non-finite Laurent seed, whose NaN distance sorts last
+    w1 = lat.omega1
+    # at v = -pi^2 / (3 omega1^2) the seed is NaN, whose distance sorts last
     with np.errstate(divide="ignore", invalid="ignore"):
-        zz = np.append(aa.ravel() * lat.omega1 + bb.ravel() * lat.omega2,
-                       np.complex128(v) ** -0.5)
+        seed = w1 / np.pi * np.arcsin(np.pi / np.sqrt(np.complex128(v) * w1 * w1 + np.pi ** 2 / 3))
+        zz = np.append(aa.ravel() * w1 + bb.ravel() * lat.omega2, seed)
         p, _ = wp_values(zz, lat)
     f = wp_evaluable(lat, v)
     for idx in np.argsort(np.abs(p - v))[:8]:

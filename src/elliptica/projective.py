@@ -11,6 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def scaled_rows(v) -> np.ndarray:
+    """Every row of the (n, 3) array v divided by its largest-modulus
+    coordinate; a ProjPoint's coordinates are scaled by this division."""
+    v = np.asarray(v, dtype=complex)
+    return v / v[np.arange(len(v)), np.abs(v).argmax(axis=1)][:, None]
+
+
 def _normalize(coords) -> tuple[complex, complex, complex]:
     v = np.asarray(coords, dtype=complex)
     if v.shape != (3,):
@@ -18,9 +25,8 @@ def _normalize(coords) -> tuple[complex, complex, complex]:
     mods = np.abs(v)
     if not np.isfinite(mods).all() or mods.max() == 0.0:
         raise ValueError(f"invalid homogeneous coordinates {coords}")
-    pivot = int(np.argmax(mods))
-    v = v / v[pivot]
-    return (complex(v[0]), complex(v[1]), complex(v[2]))
+    x, y, z = scaled_rows(v[None])[0]
+    return (complex(x), complex(y), complex(z))
 
 
 @dataclass(frozen=True)

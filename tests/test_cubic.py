@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import GENERIC, HEXAGONAL, SQUARE
 from elliptica import (
+    EPS,
+    LoopPath,
     ProjLine,
     embed_point,
     group_add,
@@ -10,6 +13,7 @@ from elliptica import (
     line_intersect_cubic,
     line_through,
     make_lattice,
+    point_from_vec,
     proj_point,
     tangent_line,
     torsion_points,
@@ -244,3 +248,85 @@ def test_hessian_det_rows_value_and_gradient(family, generic):
         for k, e in enumerate(np.eye(3)):
             fd = (cubic.hessian_det(row + h * e) - cubic.hessian_det(row - h * e)) / (2 * h)
             assert abs(g[k] - fd) <= 1e-6 * abs(fd)
+
+
+# The family polynomials written out, as an oracle for the tensor
+# contractions.  With the signed coefficients and v they give F, grad F and
+# Hess F; with the coefficient moduli and |v| the sums of the magnitudes of
+# the same terms, the scale each is compared at.
+
+
+def weierstrass_terms(v, a, b, g2, g3):
+    # b y^2 z + a x^3 + g2 x z^2 + g3 z^3, with a = -4, b = 1 for the form
+    x, y, z = v
+    zero = np.zeros_like(x)
+    f = b * y * y * z + a * x ** 3 + g2 * x * z * z + g3 * z ** 3
+    grad = [3.0 * a * x * x + g2 * z * z, 2.0 * b * y * z,
+            b * y * y + 2.0 * g2 * x * z + 3.0 * g3 * z * z]
+    hess = [[6.0 * a * x, zero, 2.0 * g2 * z], [zero, 2.0 * b * z, 2.0 * b * y],
+            [2.0 * g2 * z, 2.0 * b * y, 2.0 * g2 * x + 6.0 * g3 * z]]
+    return f, np.array(grad), np.array(hess)
+
+
+def hesse_terms(v, c, t):
+    # c (x^3 + y^3 + z^3) + t x y z, with c = 1 for the form
+    x, y, z = v
+    f = c * x ** 3 + c * y ** 3 + c * z ** 3 + t * x * y * z
+    grad = [3.0 * c * x * x + t * y * z, 3.0 * c * y * y + t * x * z,
+            3.0 * c * z * z + t * x * y]
+    hess = [[6.0 * c * x, t * z, t * y], [t * z, 6.0 * c * y, t * x],
+            [t * y, t * x, 6.0 * c * z]]
+    return f, np.array(grad), np.array(hess)
+
+
+def written_out(cubic, v):
+    """((F, grad F, Hess F), their magnitude scales, the floored term
+    scale) at v, shape (3,) or (3, N)."""
+    if cubic.family == "weierstrass":
+        g2, g3 = cubic.g2, cubic.g3
+        vals = weierstrass_terms(v, -4.0, 1.0, g2, g3)
+        scales = weierstrass_terms(np.abs(v), 4.0, 1.0, abs(g2), abs(g3))
+        coeff = 1.0 + abs(g2) + abs(g3)
+    else:
+        vals = hesse_terms(v, 1.0, cubic.t)
+        scales = hesse_terms(np.abs(v), 1.0, abs(cubic.t))
+        coeff = 1.0 + abs(cubic.t)
+    floor = 1e-12 * coeff * np.abs(v).max(axis=0) ** 3
+    return vals, scales, scales[0].real + floor + 1e-300
+
+
+TENSOR_CUBICS = [weierstrass_cubic(lat) for lat in (SQUARE, HEXAGONAL, GENERIC)] + [
+    hesse_cubic(t) for t in (0.0, 2.0, -1.0 + 3.0j, 6.0 * EPS)]
+
+
+@pytest.mark.parametrize("cubic", TENSOR_CUBICS,
+                         ids=["square", "hexagonal", "generic", "t0", "t2", "t-1+3i", "t6eps"])
+def test_tensor_contractions_match_the_written_out_form(cubic):
+    rng = np.random.default_rng(33)
+    v = rng.standard_normal((3, 40, 2)).view(complex)[..., 0]
+    v = np.concatenate([np.eye(3), [[1e-3], [1.0], [1e-4]], v / np.abs(v).max(axis=0)], axis=1)
+    for pts in (v, v[:, 0], v[:, 3], v[:, 10]):  # (3, N), [1, 0, 0], near [0, 1, 0], random
+        (f, grad, hess), (_, sgrad, shess), scale = written_out(cubic, pts)
+        assert np.all(np.abs(cubic.F(pts) - f) <= 1e-14 * scale)
+        assert np.all(np.abs(cubic.term_scale(pts) - scale) <= 1e-14 * scale)
+        assert np.all(np.abs(cubic.grad(pts) - grad) <= 1e-14 * sgrad.real)
+        assert np.all(np.abs(cubic.hessian_matrix(pts) - hess) <= 1e-14 * shess.real)
+    # line restrictions, against four evaluations of the written-out F
+    for w1, w2 in zip(v[:, 3:23].T, v[:, 23:].T):
+        c0, c3 = (written_out(cubic, w)[0][0] for w in (w1, w2))
+        fp, fm = (written_out(cubic, w)[0][0] for w in (w1 + w2, w1 - w2))
+        ref = np.array([c3, (fp + fm) / 2.0 - c0, (fp - fm) / 2.0 - c3, c0])
+        scale = written_out(cubic, np.abs(w1) + np.abs(w2))[2]
+        assert np.all(np.abs(cubic.line_coefficients(w1, w2) - ref) <= 1e-14 * scale)
+
+
+def test_loop_rows_from_points_and_from_an_array():
+    rng = np.random.default_rng(34)
+    raw = rng.standard_normal((7, 6)).view(complex) * np.exp(rng.uniform(-5, 5, (7, 1)))
+    raw[-1] = 2.5j * raw[0]
+    from_points = LoopPath(tuple(point_from_vec(r) for r in raw))
+    from_array = LoopPath(raw)
+    assert from_array.samples.shape == (7, 3)
+    assert np.array_equal(from_points.samples.view(float), from_array.samples.view(float))
+    with pytest.raises(ValueError):
+        LoopPath(raw[:-1])

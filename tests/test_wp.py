@@ -15,6 +15,7 @@ from elliptica import (
     wp_pair,
     wp_values,
 )
+from elliptica.elliptic import wp_function
 
 LATTICES = [
     make_lattice(1.0, 1j),
@@ -173,3 +174,25 @@ def test_wp_against_mpmath_jtheta():
         rel = np.abs(got - ref) / np.abs(ref)
         assert rel[:5].max() <= 1e-12, (tau, rel[:5].max(axis=0))
         assert rel[5:].max() <= 1e-8, (tau, rel[5:].max(axis=0))
+
+
+@pytest.mark.parametrize("re_tau", [0.0, 0.2, -0.45, 0.5])
+def test_wp_inverse_over_the_im_tau_sweep(re_tau):
+    # at large Im tau no row of the seed grid comes near the zeros of wp, at
+    # Im z about +-0.36; the inverse on the degenerate lattice does
+    rng = np.random.default_rng(31)
+    for im in ORACLE_IM_TAUS:
+        lat = Lattice(1.0 + 0j, complex(re_tau, im))
+        zs = rng.uniform(0.07, 0.93, 6) + rng.uniform(0.07, 0.93, 6) * lat.tau
+        for v in [0.0, *wp_values(zs, lat)[0]]:
+            z = wp_inverse(v, lat)
+            assert abs(wp_values(z.rep, lat)[0] - v) <= 1e-11 * (1 + abs(v)), (lat.tau, v)
+
+
+def test_wp_function_at_large_im_tau():
+    lat = make_lattice(1.0, 0.2 + 50j)
+    f = wp_function(lat)
+    for y, _ in f.zeros.points:
+        assert abs(wp_values(y.rep, lat)[0]) <= 1e-11
+    z = np.array([0.31 + 0.43j, 0.7 - 0.2j])
+    assert np.abs(f.values(z) - wp_values(z, lat)[0]).max() <= 1e-10 * np.abs(wp_values(z, lat)[0]).max()
