@@ -6,10 +6,12 @@ values_and_dlog(z) returns the pair (f(z), f'(z)/f(z)) elementwise on a
 complex ndarray.  An EllipticFunction and elliptic.wp_evaluable(...)
 satisfy it; Evaluable(pair) builds one from that function.  Location
 subdivides the fundamental parallelogram into cells and integrates f'/f
-over a circle circumscribing each cell.  These moments are signed, zeros
-minus poles, so one sweep finds both divisors: the eigenvalues of a Hankel
-pencil on a cell's moments are its zeros and poles, with integer weights
-(positive for a zero, negative for a pole) fitted to the same moments.
+over a circle circumscribing each cell, every moment from one inverse FFT
+of the samples (_moments).  These moments are signed, zeros minus poles,
+so one sweep finds both divisors: the eigenvalues of a Hankel pencil on a
+cell's moments are its zeros and poles, with integer weights (positive
+for a zero, negative for a pole) fitted to the same moments, and a cell is
+empty only when its moments are at the quadrature noise.
 Each point is Newton-polished at its multiplicity, on f for a zero and on
 1/f for a pole, and verified.  The cells form a worklist: one whose data is
 inconsistent is replaced by its four quarters, and the whole grid is
@@ -136,16 +138,15 @@ def _require_dlog(f) -> None:
 
 
 def _circle_samples(f, center: complex, radius: float, nodes: int, min_modulus: float):
-    """(w, f'/f, median |f|) at `nodes` equispaced points center + w of the
-    circle.
+    """(f'/f, median |f|) at the points center + radius e^(2 pi i j / nodes),
+    j = 0..nodes-1.
 
     Raises ContourTooCloseError when |f| on the circle leaves
     [min_modulus, 1/min_modulus] times its median, the sign of a zero or pole
     near the contour.
     """
     angles = 2.0 * np.pi * np.arange(nodes) / nodes
-    w = radius * np.exp(1j * angles)
-    fz, g = f.values_and_dlog(center + w)
+    fz, g = f.values_and_dlog(center + radius * np.exp(1j * angles))
     mods = np.abs(fz)
     # the median as the mean of the two middle order statistics (one when
     # nodes is odd); np.median would also import numpy.ma
@@ -165,33 +166,50 @@ def _circle_samples(f, center: complex, radius: float, nodes: int, min_modulus: 
         raise ContourTooCloseError(
             "pole too close to contour", center=center, radius=radius
         )
-    return w, np.asarray(g), scale
+    return np.asarray(g), scale
 
 
-def _counted_samples(f, center: complex, radius: float, nodes: int, min_modulus: float):
-    """(count, w, f'/f, median |f|) at the first node count, doubling from
-    `nodes` up to 16 * nodes, at which the count integral and its half-node
-    (coarser trapezoid) value agree on an integer; NonIntegerCountError when
-    none does."""
+_KMAX_CAP = 8
+_MOMENT_TOL = 2e-3
+# the trapezoid error at N nodes is about the square of the error at N/2
+# (geometric convergence), so moments within this of their N/2 values are
+# good to about _MOMENT_TOL / 10
+_NOISE_TOL = math.sqrt(_MOMENT_TOL / 10)
+
+
+def _moments(f, center: complex, radius: float, kmax: int, nodes: int, min_modulus: float):
+    """(s, median |f|, noise) on the circle |z - center| = radius: the
+    moments m_p = (1/2 pi i) integral of (f'/f) (z - center)^p dz scaled as
+    s_p = m_p / radius^p, p = 0..kmax, s_0 the integer count, and noise =
+    max_p |s_p - s^half_p|.
+
+    The trapezoid rule on N nodes is a DFT: s_p = radius ifft(g)[p + 1] for
+    the samples g of f'/f, and s^half = radius ifft(g[::2])[p + 1] is the
+    coarser trapezoid.  N doubles from `nodes` up to 16 * nodes until s_0 is
+    within 0.1 of an integer on both N and N/2 and noise <= _NOISE_TOL;
+    NonIntegerCountError when none does.
+    """
+    k = np.arange(1, kmax + 2)
     n = nodes
     while True:
-        w, g, scale = _circle_samples(f, center, radius, n, min_modulus)
-        s0 = complex(np.mean(g * w))
-        s0_half = complex(np.mean(g[::2] * w[::2]))
-        count = round(s0.real)
-        if abs(s0 - count) <= 0.1 and abs(s0_half - count) <= 0.1:
-            return count, w, g, scale
+        g, scale = _circle_samples(f, center, radius, n, min_modulus)
+        # indices mod N: the trapezoid aliases w^(p+1) for p + 1 >= N
+        s = radius * np.fft.ifft(g)[k % n]
+        half = radius * np.fft.ifft(g[::2])[k % (n // 2)]
+        count = round(s[0].real)
+        noise = float(np.abs(s - half).max())
+        if max(abs(s[0] - count), abs(half[0] - count)) > 0.1:
+            failed = f"count integral {complex(s[0])} not near an integer"
+        elif noise > _NOISE_TOL:
+            failed = f"moments differ by {noise:.3g} from the coarser trapezoid's"
+        else:
+            s[0] = count
+            return s, scale, noise
         if n >= 16 * nodes:
             raise NonIntegerCountError(
-                f"count integral {s0} not near an integer",
-                center=center,
-                radius=radius,
+                f"{failed} at {n} nodes", center=center, radius=radius
             )
         n *= 2
-
-
-def _sums_from_samples(w, g, kmax: int) -> list[complex]:
-    return [complex(np.mean(g * w ** (p + 1))) for p in range(kmax + 1)]
 
 
 class Evaluable:
@@ -214,19 +232,17 @@ def contour_power_sums(
     """Power sums of the zeros of f inside |z - center| = radius.
 
     Trapezoidal quadrature of (1/2 pi i) * integral of (f'/f) w^p dw with
-    f'/f from f.values_and_dlog; the node count is doubled until two
-    successive counts agree.  Raises ContourTooCloseError when the circle
-    passes too close to a zero or pole of f, NonIntegerCountError when the
-    count integral is farther than 0.1 from an integer or f has no
-    values_and_dlog.
+    f'/f from f.values_and_dlog, every power from one inverse FFT
+    (_moments); the node count doubles until the sums agree with the half
+    node count's.  Raises ContourTooCloseError when the circle passes too
+    close to a zero or pole of f, NonIntegerCountError when no node count
+    passes or f has no values_and_dlog.
     """
     if kmax < 0:
         raise InsufficientSumsError(f"kmax must be >= 0, got {kmax}")
     _require_dlog(f)
-    count, w, g, _ = _counted_samples(f, center, radius, nodes, min_modulus)
-    values = _sums_from_samples(w, g, kmax)
-    values[0] = complex(count)
-    return PowerSums(tuple(values))
+    s = _moments(f, center, radius, kmax, nodes, min_modulus)[0]
+    return PowerSums(tuple(complex(v) for v in s * radius ** np.arange(kmax + 1)))
 
 
 def newton_elementary(sums: PowerSums) -> list[complex]:
@@ -334,18 +350,6 @@ def _cell_circle(lat: Lattice, a0, b0, sa, sb):
     return center, 1.07 * half_diag
 
 
-_KMAX_CAP = 8
-_MOMENT_TOL = 2e-3
-
-
-def _scaled_moments(count: int, w, g, radius: float) -> np.ndarray:
-    """s_p = m_p / radius^p for the signed moments m_p, p = 0.._KMAX_CAP, of
-    the samples, with s_0 the integer count."""
-    s = np.array(_sums_from_samples(w, g, _KMAX_CAP)) / radius ** np.arange(_KMAX_CAP + 1)
-    s[0] = count
-    return s
-
-
 def _gap(s, x, m) -> float:
     """Largest |s_p - sum_k m_k x_k^p|: how far the points x_k with weights
     m_k are from explaining the scaled moments s."""
@@ -385,9 +389,11 @@ def _resolve_cell(f, lat, a0, b0, sa, sb, depth, tol):
     [b0, b0 + sb) in lattice coordinates, positive for a zero and negative
     for a pole, or None when the cell must be subdivided.
 
-    The signed moments of f'/f on the cell circle, scaled by radius^p, are
-    fitted by weighted points (_models), fewest first, and the first model
-    that explains them and whose points pass is accepted.  Each point is
+    The signed moments of f'/f on the cell circle, scaled by radius^p
+    (_moments), are fitted by weighted points (_models), fewest first, and
+    the first model that explains them and whose points pass is accepted.
+    The empty model must be within max(4 x noise, 1e-10), since a zero and
+    a pole close together nearly cancel in every moment.  Each point is
     Newton-polished once at its signed weight (a pole as a zero of 1/f):
     its residual must pass, it may move at most 0.2 x the radius, and a
     multiple point must be one point to within tol; the polished points
@@ -396,6 +402,14 @@ def _resolve_cell(f, lat, a0, b0, sa, sb, depth, tol):
     model passes or a zero or pole sits too close to the circle.
     """
     center, radius = _cell_circle(lat, a0, b0, sa, sb)
+    try:
+        s, scale, noise = _moments(
+            f, center, radius, _KMAX_CAP, CONTOUR_NODES, CELL_MIN_MODULUS_REL
+        )
+    except (ContourTooCloseError, NonIntegerCountError):
+        # a feature sits too close to this cell's circle; subdividing moves
+        # every boundary, so trouble stays local instead of restarting the grid
+        return None
 
     def polish(seed, weight):
         # a pole is a zero of 1/f, whose median modulus on the circle is 1/scale
@@ -409,46 +423,23 @@ def _resolve_cell(f, lat, a0, b0, sa, sb, depth, tol):
             or resid * 4 ** abs(weight) <= abs(complex(_oriented(f, z + 2 * tol, weight)[0][0])))
         return z if ok else None
 
-    def resolve(s):
-        # (the polished points of the first model that passes, or None;
-        # the smallest miss of the models tried)
-        miss = math.inf
-        for x, m, gap in _models(s):
-            miss = min(miss, gap)
-            if gap > _MOMENT_TOL or (np.abs(m).sum() > 3 and depth < MAX_CELL_DEPTH):
-                continue
-            found = []
-            for xk, mk in zip(x, m):
-                found.append(polish(center + radius * complex(xk), int(mk)))
-                if found[-1] is None:
-                    break
-            else:
-                if _gap(s, (np.array(found) - center) / radius, m) <= _MOMENT_TOL:
-                    return list(zip(found, m)), miss
-        return None, miss
-
-    try:
-        count, w, g, scale = _counted_samples(
-            f, center, radius, CONTOUR_NODES, CELL_MIN_MODULUS_REL
-        )
-        points, miss = resolve(_scaled_moments(count, w, g, radius))
-        if _MOMENT_TOL < miss <= 0.05:
-            # features just outside the circle pollute low-node moments;
-            # re-check at high resolution before concluding the cell hides
-            # features, but not when the miss is above any plausible
-            # contamination
-            w, g, _ = _circle_samples(f, center, radius, 768, CELL_MIN_MODULUS_REL)
-            points, _ = resolve(_scaled_moments(count, w, g, radius))
-    except (ContourTooCloseError, NonIntegerCountError):
-        # a feature sits too close to this cell's circle; subdividing moves
-        # every boundary, so trouble stays local instead of restarting the grid
-        return None
-
     def inside(z):  # a point polished into a neighbouring cell is reported there
         a, b = lat.coords(z)
         return a0 <= a < a0 + sa and b0 <= b < b0 + sb
 
-    return None if points is None else [(z, int(mk)) for z, mk in points if inside(z)]
+    for x, m, gap in _models(s):
+        bound = _MOMENT_TOL if len(m) else max(4.0 * noise, 1e-10)
+        if gap > bound or (np.abs(m).sum() > 3 and depth < MAX_CELL_DEPTH):
+            continue
+        found = []
+        for xk, mk in zip(x, m):
+            found.append(polish(center + radius * complex(xk), int(mk)))
+            if found[-1] is None:
+                break
+        else:
+            if _gap(s, (np.array(found) - center) / radius, m) <= _MOMENT_TOL:
+                return [(z, int(mk)) for z, mk in zip(found, m) if inside(z)]
+    return None
 
 
 def _grid_offsets(seed: int):
@@ -512,18 +503,21 @@ def locate_divisor_pair(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int 
     The signed moments of f'/f on each cell circle give the cell's zeros
     and poles together, as the weighted points of one Hankel pencil; the
     sign of a point's weight says whether it is polished on f or on 1/f,
-    both read from f.values_and_dlog.  When the degrees differ the sweep is
+    both read from f.values_and_dlog.  When the degrees differ, or differ
+    from f.degree where f has one (an EllipticFunction), the sweep is
     repeated, at most twice, each time on base grids not swept before.
     Raises SubdivisionFailureError when they still differ or no admissible
     grid is found.
     """
     grids = _grid_offsets(seed)
+    known = getattr(f, "degree", None)
     for _ in range(3):
         zeros, poles = _sweep(f, lat, tol, grids)
-        if zeros.degree == poles.degree:
+        if zeros.degree == poles.degree and known in (None, zeros.degree):
             return zeros, poles
     raise SubdivisionFailureError(
-        f"zero/pole degree mismatch persists: {zeros.degree} vs {poles.degree}"
+        f"degree mismatch persists: {zeros.degree} zeros vs {poles.degree} poles"
+        + ("" if known is None else f", f has degree {known}")
     )
 
 

@@ -13,9 +13,13 @@ import numpy as np
 
 def scaled_rows(v) -> np.ndarray:
     """Every row of the (n, 3) array v divided by its largest-modulus
-    coordinate; a ProjPoint's coordinates are scaled by this division."""
+    coordinate, then exactly 1; a ProjPoint's coordinates are scaled so."""
     v = np.asarray(v, dtype=complex)
-    return v / v[np.arange(len(v)), np.abs(v).argmax(axis=1)][:, None]
+    rows, pivot = np.arange(len(v)), np.abs(v).argmax(axis=1)
+    out = v / v[rows, pivot][:, None]
+    # x / x may be an ulp off 1; inf / inf and 0 / 0 stay NaN
+    out[rows, pivot] = np.where(np.isfinite(out[rows, pivot]), 1.0, np.nan)
+    return out
 
 
 def _normalize(coords) -> tuple[complex, complex, complex]:

@@ -330,3 +330,17 @@ def test_loop_rows_from_points_and_from_an_array():
     assert np.array_equal(from_points.samples.view(float), from_array.samples.view(float))
     with pytest.raises(ValueError):
         LoopPath(raw[:-1])
+
+
+def test_pivot_coordinate_is_exactly_one():
+    # complex x / x is not always 1: without pinning the pivot, about a
+    # fifth of these rows keep a pivot an ulp away from 1
+    from elliptica.projective import scaled_rows
+
+    rng = np.random.default_rng(36)
+    raw = rng.standard_normal((20000, 6)).view(complex) * np.exp(rng.uniform(-20, 20, (20000, 3)))
+    rows = scaled_rows(raw)
+    pivot = np.abs(raw).argmax(axis=1)
+    assert np.all(rows[np.arange(len(raw)), pivot] == 1.0)
+    points = np.array([point_from_vec(r).coords for r in raw])
+    assert np.array_equal(points.view(float), rows.view(float))

@@ -9,6 +9,7 @@ from elliptica import (
     divisor,
     jacobi_sum,
     locate_zeros,
+    make_lattice,
     newton_elementary,
     torus_distance,
 )
@@ -148,6 +149,31 @@ def test_contour_additive_over_subregions(generic):
     for p in (1, 2, 3):
         expected = (y - c) ** p + (y2 - c) ** p
         assert abs(big.values[p] - expected) < 1e-7
+
+
+@pytest.mark.parametrize("shift, center, radius", [
+    (0.0, 0.3 + 0.9j, 0.17),        # no zero inside
+    (None, 0.31 + 0.44j, 0.08),      # one simple zero, off center
+    ("e1", 0.5, 0.09),               # the double zero of wp - e1
+])
+def test_power_sums_match_the_direct_trapezoid(generic, shift, center, radius):
+    # every power sum from one inverse FFT equals the trapezoid sum
+    # mean(g w^(p+1)) on the same 128 nodes
+    from elliptica import half_period_values
+
+    if shift is None:
+        shift = wp_pair(0.27 + 0.42j, generic)[0]
+    elif shift == "e1":
+        shift = half_period_values(generic)[0]
+    f = wp_evaluable(generic, shift)
+    w = radius * np.exp(2j * np.pi * np.arange(128) / 128)
+    g = f.values_and_dlog(center + w)[1]
+    direct = [np.mean(g * w ** (p + 1)) for p in range(9)]
+    for kmax in range(9):
+        sums = contour_power_sums(f, center, radius, kmax, generic)
+        assert len(sums.values) == kmax + 1
+        for p, v in enumerate(sums.values):
+            assert abs(v - direct[p]) <= 1e-12 * (1 + abs(v))
 
 
 def test_newton_identities_frozen():
@@ -293,6 +319,41 @@ def test_pair_separates_close_zeros(generic, gap):
     assert match_divisors(pf, f.poles, generic, 1e-6)
 
 
+@pytest.mark.parametrize("delta", [1e-2, 3e-3, 1e-3, 6e-4, 3e-4, 1e-4])
+def test_pair_finds_or_refuses_a_zero_next_to_a_pole(delta):
+    # a zero and a pole delta apart nearly cancel in every moment of their
+    # cell, whose moments then look empty to within _MOMENT_TOL; the pair
+    # must come back located or not at all
+    lat = make_lattice(1.0, 0.3 + 1.4j)
+    a = 0.2 + 0.3j
+    zeros = [(a, 1), (0.5 + 1.0j, 1), (-0.7 - 1.3j, 1)]
+    poles = [(a + delta, 1), (0.6 + 1.0j, 1)]
+    poles.append((sum(z for z, _ in zeros) - sum(p for p, _ in poles), 1))
+    f = _abel_function(zeros, poles, lat)
+    try:
+        zf, pf = locate_divisor_pair(f, lat)
+    except SubdivisionFailureError:
+        return
+    assert match_divisors(zf, f.zeros, lat, 1e-6)
+    assert match_divisors(pf, f.poles, lat, 1e-6)
+
+
+def test_pair_of_the_wrong_degree_is_never_returned(generic, monkeypatch):
+    # a sweep that loses a zero-pole pair has equal degrees; f.degree tells
+    f = random_abel_function(np.random.default_rng(2), generic)
+    zeros, poles = (divisor(list(d.points[1:]), generic) for d in (f.zeros, f.poles))
+    sweeps = []
+
+    def lossy(f, lat, tol, grids):
+        sweeps.append(next(grids))
+        return zeros, poles
+
+    monkeypatch.setattr(divisors, "_sweep", lossy)
+    with pytest.raises(SubdivisionFailureError, match="f has degree 3"):
+        locate_divisor_pair(f, generic)
+    assert len(sweeps) == len(set(map(tuple, sweeps))) == 3
+
+
 def test_direct_branch_double_points_match_tangents():
     # the README build-fn function: each double point of a fiber is polished
     # at multiplicity 2 and lands on the one the tangent algorithm finds
@@ -306,6 +367,26 @@ def test_direct_branch_double_points_match_tangents():
     assert len(doubles[0]) == len(doubles[1]) == 6
     for z in doubles[0]:
         assert min(torus_distance(z, t, lat) for t in doubles[1]) < 1e-10
+
+
+def test_direct_branch_fiber_with_a_zero_next_to_a_pole():
+    # abel_divisors seed 8 task 159: one fiber of f has a point 6e-4 from a
+    # pole of f, and the cell holding both must not be taken as empty
+    from elliptica import branch_divisors_direct, branch_divisors_via_tangents
+
+    lat = make_lattice(1.0, 0.3945023644589621 + 1.8365534954226588j)
+    f = _abel_function([(0.8552200199932017 + 0.20786206503612642j, 1),
+                        (0.738456890851809 + 0.9435921771768876j, 1),
+                        (-1.5936769108450108 - 1.151454242213014j, 1)],
+                       [(1.1014279014673585 + 1.4894021192586742j, 1),
+                        (0.9521360110694683 + 1.4133065259096593j, 1),
+                        (-2.053563912536827 - 2.9027086451683335j, 1)], lat)
+    direct, tangents = branch_divisors_direct(f, lat), branch_divisors_via_tangents(f, lat)
+    assert len(direct) == len(tangents)
+    for d in tangents:
+        hits = [e for e in direct if match_divisors(d, e, lat, 1e-6)]
+        assert hits, "branch divisor multisets disagree"
+        direct.remove(hits[0])
 
 
 def test_pair_finds_multiple_pole(generic):
