@@ -408,6 +408,10 @@ def _cmd_monodromy(args, cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     if args.q:
         q0 = _point_from_pairs(args.q)
+        onc, hits = covering.critical_locus_check(cubic, q0, lat)
+        if onc:
+            raise InvalidArgumentError(
+                f"--q lies on the inflectional tangents {hits}, where the fiber is not simple")
     else:
         while True:
             q0 = point_from_vec(rng.standard_normal(6).view(np.complex128))

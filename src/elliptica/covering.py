@@ -5,7 +5,8 @@ independent algorithms, and numerical monodromy by fiber continuation.
 For a base point q off the cubic, the fiber consists of the <= 6 points of
 the cubic whose tangent lines pass through q; they are cut out by the polar
 conic of q, whose coefficient matrix is half the Hessian matrix of the
-cubic form evaluated at q.
+cubic form evaluated at q.  Every polar conic is solved as one or two
+polynomial curves, on which the cubic is a polynomial with exact coefficients.
 
 Monodromy tracks the six fiber points as one (6, 3) array along the
 projective geodesics between loop samples, halving or doubling its own
@@ -24,20 +25,22 @@ from .cubic import (
     chart_newton,
     embed_point,
     inflection_points,
-    line_intersect_cubic,
     tangent_line,
     unembed,
     weierstrass_cubic,
 )
-from .divisors import Divisor, Evaluable, divisor, jacobi_sum, locate_zeros
+from .divisors import Divisor, Evaluable, divisor, jacobi_sum, locate_divisor_pair, match_divisors
 from .elliptic import EllipticFunction, eval_elliptic
 from .errors import (
     CollisionUnresolvedError,
     DerivativeLocationError,
     HalvingLimitError,
+    LoopDirectionError,
     NotDegree3Error,
     PointOnCurveError,
     SolveFailureError,
+    StartFiberMismatchError,
+    SubdivisionFailureError,
 )
 from .lattice import Lattice, reduce_mod_lattice, torus_distance
 from .projective import (
@@ -57,17 +60,6 @@ HALVING_LIMIT = 12
 FIBER_CLUSTER = 1e-5
 OFF_CURVE_MIN = 1e-6
 CRITICAL_INCIDENCE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Homogeneous degree-2 form v -> v.M.v with symmetric matrix M."""
-
-    matrix: np.ndarray
-
-    def __call__(self, v) -> complex:
-        v = np.asarray(v, dtype=complex)
-        return complex(v @ self.matrix @ v)
 
 
 @dataclass(frozen=True)
@@ -146,12 +138,12 @@ class Permutation:
         return tuple(sorted(out, reverse=True))
 
 
-def polar_conic(cubic: Cubic, q: ProjPoint) -> QuadraticForm:
-    """The degree-2 form q1 Fx + q2 Fy + q3 Fz cutting the tangency points
-    whose tangents pass through q; its matrix is half the Hessian of F at q."""
+def polar_conic(cubic: Cubic, q: ProjPoint) -> np.ndarray:
+    """The symmetric matrix M, half the Hessian of F at q, of the polar conic
+    v.M.v = q . grad F(v), which cuts the tangency points over q."""
     if cubic.on_curve(q, OFF_CURVE_MIN):
         raise PointOnCurveError(f"base point {q.coords} lies on the cubic")
-    return QuadraticForm(0.5 * cubic.hessian_matrix(q.vec))
+    return 0.5 * cubic.hessian_matrix(q.vec)
 
 
 def _newton_rows(cubic: Cubic, m: np.ndarray, v: np.ndarray):
@@ -179,19 +171,21 @@ def _row_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
                    / ((np.abs(u) ** 2).sum(axis=1) * (np.abs(w) ** 2).sum(axis=1)))
 
 
-def _conic_point(form: QuadraticForm, rng) -> np.ndarray:
-    m = form.matrix
+def _random_line_meets_conic(m: np.ndarray, rng):
+    """The two points a + s b where a seeded random line meets v.M.v = 0, or
+    None when b is numerically on the conic (no leading term in s)."""
+    a = rng.standard_normal(6).view(np.complex128)
+    b = rng.standard_normal(6).view(np.complex128)
+    qa, qab, qb = a @ m @ a, a @ m @ b, b @ m @ b
+    if abs(qb) < 1e-12 * np.abs(m).max():
+        return None
+    disc = np.sqrt(qab * qab - qa * qb)
+    return [a + root * b for root in ((-qab + disc) / qb, (-qab - disc) / qb)]
+
+
+def _conic_point(m: np.ndarray, rng) -> np.ndarray:
     for _ in range(20):
-        a = rng.standard_normal(6).view(np.complex128)
-        b = rng.standard_normal(6).view(np.complex128)
-        qa = a @ m @ a
-        qab = a @ m @ b
-        qb = b @ m @ b
-        if abs(qb) < 1e-12 * np.abs(m).max():
-            continue
-        disc = np.sqrt(qab * qab - qa * qb)
-        for root in ((-qab + disc) / qb, (-qab - disc) / qb):
-            v = a + root * b
+        for v in _random_line_meets_conic(m, rng) or []:
             nv = np.abs(v).max()
             if nv > 1e-8:
                 v = v / nv
@@ -200,77 +194,60 @@ def _conic_point(form: QuadraticForm, rng) -> np.ndarray:
     raise SolveFailureError("no numerically clean point found on the polar conic")
 
 
-def _split_degenerate_conic(form: QuadraticForm, rng) -> list[ProjPoint]:
-    """A rank-2 conic is two lines through its vertex; returns the duals."""
-    m = form.matrix
-    w, vecs = np.linalg.eig(m)
-    vertex = vecs[:, int(np.argmin(np.abs(w)))]
-    # intersect with a generic line avoiding the vertex: two points, one on
-    # each component line
+def _conic_curves(m: np.ndarray, degenerate: bool, rng) -> list[np.ndarray]:
+    """The polar conic as curves s -> sum_i rows[i] s^i, as (d + 1, 3) rows:
+    a smooth conic's rational parametrization from a point c0 on it, or the
+    two lines from a rank-2 conic's vertex through the points where a seeded
+    random line meets it (none when that line is unusable)."""
+    if degenerate:
+        w, vecs = np.linalg.eig(m)
+        vertex = vecs[:, int(np.argmin(np.abs(w)))]
+        return [np.array([vertex, p]) for p in _random_line_meets_conic(m, rng) or []]
+    c0 = _conic_point(m, rng)
     a = rng.standard_normal(6).view(np.complex128)
     b = rng.standard_normal(6).view(np.complex128)
-    qa, qab, qb = a @ m @ a, a @ m @ b, b @ m @ b
-    disc = np.sqrt(qab * qab - qa * qb)
-    duals = []
-    for root in ((-qab + disc) / qb, (-qab - disc) / qb):
-        pt = a + root * b
-        duals.append(line_through(point_from_vec(vertex), point_from_vec(pt)).dual)
-    return duals
+    # the line through c0 and u = a + s b meets the conic again at
+    # Q(u) c0 - 2 B(c0, u) u, with Q(u) = u.M.u and B(c0, u) = c0.M.u
+    ca, cb, ab = c0 @ m @ a, c0 @ m @ b, a @ m @ b
+    return [np.array([(a @ m @ a) * c0 - 2.0 * ca * a,
+                      2.0 * ab * c0 - 2.0 * ca * b - 2.0 * cb * a,
+                      (b @ m @ b) * c0 - 2.0 * cb * b])]
 
 
 def lambda_fiber(cubic: Cubic, q: ProjPoint, seed: int = 0) -> Fiber:
     """The tangency fiber over q: conic-cubic intersection clustered into
     multiplicities, total always 6.
 
-    The conic is parametrized rationally from a seeded point on it; the
-    composed degree-6 polynomial is rooted by companion matrix and polished
-    on the 2x2 system.  Doubled entries occur exactly when q lies on an
-    inflectional tangent.
+    The polar conic is one or two polynomial curves (_conic_curves); F on
+    each is a polynomial in s with exact coefficients (Cubic.restriction),
+    rooted by companion matrix, and the points are polished on the 2x2
+    system; a failed solve is retried on other seeded curves.  Doubled
+    entries occur exactly when q lies on an inflectional tangent.
     """
-    form = polar_conic(cubic, q)
+    m = polar_conic(cubic, q)
     rng = np.random.default_rng(seed)
-    m = form.matrix
-    scale_m = float(np.abs(m).max())
-    if abs(np.linalg.det(m)) < 1e-10 * scale_m ** 3:
-        pts: list[ProjPoint] = []
-        for dual in _split_degenerate_conic(form, rng):
-            inter = line_intersect_cubic(ProjLine(dual), cubic)
-            pts.extend(inter.expand())
-        return _assemble_fiber(cubic, form, q, pts)
-    for attempt in range(10):
-        c0 = _conic_point(form, rng)
-        a2 = rng.standard_normal(6).view(np.complex128)
-        b2 = rng.standard_normal(6).view(np.complex128)
-
-        def param(s):
-            mv = a2 + s * b2
-            return (mv @ m @ mv) * c0 - 2.0 * (c0 @ m @ mv) * mv
-
-        nodes = 1.3 * np.exp(2j * np.pi * np.arange(7) / 7.0)
-        vals = np.array([cubic.F(param(s)) for s in nodes])
-        vand = np.vander(nodes, 7, increasing=False)
-        coeffs = np.linalg.solve(vand, vals)
-        if abs(coeffs[0]) < 1e-9 * np.abs(coeffs).max():
+    degenerate = abs(np.linalg.det(m)) < 1e-10 * float(np.abs(m).max()) ** 3
+    for _ in range(10):
+        curves = _conic_curves(m, degenerate, rng)
+        coeffs = [cubic.restriction(rows) for rows in curves]
+        if not coeffs or any(abs(c[0]) < 1e-9 * np.abs(c).max() for c in coeffs):
             continue
-        roots = np.roots(coeffs)
-        if len(roots) != 6:
-            continue
-        pts = [point_from_vec(param(complex(s))) for s in roots]
+        pts = np.concatenate([np.power.outer(np.roots(c), np.arange(len(rows))) @ rows
+                              for c, rows in zip(coeffs, curves)])
         try:
-            return _assemble_fiber(cubic, form, q, pts)
+            return _assemble_fiber(cubic, m, q, pts)
         except SolveFailureError:
-            # the next parametrization gives other raw points
+            # the next curves give other raw points
             continue
     raise SolveFailureError(f"fiber solve failed at {q.coords}")
 
 
-def _assemble_fiber(cubic, form, q, pts) -> Fiber:
-    if len(pts) != 6:
-        raise SolveFailureError("fiber does not contain 6 points with multiplicity")
+def _assemble_fiber(cubic, m, q, pts) -> Fiber:
+    """The fiber from the (6, 3) raw points pts on the polar conic m."""
     # polish every raw point first: companion-matrix jitter for a tangential
     # (double) intersection far exceeds the cluster radius, but the Newton
     # iterates contract into the touching point
-    rows, resid = _newton_rows(cubic, form.matrix, np.array([p.vec for p in pts]))
+    rows, resid = _newton_rows(cubic, m, pts)
     polished = [point_from_vec(v) for v in rows]
     groups: list[list[int]] = []
     for k in sorted(range(6), key=lambda k: (polished[k].coords[0].real,
@@ -294,7 +271,7 @@ def _assemble_fiber(cubic, form, q, pts) -> Fiber:
         rows = chart_newton(cubic, centroids, cubic.hessian_det_rows)
         # an inflection off the polar conic means two raw points were
         # polished onto one simple point, not a tangency
-        off = _conic_residual(form.matrix, rows).max()
+        off = _conic_residual(m, rows).max()
         if off > 1e-8:
             raise SolveFailureError(f"doubled fiber point off the polar conic: {off:.2e}")
         entries += [(point_from_vec(u), len(g)) for u, g in zip(rows, doubled)]
@@ -386,18 +363,21 @@ def _shifted_evaluable(f: EllipticFunction, v: complex) -> Evaluable:
         with np.errstate(divide="ignore", invalid="ignore"):
             return fv - v, fv * d / (fv - v)
 
-    return Evaluable(gpair)
+    g = Evaluable(gpair)
+    g.degree = f.degree  # locate_divisor_pair checks its sweeps against it
+    return g
 
 
 def branch_divisors_direct(f: EllipticFunction, lat: Lattice,
                            tol: float = 1e-5, seed: int = 0) -> list[Divisor]:
     """Branch divisors from the critical points of f: zeros of f' plus
     multiple poles, with the full fiber divisor located over each critical
-    value."""
+    value: the zeros of f - v, whose located poles must be f's own within
+    1e-6 (else SubdivisionFailureError)."""
     if f.degree < 2:
         raise NotDegree3Error(f"degree is {f.degree}, need >= 2")
     try:
-        crit = locate_zeros(Evaluable(f.derivative_pair), lat, tol, seed)
+        crit = locate_divisor_pair(Evaluable(f.derivative_pair), lat, tol, seed)[0]
     except Exception as exc:
         raise DerivativeLocationError(f"derivative zero location failed: {exc}")
     crit_values: list[complex] = []
@@ -412,8 +392,14 @@ def branch_divisors_direct(f: EllipticFunction, lat: Lattice,
             continue
         seen.append(v)
         # the fiber over infinity is the pole divisor, known exactly
-        out.append(f.poles if is_infinite(v)
-                   else locate_zeros(_shifted_evaluable(f, v), lat, tol, seed))
+        if is_infinite(v):
+            out.append(f.poles)
+            continue
+        zeros, poles = locate_divisor_pair(_shifted_evaluable(f, v), lat, tol, seed)
+        if not match_divisors(poles, f.poles, lat, 1e-6):
+            raise SubdivisionFailureError(
+                f"the poles located for the fiber over {v} are not the poles of f")
+        out.append(zeros)
     return out
 
 
@@ -434,7 +420,7 @@ def continue_fiber(cubic: Cubic, path: LoopPath, start: Fiber) -> Fiber:
     if start.total != 6 or len(start.entries) != 6:
         raise CollisionUnresolvedError("continuation needs 6 simple starting points")
     if _row_distances(start.base.vec[None], path.samples[:1])[0] > 1e-9:
-        raise SolveFailureError("start fiber is not over the path's first sample")
+        raise StartFiberMismatchError("start fiber is not over the path's first sample")
     pts = np.array([p.vec for p, _ in start.entries])
     i, j = np.triu_indices(6, 1)  # all 15 pairs of sheets
     sep = _row_distances(pts[i], pts[j]).min()
@@ -446,8 +432,8 @@ def continue_fiber(cubic: Cubic, path: LoopPath, start: Fiber) -> Fiber:
         while t < 1.0:
             # t and h stay dyadic, so the last step ends exactly at t = 1
             h = min(h, 1.0 - t)
-            form = polar_conic(cubic, point_from_vec((1.0 - t - h) * a + (t + h) * b))
-            new, resid = _newton_rows(cubic, form.matrix, pts)
+            m = polar_conic(cubic, point_from_vec((1.0 - t - h) * a + (t + h) * b))
+            new, resid = _newton_rows(cubic, m, pts)
             if resid.max() <= 1e-9 and _row_distances(pts, new).max() <= 0.4 * sep:
                 new_sep = _row_distances(new[i], new[j]).min()
                 if new_sep >= COLLISION_THRESHOLD:
@@ -528,10 +514,10 @@ def tangent_loop_library(cubic: Cubic, basepoint: ProjPoint,
             continue
         svals = list(-(duals @ bvec) / den)
         # curve intersections of the line
-        coeffs = cubic.line_coefficients(bvec, d)
-        scurve = list(np.roots(coeffs)) if abs(coeffs[0]) > 1e-12 else []
-        if len(scurve) != 3:
+        coeffs = cubic.restriction([bvec, d])
+        if abs(coeffs[0]) <= 1e-12:
             continue
+        scurve = list(np.roots(coeffs))
         loops = []
         for i, si in enumerate(svals):
             others = svals[:i] + svals[i + 1:] + scurve
@@ -554,7 +540,7 @@ def tangent_loop_library(cubic: Cubic, basepoint: ProjPoint,
             loops.append(LoopPath(bvec + sweep[:, None] * d))
         else:
             return loops
-    raise SolveFailureError("no admissible loop direction found")
+    raise LoopDirectionError("no admissible loop direction found")
 
 
 def _seg_point_dist(a: complex, b: complex, p: complex) -> float:

@@ -5,8 +5,8 @@ Two families are supported: the standard Weierstrass form
 y^2 z - 4 x^3 + g2 x z^2 + g3 z^3 and the Hesse pencil
 x^3 + y^3 + z^3 + t x y z, both as the symmetric (3, 3, 3) coefficient
 tensor T of the form, built from a per-family table of nonzero coefficients:
-F, grad F, Hess F, the residual scale and the line restriction are its
-contractions.
+F, grad F, Hess F, the residual scale and the restriction of F to a line or
+to any polynomial curve s -> sum_i r_i s^i are its contractions.
 
 chart_newton solves {F = 0, G = 0} for a batch of points: the inflection
 points (G = det Hess F, with its analytic gradient) and the tangency fibers
@@ -149,13 +149,15 @@ class Cubic:
         det = (h[:, 0] * cof[:, 0]).sum(axis=1)
         return det, cof.reshape(-1, 9) @ hk.T
 
-    def line_coefficients(self, w1, w2) -> np.ndarray:
-        """[c3, c2, c1, c0] of the cubic s -> F(w1 + s w2), exactly: with
-        g_i = T[., w_i, w_i], c0 = w1.g1, c1 = 3 w2.g1, c2 = 3 w1.g2 and
-        c3 = w2.g2."""
-        w1, w2 = np.asarray(w1, dtype=complex), np.asarray(w2, dtype=complex)
-        g1, g2 = _tvv(self.tensor, w1), _tvv(self.tensor, w2)
-        return np.array([w2 @ g2, 3.0 * (w1 @ g2), 3.0 * (w2 @ g1), w1 @ g1])
+    def restriction(self, rows) -> np.ndarray:
+        """The coefficients, highest power first, of s -> F(sum_i rows[i] s^i)
+        for a (d + 1, 3) array of rows, exactly: the coefficient of s^k is
+        the sum of T[r_i, r_j, r_l] over i + j + l = k."""
+        r = np.asarray(rows, dtype=complex)
+        terms = np.einsum("abc,ia,jb,lc->ijl", self.tensor, r, r, r).ravel()
+        k = np.indices(3 * (len(r),)).sum(axis=0).ravel()
+        c = np.bincount(k, terms.real) + 1j * np.bincount(k, terms.imag)
+        return c[::-1]
 
     def on_curve(self, p: ProjPoint, tol: float = ON_CURVE_TOL) -> bool:
         return self.residual(p) <= tol
@@ -267,7 +269,7 @@ def line_intersect_cubic(line: ProjLine, cubic: Cubic,
         w2 = v1p.vec + g2c * v2p.vec
         w1 /= np.abs(w1).max()
         w2 /= np.abs(w2).max()
-        coeffs = cubic.line_coefficients(w1, w2)
+        coeffs = cubic.restriction([w1, w2])
         fscale = cubic.term_scale(w1) + cubic.term_scale(w2)
         if abs(coeffs[0]) < 1e-10 * fscale or abs(coeffs[3]) < 1e-10 * fscale:
             continue

@@ -122,6 +122,14 @@ class SolveFailureError(EllipticaError):
     operation = "lambda_fiber"
 
 
+class LoopDirectionError(SolveFailureError):
+    operation = "tangent_loop_library"
+
+
+class StartFiberMismatchError(SolveFailureError):
+    operation = "continue_fiber"
+
+
 class NotDegree3Error(EllipticaError):
     operation = "branch_divisors_via_tangents"
 

@@ -129,6 +129,3 @@ class IntersectionList:
     @property
     def total(self) -> int:
         return sum(m for _, m in self.entries)
-
-    def expand(self) -> list[ProjPoint]:
-        return [p for p, m in self.entries for _ in range(m)]

@@ -391,3 +391,13 @@ def test_readme_examples(argv, tmp_path):
         argv[i] = str(tmp_path / os.path.basename(argv[i]))
     status, payload = dispatch(argv)
     assert status == 0, payload
+
+
+def test_monodromy_refuses_a_basepoint_on_an_inflectional_tangent():
+    # [1:0:0] lies on the inflectional tangent z = 0 at the flex [0:1:0]
+    # (tangent 0 of the square lattice's cubic); its fiber is not simple
+    status, payload = dispatch(["monodromy", "--tau", "0,1", "--q", "1,0", "0,0", "0,0"])
+    assert status == 1
+    err = json.loads(payload)["error"]
+    assert err["operation"] == "parse_arguments"
+    assert "[0]" in err["message"]

@@ -47,8 +47,7 @@ def generic_base_point(cubic, lat, rng, off_critical=True):
 
 def test_polar_conic_basis_point(generic):
     cubic = weierstrass_cubic(generic)
-    form = polar_conic(cubic, proj_point(1, 0, 0))
-    m = form.matrix
+    m = polar_conic(cubic, proj_point(1, 0, 0))
     # q = [1,0,0] gives the F_x quadratic: -12 x^2 + g2 z^2
     assert abs(m[0, 0] + 12.0) < 1e-12
     assert abs(m[2, 2] - cubic.g2) < 1e-12 * (1.0 + abs(cubic.g2))
@@ -128,8 +127,8 @@ def test_fiber_with_degenerate_polar_conic(generic):
     # on the inflectional tangent z = 0, so the fiber doubles at [0,1,0]
     cubic = weierstrass_cubic(generic)
     q = proj_point(1, 0, 0)
-    form = polar_conic(cubic, q)
-    assert abs(np.linalg.det(form.matrix)) < 1e-12 * np.abs(form.matrix).max() ** 3
+    m = polar_conic(cubic, q)
+    assert abs(np.linalg.det(m)) < 1e-12 * np.abs(m).max() ** 3
     fib = lambda_fiber(cubic, q)
     assert fib.total == 6
     assert sorted(m for _, m in fib.entries) == [1, 1, 1, 1, 2]
@@ -409,7 +408,7 @@ def test_match_permutation_refuses_non_bijective_match():
     assert exc.value.details["nearest"][1] < 1e-8
 
 
-def _scalar_newton(cubic, form, v, max_iter=12):
+def _scalar_newton(cubic, m, v, max_iter=12):
     """Reference polish: one point, Newton on {F = 0, Q = 0} in the chart of
     its largest coordinate, stopped by the same 1e-15 step test."""
     v = np.array(v, dtype=complex)
@@ -417,8 +416,8 @@ def _scalar_newton(cubic, form, v, max_iter=12):
     v = v / v[pivot]
     idx = [i for i in range(3) if i != pivot]
     for _ in range(max_iter):
-        r0, r1 = cubic.F(v), form(v)
-        gF, gQ = cubic.grad(v), 2.0 * (form.matrix @ v)
+        r0, r1 = cubic.F(v), complex(v @ m @ v)
+        gF, gQ = cubic.grad(v), 2.0 * (m @ v)
         a, b, c, d = gF[idx[0]], gF[idx[1]], gQ[idx[0]], gQ[idx[1]]
         det = a * d - b * c
         if det == 0:
@@ -438,18 +437,18 @@ def test_batched_newton_matches_scalar_polish(lattice, request):
     cubic = weierstrass_cubic(lat)
     rng = np.random.default_rng(13)
     q = generic_base_point(cubic, lat, rng)
-    form = polar_conic(cubic, q)
+    m = polar_conic(cubic, q)
     fib = lambda_fiber(cubic, q)
     # the fiber's points are fixed points of the scalar polish
     for p in fib.points():
-        assert _scalar_newton(cubic, form, p.vec).distance(p) <= 1e-14
+        assert _scalar_newton(cubic, m, p.vec).distance(p) <= 1e-14
     # and the batched Newton takes perturbed seeds where the scalar one does
     seeds = np.array([p.vec for p in fib.points()])
     seeds = seeds + 1e-6 * rng.standard_normal((6, 6)).view(np.complex128)
-    rows, resid = _newton_rows(cubic, form.matrix, seeds)
+    rows, resid = _newton_rows(cubic, m, seeds)
     assert resid.max() <= 1e-12
     for seed, row in zip(seeds, rows):
-        assert point_from_vec(row).distance(_scalar_newton(cubic, form, seed)) <= 1e-14
+        assert point_from_vec(row).distance(_scalar_newton(cubic, m, seed)) <= 1e-14
 
 
 # a basepoint and loop seed whose loop tails once had consecutive samples

@@ -317,7 +317,7 @@ def test_tensor_contractions_match_the_written_out_form(cubic):
         fp, fm = (written_out(cubic, w)[0][0] for w in (w1 + w2, w1 - w2))
         ref = np.array([c3, (fp + fm) / 2.0 - c0, (fp - fm) / 2.0 - c3, c0])
         scale = written_out(cubic, np.abs(w1) + np.abs(w2))[2]
-        assert np.all(np.abs(cubic.line_coefficients(w1, w2) - ref) <= 1e-14 * scale)
+        assert np.all(np.abs(cubic.restriction([w1, w2]) - ref) <= 1e-14 * scale)
 
 
 def test_loop_rows_from_points_and_from_an_array():
@@ -344,3 +344,32 @@ def test_pivot_coordinate_is_exactly_one():
     assert np.all(rows[np.arange(len(raw)), pivot] == 1.0)
     points = np.array([point_from_vec(r).coords for r in raw])
     assert np.array_equal(points.view(float), rows.view(float))
+
+
+def _node_fit(cubic, rows, n=7):
+    """Coefficients, highest power first, of s -> F(sum_i rows[i] s^i) by
+    interpolation through n nodes on the circle |s| = 1.3: a Vandermonde
+    solve on sampled values of F, an oracle independent of the tensor
+    contraction."""
+    nodes = 1.3 * np.exp(2j * np.pi * np.arange(n) / n)
+    vals = cubic.F((np.power.outer(nodes, np.arange(len(rows))) @ rows).T)
+    return np.linalg.solve(np.vander(nodes, n), vals), np.abs(vals).max()
+
+
+@pytest.mark.parametrize("cubic", TENSOR_CUBICS,
+                         ids=["square", "hexagonal", "generic", "t0", "t2", "t-1+3i", "t6eps"])
+def test_restriction_is_F_on_polynomial_curves(cubic):
+    rng = np.random.default_rng(35)
+    for degree in (1, 2):
+        for _ in range(10):
+            rows = rng.standard_normal((degree + 1, 6)).view(complex)
+            coeffs = cubic.restriction(rows)
+            assert coeffs.shape == (3 * degree + 1,)
+            for s in rng.standard_normal(8).view(complex) * np.array([1e-3, 0.1, 1.0, 30.0]):
+                powers = s ** np.arange(degree + 1)
+                scale = cubic.term_scale(np.abs(powers) @ np.abs(rows))
+                assert abs(np.polyval(coeffs, s) - cubic.F(powers @ rows)) <= 1e-13 * scale
+            if degree == 2:
+                # the 7-node fit of the degree-6 composition agrees
+                fit, vmax = _node_fit(cubic, rows)
+                assert np.abs(fit - coeffs).max() <= 1e-13 * vmax
