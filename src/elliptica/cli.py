@@ -197,7 +197,7 @@ def _line_window_segment(dual, w):
     return pts[:2] if len(pts) >= 2 else None
 
 
-def _cubic_svg(cubic: Cubic, lat, extra_points=None, lines=None, paths=None):
+def _cubic_svg(cubic: Cubic, extra_points=None, lines=None, paths=None):
     def make() -> bytes:
         pts = extra_points or []
         w = _window_of(pts)
@@ -299,7 +299,7 @@ def _cmd_cubic(args, cfg: RunConfig):
     doc["smooth"] = cubic.is_smooth()
     infl = inflection_points(cubic, lat)
     duals = [tangent_line(cubic, q, tol=1e-6).dual for q in infl]
-    return doc, None, _cubic_svg(cubic, lat, infl, lines=duals)
+    return doc, None, _cubic_svg(cubic, infl, lines=duals)
 
 
 def _cmd_inflections(args, cfg: RunConfig):
@@ -311,7 +311,7 @@ def _cmd_inflections(args, cfg: RunConfig):
     ]
     header = ["index", "x_re", "x_im", "y_re", "y_im", "z_re", "z_im"]
     duals = [tangent_line(cubic, q, tol=1e-6).dual for q in infl]
-    return doc, (header, rows), _cubic_svg(cubic, lat, infl, lines=duals)
+    return doc, (header, rows), _cubic_svg(cubic, infl, lines=duals)
 
 
 def _float_hits(moduli: np.ndarray, tol: float):
@@ -383,7 +383,7 @@ def _cmd_fiber(args, cfg: RunConfig):
     ]
     header = ["index", "mult", "x_re", "x_im", "y_re", "y_im", "z_re", "z_im"]
     pts = [p for p, _ in fib.entries] + [q]
-    return doc, (header, rows), _cubic_svg(cubic, lat, pts)
+    return doc, (header, rows), _cubic_svg(cubic, pts)
 
 
 def _cmd_branch_divisors(args, cfg: RunConfig):
@@ -436,7 +436,7 @@ def _cmd_monodromy(args, cfg: RunConfig):
         # the basepoint fiber again, solved only when an SVG is asked for
         fib0 = covering.lambda_fiber(cubic, q0, seed=cfg.seed)
         paths = [lp.samples for lp in loops]
-        return _cubic_svg(cubic, lat, [q0] + fib0.points(), paths=paths)()
+        return _cubic_svg(cubic, [q0] + fib0.points(), paths=paths)()
 
     return doc, None, svg
 

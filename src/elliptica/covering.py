@@ -505,8 +505,11 @@ def tangent_loop_library(cubic: Cubic, basepoint: ProjPoint,
     duals = np.array([tangent_line(cubic, p, tol=1e-6).dual.vec for p in infl])
     bvec = basepoint.vec
     for attempt in range(40):
-        d = rng.standard_normal(6).view(np.complex128)
-        d = d - (d @ bvec.conjugate()) * bvec / (bvec @ bvec.conjugate())
+        drawn = rng.standard_normal(6).view(np.complex128)
+        d = drawn - (drawn @ bvec.conjugate()) * bvec / (bvec @ bvec.conjugate())
+        # the CLI's basepoint is this seed's first draw: d is then noise
+        if not np.isfinite(d).all() or np.linalg.norm(d) < 1e-8 * np.linalg.norm(drawn):
+            continue
         d = d / np.abs(d).max()
         # the tangents meet the affine line s -> bvec + s d at these s
         den = duals @ d

@@ -1,5 +1,6 @@
 """Plane cubic curves: the Weierstrass embedding of a torus, tangent lines,
-line intersections, the chord-tangent group law, and inflection points.
+line intersections, the chord-tangent group law in closed form (the third
+root of F on a line from the two known ones), and inflection points.
 
 Two families are supported: the standard Weierstrass form
 y^2 z - 4 x^3 + g2 x z^2 + g3 z^3 and the Hesse pencil
@@ -43,7 +44,6 @@ from .projective import (
     ProjLine,
     ProjPoint,
     cross,
-    line_through,
     point_from_vec,
     proj_point,
 )
@@ -249,8 +249,7 @@ def tangent_line(cubic: Cubic, p: ProjPoint, tol: float = ON_CURVE_TOL) -> ProjL
     return ProjLine(point_from_vec(g))
 
 
-def line_intersect_cubic(line: ProjLine, cubic: Cubic,
-                         seed: int = 0) -> IntersectionList:
+def line_intersect_cubic(line: ProjLine, cubic: Cubic) -> IntersectionList:
     """The three intersection points of a line with the cubic, counted with
     multiplicity.
 
@@ -262,7 +261,7 @@ def line_intersect_cubic(line: ProjLine, cubic: Cubic,
     with noisy dual coordinates genuinely splits at the cube-root scale.
     """
     v1p, v2p = line.spanning_points()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(12):
         g1, g2c = rng.standard_normal(4).view(np.complex128)
         w1 = v1p.vec + g1 * v2p.vec
@@ -314,21 +313,14 @@ def line_intersect_cubic(line: ProjLine, cubic: Cubic,
     raise SingularCubicError("line intersection parametrization failed")
 
 
-def _remove_nearest(entries: list[list], p: ProjPoint):
-    best, bi = math.inf, -1
-    for i, (q, m) in enumerate(entries):
-        if m <= 0:
-            continue
-        d = p.distance(q)
-        if d < best:
-            best, bi = d, i
-    entries[bi][1] -= 1
-
-
-def group_add(cubic: Cubic, p: ProjPoint, q: ProjPoint,
-              tol: float = ON_CURVE_TOL) -> ProjPoint:
+def group_add(cubic: Cubic, p: ProjPoint, q: ProjPoint) -> ProjPoint:
     """Chord-tangent addition on a weierstrass-family cubic with identity
-    [0, 1, 0]."""
+    [0, 1, 0]: the third point of the line pq (the tangent at p if q = p),
+    negated.  In an orthonormal basis p^, w^ of the line, q^ = a p^ + b w^
+    (b >= 0) and F(s p^ + t w^) = t (c1 s^2 + c2 s t + c3 t^2) exactly; the
+    other root is a^2 (s3, t3) = (a c3, -(a c2 + b c3)) and b^2 (s3, t3) =
+    (-(b c2 + a c1), b c1), whose sum weighted by conj(a)^2 and b^2 keeps it
+    for small a and small b alike: chords, tangents and flexes."""
     if cubic.family != "weierstrass":
         raise PointOffCurveError(
             "group law uses the weierstrass identity [0,1,0]"
@@ -336,16 +328,21 @@ def group_add(cubic: Cubic, p: ProjPoint, q: ProjPoint,
     for pt in (p, q):
         if not cubic.on_curve(pt, 1e-6):
             raise PointOffCurveError(f"point {pt.coords} not on the cubic")
-    if p.distance(q) < 1e-10:
-        line = tangent_line(cubic, p, tol=1e-6)
+    ph = p.vec / np.linalg.norm(p.vec)
+    if p.distance(q) < 1e-8:  # sqrt(eps): the chord's direction is rounding
+        a, b = 1.0, 0.0
+        w = cross(tangent_line(cubic, p, tol=1e-6).dual.vec, ph.conjugate())
     else:
-        line = line_through(p, q)
-    inter = line_intersect_cubic(line, cubic)
-    entries = [[pt, m] for pt, m in inter.entries]
-    _remove_nearest(entries, p)
-    _remove_nearest(entries, q)
-    residual = next(pt for pt, m in entries if m > 0)
-    x, y, z = residual.coords
+        qh = q.vec / np.linalg.norm(q.vec)
+        a = ph.conjugate() @ qh
+        w = qh - a * ph
+        b = np.linalg.norm(w)
+    w = w / np.linalg.norm(w)
+    c3, c2, c1, _ = cubic.restriction([ph, w])
+    ka, kb = np.conj(a) ** 2, b * b
+    s3 = ka * a * c3 - kb * (b * c2 + a * c1)
+    t3 = kb * b * c1 - ka * (a * c2 + b * c3)
+    x, y, z = s3 * ph + t3 * w
     return proj_point(x, -y, z)
 
 

@@ -225,7 +225,6 @@ def contour_power_sums(
     center: complex,
     radius: float,
     kmax: int,
-    lat: Lattice | None = None,
     nodes: int = CONTOUR_NODES,
     min_modulus: float = MIN_MODULUS_REL,
 ) -> PowerSums:

@@ -401,3 +401,12 @@ def test_monodromy_refuses_a_basepoint_on_an_inflectional_tangent():
     err = json.loads(payload)["error"]
     assert err["operation"] == "parse_arguments"
     assert "[0]" in err["message"]
+
+
+def test_monodromy_seed_2_draws_a_loop_direction_off_its_basepoint():
+    # the default basepoint and the loop library's first direction are the
+    # same first draw of seed 2, which projects off the basepoint to exactly
+    # 0; the library must draw again rather than pass NaN on
+    doc = run_json(["monodromy", "--tau", "0.3,1.4", "--seed", "2"])
+    assert doc["group_order"] == 720
+    assert doc["transitive"] is True

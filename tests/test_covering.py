@@ -80,16 +80,15 @@ def test_fiber_residual_points(generic):
     q = generic_base_point(cubic, generic, rng)
     fib = lambda_fiber(cubic, q)
     from elliptica import line_intersect_cubic
-    from elliptica.cubic import _remove_nearest
 
     for p, _ in fib.entries:
         x = unembed(p, cubic, generic)
         inter = line_intersect_cubic(tangent_line(cubic, p, tol=1e-6), cubic)
-        entries = [[u, m] for u, m in inter.entries]
-        _remove_nearest(entries, p)
-        _remove_nearest(entries, p)
-        rest = next(u for u, m in entries if m > 0)
-        assert rest.distance(embed_point(-2.0 * x.rep, generic)) < 1e-7
+        assert inter.total == 3
+        assert sum(m for u, m in inter.entries if u.distance(p) < 1e-6) == 2
+        rest = [u for u, _ in inter.entries if u.distance(p) >= 1e-6]
+        assert len(rest) == 1
+        assert rest[0].distance(embed_point(-2.0 * x.rep, generic)) < 1e-7
 
 
 def test_fiber_solve_retries_when_two_raw_points_polish_to_one(generic):

@@ -84,14 +84,14 @@ def test_abel_defect_examples(generic):
 def test_contour_centered_zero(generic):
     pa, _ = wp_pair(0.31 + 0.44j, generic)
     f = wp_evaluable(generic, pa)
-    sums = contour_power_sums(f, 0.31 + 0.44j, 0.08, 3, generic)
+    sums = contour_power_sums(f, 0.31 + 0.44j, 0.08, 3)
     assert sums.count == 1
     assert abs(sums.values[1]) < 1e-10
 
 
 def test_contour_no_zeros(generic):
     f = wp_evaluable(generic, 0.0)
-    sums = contour_power_sums(f, 0.31 + 0.44j, 0.04, 3, generic)
+    sums = contour_power_sums(f, 0.31 + 0.44j, 0.04, 3)
     assert sums.count == 0
     assert max(abs(v) for v in sums.values[1:]) < 1e-10
 
@@ -101,7 +101,7 @@ def test_contour_double_zero_at_half_period(generic):
 
     e1 = half_period_values(generic)[0]
     f = wp_evaluable(generic, e1)
-    sums = contour_power_sums(f, 0.5, 0.09, 3, generic)
+    sums = contour_power_sums(f, 0.5, 0.09, 3)
     assert sums.count == 2
     assert abs(sums.values[1]) < 1e-9
 
@@ -110,7 +110,7 @@ def test_contour_too_close(generic):
     pa, _ = wp_pair(0.31 + 0.44j, generic)
     f = wp_evaluable(generic, pa)
     with pytest.raises(ContourTooCloseError):
-        contour_power_sums(f, (0.31 + 0.44j) + 0.08, 0.08, 2, generic)
+        contour_power_sums(f, (0.31 + 0.44j) + 0.08, 0.08, 2)
 
 
 def test_contour_non_integer_count(generic):
@@ -119,14 +119,14 @@ def test_contour_non_integer_count(generic):
         return np.sqrt(z - 0.5)
 
     with pytest.raises((NonIntegerCountError, ContourTooCloseError)):
-        contour_power_sums(f, 0.5 + 0.2, 0.4, 2, generic)
+        contour_power_sums(f, 0.5 + 0.2, 0.4, 2)
 
 
 def test_contour_count_node_stability(generic):
     pa, _ = wp_pair(0.27 + 0.9j, generic)
     f = wp_evaluable(generic, pa)
-    a = contour_power_sums(f, 0.3 + 0.9j, 0.17, 2, generic, nodes=128)
-    b = contour_power_sums(f, 0.3 + 0.9j, 0.17, 2, generic, nodes=512)
+    a = contour_power_sums(f, 0.3 + 0.9j, 0.17, 2, nodes=128)
+    b = contour_power_sums(f, 0.3 + 0.9j, 0.17, 2, nodes=512)
     assert a.count == b.count
 
 
@@ -138,13 +138,13 @@ def test_contour_additive_over_subregions(generic):
     f = wp_evaluable(generic, 0.0)
     c = (y + (generic.omega1 + generic.omega2 - y)) / 2.0
     big_ok = False
-    s1 = contour_power_sums(f, y, 0.1, 3, generic)
+    s1 = contour_power_sums(f, y, 0.1, 3)
     y2 = generic.omega1 + generic.omega2 - y
-    s2 = contour_power_sums(f, y2, 0.1, 3, generic)
+    s2 = contour_power_sums(f, y2, 0.1, 3)
     assert s1.count == 1 and s2.count == 1
     # re-express both local sums about the joint center and compare with one
     # big contour around both
-    big = contour_power_sums(f, c, abs(y - c) + 0.2, 3, generic)
+    big = contour_power_sums(f, c, abs(y - c) + 0.2, 3)
     assert big.count == 2
     for p in (1, 2, 3):
         expected = (y - c) ** p + (y2 - c) ** p
@@ -170,7 +170,7 @@ def test_power_sums_match_the_direct_trapezoid(generic, shift, center, radius):
     g = f.values_and_dlog(center + w)[1]
     direct = [np.mean(g * w ** (p + 1)) for p in range(9)]
     for kmax in range(9):
-        sums = contour_power_sums(f, center, radius, kmax, generic)
+        sums = contour_power_sums(f, center, radius, kmax)
         assert len(sums.values) == kmax + 1
         for p, v in enumerate(sums.values):
             assert abs(v - direct[p]) <= 1e-12 * (1 + abs(v))
@@ -262,7 +262,7 @@ def test_contour_half_count_with_exact_log_derivative(generic):
     a = 0.5
     f = Evaluable(lambda z: (np.sqrt(z - a), 0.5 / (z - a)))
     with pytest.raises(NonIntegerCountError):
-        contour_power_sums(f, a + 0.2, 0.4, 2, generic)
+        contour_power_sums(f, a + 0.2, 0.4, 2)
 
 
 def test_contour_nan_value_is_degenerate(generic):
@@ -274,12 +274,12 @@ def test_contour_nan_value_is_degenerate(generic):
 
     f = Evaluable(pair)
     with pytest.raises(ContourTooCloseError, match="degenerate"):
-        contour_power_sums(f, 0.5, 0.1, 2, generic)
+        contour_power_sums(f, 0.5, 0.1, 2)
 
 
 def test_contour_requires_values_and_dlog(generic):
     with pytest.raises(NonIntegerCountError, match="values_and_dlog"):
-        contour_power_sums(lambda z: z - 0.5, 0.5, 0.1, 2, generic)
+        contour_power_sums(lambda z: z - 0.5, 0.5, 0.1, 2)
     with pytest.raises(NonIntegerCountError, match="values_and_dlog"):
         locate_zeros(lambda z: z - 0.5, generic)
 
