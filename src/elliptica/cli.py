@@ -112,19 +112,19 @@ def _add_common(p: argparse.ArgumentParser):
 def _config(args) -> RunConfig:
     lat = None
     if args.tau is not None and (args.omega1 is not None or args.omega2 is not None):
-        raise EllipticaError("give either --tau or --omega1/--omega2, not both")
+        raise InvalidArgumentError("give either --tau or --omega1/--omega2, not both")
     if args.tau is not None:
         lat = make_lattice(1.0, args.tau)
     elif args.omega1 is not None or args.omega2 is not None:
         if args.omega1 is None or args.omega2 is None:
-            raise EllipticaError("--omega1 and --omega2 must be given together")
+            raise InvalidArgumentError("--omega1 and --omega2 must be given together")
         lat = make_lattice(args.omega1, args.omega2)
     return RunConfig(lat, args.seed, args.fmt, args.out)
 
 
 def _require_lattice(cfg: RunConfig) -> Lattice:
     if cfg.lattice is None:
-        raise EllipticaError("this subcommand requires --tau or --omega1/--omega2")
+        raise InvalidArgumentError("this subcommand requires --tau or --omega1/--omega2")
     return cfg.lattice
 
 
@@ -150,7 +150,7 @@ def _function_from_args(args, lat: Lattice) -> EllipticFunction:
                                        omega1=lat.omega1, omega2=lat.omega2)
         return f
     if not args.zeros or not args.poles:
-        raise EllipticaError("give --zeros and --poles (re,im,mult each) or --fn FILE")
+        raise InvalidArgumentError("give --zeros and --poles (re,im,mult each) or --fn FILE")
     zeros = divisor(args.zeros, lat)
     poles = divisor(args.poles, lat)
     return build_from_divisors(zeros, poles, lat)

@@ -1,6 +1,9 @@
 """Plane cubic curves: the Weierstrass embedding of a torus, tangent lines,
-line intersections, the chord-tangent group law in closed form (the third
-root of F on a line from the two known ones), and inflection points.
+line intersections in closed form (multiplicities read off the Hessian
+covariant of F restricted to the line, a binary cubic: it vanishes at a
+triple root and has a double root at a double root), the chord-tangent
+group law in closed form (the third root of F on a line from the two known
+ones), and inflection points.
 
 Two families are supported: the standard Weierstrass form
 y^2 z - 4 x^3 + g2 x z^2 + g3 z^3 and the Hesse pencil
@@ -49,8 +52,7 @@ from .projective import (
 )
 
 ON_CURVE_TOL = 1e-8
-LINE_CLUSTER_TOL = 1e-6
-MULT_CONFIRM_TOL = 1e-8
+MULT_TOL = 1e-8
 
 
 # The nonzero coefficients of each family's form, keyed by monomial as sorted
@@ -249,68 +251,63 @@ def tangent_line(cubic: Cubic, p: ProjPoint, tol: float = ON_CURVE_TOL) -> ProjL
     return ProjLine(point_from_vec(g))
 
 
+def _newton(f, s, t, k):
+    """The root (s, t) of the k-th derivative of the binary form f, highest
+    power of s first, after one Newton step in the chart of its larger
+    coordinate."""
+    flip = abs(s) > abs(t)
+    x = t / s if flip else s / t
+    p = np.polyder(f[::-1] if flip else f, k)
+    x = x - np.polyval(p, x) / np.polyval(np.polyder(p), x)
+    return (1.0, x) if flip else (x, 1.0)
+
+
 def line_intersect_cubic(line: ProjLine, cubic: Cubic) -> IntersectionList:
     """The three intersection points of a line with the cubic, counted with
-    multiplicity.
+    multiplicity, in closed form.
 
-    The line is parametrized by a seeded generic recombination of two
-    spanning points (retried when the leading coefficient collapses), the
-    resulting univariate cubic is rooted by companion matrix, and roots are
-    clustered into multiplicities; candidate multiple roots are confirmed
-    against the polynomial derivative magnitudes, since a tangency supplied
-    with noisy dual coordinates genuinely splits at the cube-root scale.
+    In a Hermitian-orthonormal basis u, w of the line the exact restriction
+    is the binary cubic f = a s^3 + 3b s^2 t + 3c s t^2 + d t^3, scaled to a
+    largest coefficient of 1.  Its Hessian covariant H = (ac - b^2) s^2 +
+    (ad - bc) s t + (bd - c^2) t^2 vanishes exactly at a triple root and has
+    a double root exactly at a double root of f, so the multiplicities are
+    read off H with the one tolerance MULT_TOL.  A double root is H's,
+    polished by one Newton step on f's derivative, and its simple partner
+    follows in closed form; only three simple roots go through np.roots,
+    each polished by one Newton step on f.
     """
-    v1p, v2p = line.spanning_points()
-    rng = np.random.default_rng(0)
-    for _ in range(12):
-        g1, g2c = rng.standard_normal(4).view(np.complex128)
-        w1 = v1p.vec + g1 * v2p.vec
-        w2 = v1p.vec + g2c * v2p.vec
-        w1 /= np.abs(w1).max()
-        w2 /= np.abs(w2).max()
-        coeffs = cubic.restriction([w1, w2])
-        fscale = cubic.term_scale(w1) + cubic.term_scale(w2)
-        if abs(coeffs[0]) < 1e-10 * fscale or abs(coeffs[3]) < 1e-10 * fscale:
-            continue
-        roots = np.roots(coeffs)
-        # fine clustering, then multiplicity upgrade confirmed by derivatives
-        groups: list[list[complex]] = []
-        for s in sorted(roots, key=lambda v: (v.real, v.imag)):
-            for grp in groups:
-                ref = grp[0]
-                if abs(s - ref) <= 2e-3 * (1.0 + abs(ref)):
-                    grp.append(s)
-                    break
-            else:
-                groups.append([complex(s)])
-        dscale = float(np.abs(coeffs).max()) * 3.0
-        entries: list[tuple[ProjPoint, int]] = []
-        ok = True
-        for grp in groups:
-            centroid = sum(grp) / len(grp)
-            m = len(grp)
-            # a multiple root needs |p^(j)(centroid)| small for j = 1..m-1
-            if m > 1 and any(abs(np.polyval(np.polyder(coeffs, j), centroid))
-                             > MULT_CONFIRM_TOL * dscale for j in range(1, m)):
-                # genuinely distinct roots inside the coarse radius
-                spread = max(abs(s - centroid) for s in grp)
-                if spread > LINE_CLUSTER_TOL * (1.0 + abs(centroid)):
-                    for s in grp:
-                        entries.append((point_from_vec(w1 + s * w2), 1))
-                    continue
-                ok = False
-                break
-            if m == 1:  # polish simple roots by one Newton step on the exact cubic
-                dp = np.polyval(np.polyder(coeffs), centroid)
-                if dp != 0:
-                    centroid = centroid - np.polyval(coeffs, centroid) / dp
-            entries.append((point_from_vec(w1 + centroid * w2), m))
-        if not ok:
-            continue
-        entries.sort(key=lambda e: (e[0].coords[0].real, e[0].coords[0].imag,
-                                    e[0].coords[1].real))
-        return IntersectionList(tuple(entries))
-    raise SingularCubicError("line intersection parametrization failed")
+    u, w = np.linalg.svd(line.dual.vec[None])[2][1:].conj()
+    a, b, c, d = cubic.restriction([u, w])[::-1] / [1.0, 3.0, 3.0, 1.0]
+    top = max(abs(a), abs(b), abs(c), abs(d))
+    if top <= 1e-10 * (cubic.term_scale(u) + cubic.term_scale(w)):
+        raise SingularCubicError("the line is a component of the cubic")
+    a, b, c, d = a / top, b / top, c / top, d / top
+    f = np.array([a, 3.0 * b, 3.0 * c, d])
+    h2, h1, h0 = a * c - b * b, a * d - b * c, b * d - c * c
+    hmax = max(abs(h2), abs(h1), abs(h0))
+    if hmax <= MULT_TOL:  # f = k (t0 s - s0 t)^3
+        s0, t0 = (-b, a) if abs(a) + abs(b) >= abs(c) + abs(d) else (-d, c)
+        roots = [(s0, t0, 3)]
+    elif abs(h1 * h1 - 4.0 * h2 * h0) <= MULT_TOL * hmax * hmax:
+        # disc H against |H|^2, since three simple points crowding together
+        # shrink the raw discriminant almost as much as a tangency does.
+        # f = k (t0 s - s0 t)^2 (t1 s - s1 t): (s0, t0) is the double root of
+        # H and a simple root of f's derivative; k t0^3 (s1, t1) and
+        # k s0^3 (s1, t1) follow from a, b and from c, d
+        s0, t0 = (-h1, 2.0 * h2) if abs(h2) >= abs(h0) else (2.0 * h0, -h1)
+        s0, t0 = _newton(f, s0, t0, 1)
+        ka, kd = np.conj(t0) ** 3, np.conj(s0) ** 3
+        s1 = -ka * (3.0 * b * t0 + 2.0 * a * s0) - kd * d * s0
+        t1 = ka * a * t0 + kd * (3.0 * c * s0 + 2.0 * d * t0)
+        roots = [(s0, t0, 2), (s1, t1, 1)]
+    else:  # three simple roots, from the chart of the larger end coefficient
+        flip = abs(d) > abs(a)
+        charts = [(1.0, r) if flip else (r, 1.0) for r in np.roots(f[::-1] if flip else f)]
+        roots = [(*_newton(f, s, t, 0), 1) for s, t in charts]
+    entries = [(point_from_vec(s * u + t * w), m) for s, t, m in roots]
+    entries.sort(key=lambda e: (e[0].coords[0].real, e[0].coords[0].imag,
+                                e[0].coords[1].real))
+    return IntersectionList(tuple(entries))
 
 
 def group_add(cubic: Cubic, p: ProjPoint, q: ProjPoint) -> ProjPoint:

@@ -35,18 +35,11 @@ SPECIAL_SMOOTH = (0.0 + 0j, 6.0 + 0j, 6.0 * EPS, 6.0 * EPS * EPS)
 SPECIAL_SINGULAR = (-3.0 + 0j, -3.0 * EPS, -3.0 * EPS * EPS)
 
 
-def hesse_inflections() -> list[ProjPoint]:
-    return _hesse_inflection_table()
-
-
-def hesse_tangent_duals(t: complex) -> list[ProjPoint]:
-    return [point_from_vec(r) for r in _ROWS_A + complex(t) * _ROWS_B]
-
-
 def hesse_data(t: complex) -> tuple[Cubic, list[ProjPoint], list[ProjPoint]]:
     """(cubic, inflection points, dual tangent coordinates); the k-th dual is
     the tangent at the k-th inflection point for every t."""
-    return hesse_cubic(t), hesse_inflections(), hesse_tangent_duals(t)
+    duals = [point_from_vec(r) for r in _ROWS_A + complex(t) * _ROWS_B]
+    return hesse_cubic(t), _hesse_inflection_table(), duals
 
 
 def concurrency_det_moduli(t) -> np.ndarray:

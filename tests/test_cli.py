@@ -256,6 +256,10 @@ def test_monodromy_json_solves_the_basepoint_fiber_once(monkeypatch):
         (["monodromy", "--tau", "0.3,1.4", "--circle-samples=-3"], "parse_arguments"),
         (["hesse-scan", "--t", "6,0", "--radius", "3"], "parse_arguments"),
         (["theta", "--tau", "0,1", "--z", "0,1", "--trunc=-2"], "parse_arguments"),
+        (["lattice", "--tau", "0,1", "--omega1", "1,0", "--omega2", "0,1"], "parse_arguments"),
+        (["lattice", "--omega1", "1,0"], "parse_arguments"),
+        (["lattice"], "parse_arguments"),
+        (["build-fn", "--tau", "0.3,1.4"], "parse_arguments"),
     ],
 )
 def test_bad_input_or_nonfinite_result_is_domain_error(argv, operation):

@@ -25,7 +25,7 @@ from elliptica import (
     wp_values,
 )
 from elliptica.cubic import IDENTITY, group_negate
-from elliptica.errors import PointOffCurveError
+from elliptica.errors import PointOffCurveError, SingularCubicError
 
 
 def rand_points(rng, lat, n):
@@ -140,6 +140,62 @@ def test_line_z_zero(generic):
     q, m = inter.entries[0]
     assert m == 3
     assert q.distance(IDENTITY) < 1e-9
+
+
+def assert_meets(inter, expected, bound, case):
+    """inter holds exactly the expected (point, multiplicity) pairs, each
+    point within bound."""
+    assert sorted(m for _, m in inter.entries) == sorted(m for _, m in expected), case
+    for q, m in expected:
+        assert min(p.distance(q) for p, n in inter.entries if n == m) < bound, case
+
+
+@pytest.mark.parametrize("lat", [SQUARE, HEXAGONAL, GENERIC, GENERIC2],
+                         ids=["square", "hexagonal", "generic", "generic2"])
+def test_line_intersect_closed_form_sweep(lat):
+    # 200 seeded lines per lattice, cycling through generic chords, chords
+    # through two points 1e-3 apart on the torus (three simple points, not
+    # a double one), tangents, flex tangents and the vertical line
+    # x = wp(a) z through a, -a and the identity
+    cubic = weierstrass_cubic(lat)
+    rng = np.random.default_rng(19)
+    n = 200
+    a, b = rng.uniform(size=(2, n)) * lat.omega1 + rng.uniform(size=(2, n)) * lat.omega2
+    near = a + 1e-3 * abs(lat.omega1) * np.exp(2j * np.pi * rng.uniform(size=n))
+    flexes = inflection_points(cubic, lat)
+    for k in range(n):
+        p = embed_point(a[k], lat)
+        kind = k % 5
+        if kind < 2:
+            y = b[k] if kind == 0 else near[k]
+            q = embed_point(y, lat)
+            line = line_through(p, q)
+            expected = [(p, 1), (q, 1), (embed_point(-a[k] - y, lat), 1)]
+            bound = 1e-12 if kind == 0 else 1e-9
+        elif kind == 2:
+            line = tangent_line(cubic, p)
+            expected, bound = [(p, 2), (embed_point(-2 * a[k], lat), 1)], 1e-10
+        elif kind == 3:
+            f = flexes[k % 9]
+            line, expected, bound = tangent_line(cubic, f, tol=1e-6), [(f, 3)], 1e-12
+        else:
+            line = ProjLine(proj_point(1, 0, -wp_values(a[k], lat)[0]))
+            expected = [(p, 1), (embed_point(-a[k], lat), 1), (IDENTITY, 1)]
+            bound = 1e-11
+        assert_meets(line_intersect_cubic(line, cubic), expected, bound, (k, a[k]))
+
+
+@pytest.mark.parametrize("t", [2.0, 0.5 + 1j])
+def test_line_intersect_hesse_flex_tangents(t):
+    cubic = hesse_cubic(t)
+    for f in inflection_points(cubic):
+        assert_meets(line_intersect_cubic(tangent_line(cubic, f), cubic), [(f, 3)], 1e-12, f)
+
+
+def test_line_component_of_singular_cubic_raises():
+    # x + y + z = 0 is one of the three lines of the singular x^3 + y^3 + z^3 - 3xyz
+    with pytest.raises(SingularCubicError):
+        line_intersect_cubic(ProjLine(proj_point(1, 1, 1)), hesse_cubic(-3.0))
 
 
 def test_group_add_identity_and_inverse(generic):
