@@ -6,8 +6,8 @@ triples.  In --exact mode the Hesse parameter is read as a,b with rational
 a, b meaning a + b*eps (eps = exp(2 pi i/3)), since the special parameters
 6*eps and 6*eps^2 have no finite decimal re,im form.
 
-All stochastic choices (subdivision shifts, generic coordinate changes,
-loop sampling) are driven by --seed, so reports are byte-reproducible.
+All stochastic choices (subdivision shifts, loop sampling) are driven by
+--seed, so reports are byte-reproducible; the fiber solve makes none.
 """
 from __future__ import annotations
 
@@ -369,7 +369,7 @@ def _cmd_hesse_scan(args, cfg: RunConfig):
 def _cmd_fiber(args, cfg: RunConfig):
     cubic, lat = _cubic_from_args(args, cfg)
     q = _point_from_pairs(args.q)
-    fib = covering.lambda_fiber(cubic, q, seed=cfg.seed)
+    fib = covering.lambda_fiber(cubic, q)
     doc = {
         "base": q.to_json(),
         "entries": [
@@ -391,7 +391,7 @@ def _cmd_branch_divisors(args, cfg: RunConfig):
     f = _function_from_args(args, lat)
     doc = {}
     if args.method in ("tangents", "both"):
-        divs = covering.branch_divisors_via_tangents(f, lat, seed=cfg.seed)
+        divs = covering.branch_divisors_via_tangents(f, lat)
         doc["via_tangents"] = [d.to_json() for d in divs]
     if args.method in ("direct", "both"):
         divs = covering.branch_divisors_direct(f, lat, seed=cfg.seed)
@@ -424,7 +424,7 @@ def _cmd_monodromy(args, cfg: RunConfig):
     loops = covering.tangent_loop_library(
         cubic, q0, lat, seed=cfg.seed, circle_samples=args.circle_samples
     )
-    perms, transitive, order = covering.monodromy_group(cubic, q0, loops, seed=cfg.seed)
+    perms, transitive, order = covering.monodromy_group(cubic, q0, loops)
     doc = {
         "basepoint": q0.to_json(),
         "generators": [list(p.images) for p in perms],
@@ -434,7 +434,7 @@ def _cmd_monodromy(args, cfg: RunConfig):
 
     def svg() -> bytes:
         # the basepoint fiber again, solved only when an SVG is asked for
-        fib0 = covering.lambda_fiber(cubic, q0, seed=cfg.seed)
+        fib0 = covering.lambda_fiber(cubic, q0)
         paths = [lp.samples for lp in loops]
         return _cubic_svg(cubic, [q0] + fib0.points(), paths=paths)()
 

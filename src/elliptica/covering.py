@@ -6,7 +6,8 @@ For a base point q off the cubic, the fiber consists of the <= 6 points of
 the cubic whose tangent lines pass through q; they are cut out by the polar
 conic of q, whose coefficient matrix is half the Hessian matrix of the
 cubic form evaluated at q.  Every polar conic is solved as one or two
-polynomial curves, on which the cubic is a polynomial with exact coefficients.
+polynomial curves read off its Takagi factorization, with no random choice,
+on which the cubic is a polynomial with exact coefficients.
 
 Monodromy tracks the six fiber points as one (6, 3) array along the
 projective geodesics between loop samples, halving or doubling its own
@@ -171,75 +172,52 @@ def _row_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
                    / ((np.abs(u) ** 2).sum(axis=1) * (np.abs(w) ** 2).sum(axis=1)))
 
 
-def _random_line_meets_conic(m: np.ndarray, rng):
-    """The two points a + s b where a seeded random line meets v.M.v = 0, or
-    None when b is numerically on the conic (no leading term in s)."""
-    a = rng.standard_normal(6).view(np.complex128)
-    b = rng.standard_normal(6).view(np.complex128)
-    qa, qab, qb = a @ m @ a, a @ m @ b, b @ m @ b
-    if abs(qb) < 1e-12 * np.abs(m).max():
-        return None
-    disc = np.sqrt(qab * qab - qa * qb)
-    return [a + root * b for root in ((-qab + disc) / qb, (-qab - disc) / qb)]
+def _conic_curves(m: np.ndarray) -> list[np.ndarray]:
+    """The polar conic as curves s -> sum_i rows[i] s^i, as (d + 1, 3) rows,
+    read off the Takagi factorization M = U diag(sigma) U^T (U unitary,
+    sigma1 >= sigma2 >= sigma3 >= 0): in w = U^T v the conic is
+    sum_k sigma_k w_k^2 = 0.  U's columns u = x + iy, M conj(u) = sigma u,
+    are the eigenvectors (x; y) of the three largest eigenvalues of the real
+    symmetric [[A, B], [B, -A]], M = A + iB, whose eigenvalues are the pairs
+    +-sigma; |det M| = sigma1 sigma2 sigma3 decides the rank.
+
+    A smooth conic is the one balanced curve w = diag(sqrt(sigma3 / sigma))
+    (1 - s^2, i (1 + s^2), 2 s); a rank-2 conic the two lines from its vertex
+    conj(U) e3 through conj(U) (sqrt(sigma2), +-i sqrt(sigma1), 0); a double
+    line twice the orthonormal null basis of M, since eigh's pair from the
+    four-dimensional null space of the real matrix need not be orthogonal."""
+    a, b = m.real, m.imag
+    sig, vecs = np.linalg.eigh(np.block([[a, b], [b, -a]]))
+    sig, u = sig[:2:-1], vecs[:3, :2:-1] - 1j * vecs[3:, :2:-1]  # descending; u = conj(U)
+    if sig.prod() >= 1e-10 * float(np.abs(m).max()) ** 3:
+        k = np.sqrt(sig[2] / sig)
+        return [np.array([u @ (k * [1, 1j, 0]), 2.0 * u[:, 2], u @ (k * [-1, 1j, 0])])]
+    if sig[1] <= 1e-15 * sig[0]:  # sigma2 within eigh's rounding
+        line = np.linalg.svd(m)[2][1:].conj()
+        return [line, line]
+    k = np.sqrt(sig[:2] / (sig[0] + sig[1]))
+    return [np.array([u[:, 2], u @ [k[1], e * 1j * k[0], 0]]) for e in (1, -1)]
 
 
-def _conic_point(m: np.ndarray, rng) -> np.ndarray:
-    for _ in range(20):
-        for v in _random_line_meets_conic(m, rng) or []:
-            nv = np.abs(v).max()
-            if nv > 1e-8:
-                v = v / nv
-                if abs(v @ m @ v) < 1e-10 * np.abs(m).max():
-                    return v
-    raise SolveFailureError("no numerically clean point found on the polar conic")
-
-
-def _conic_curves(m: np.ndarray, degenerate: bool, rng) -> list[np.ndarray]:
-    """The polar conic as curves s -> sum_i rows[i] s^i, as (d + 1, 3) rows:
-    a smooth conic's rational parametrization from a point c0 on it, or the
-    two lines from a rank-2 conic's vertex through the points where a seeded
-    random line meets it (none when that line is unusable)."""
-    if degenerate:
-        w, vecs = np.linalg.eig(m)
-        vertex = vecs[:, int(np.argmin(np.abs(w)))]
-        return [np.array([vertex, p]) for p in _random_line_meets_conic(m, rng) or []]
-    c0 = _conic_point(m, rng)
-    a = rng.standard_normal(6).view(np.complex128)
-    b = rng.standard_normal(6).view(np.complex128)
-    # the line through c0 and u = a + s b meets the conic again at
-    # Q(u) c0 - 2 B(c0, u) u, with Q(u) = u.M.u and B(c0, u) = c0.M.u
-    ca, cb, ab = c0 @ m @ a, c0 @ m @ b, a @ m @ b
-    return [np.array([(a @ m @ a) * c0 - 2.0 * ca * a,
-                      2.0 * ab * c0 - 2.0 * ca * b - 2.0 * cb * a,
-                      (b @ m @ b) * c0 - 2.0 * cb * b])]
-
-
-def lambda_fiber(cubic: Cubic, q: ProjPoint, seed: int = 0) -> Fiber:
+def lambda_fiber(cubic: Cubic, q: ProjPoint) -> Fiber:
     """The tangency fiber over q: conic-cubic intersection clustered into
     multiplicities, total always 6.
 
-    The polar conic is one or two polynomial curves (_conic_curves); F on
-    each is a polynomial in s with exact coefficients (Cubic.restriction),
-    rooted by companion matrix, and the points are polished on the 2x2
-    system; a failed solve is retried on other seeded curves.  Doubled
-    entries occur exactly when q lies on an inflectional tangent.
+    The polar conic is one or two polynomial curves read off its Takagi
+    factorization (_conic_curves), with no random choice; F on each is a
+    binary form in (s, t) with exact coefficients (Cubic.restriction),
+    rooted by companion matrix in the chart of its larger end coefficient,
+    and the points are polished on the 2x2 system.  Doubled entries occur
+    exactly when q lies on an inflectional tangent.
     """
     m = polar_conic(cubic, q)
-    rng = np.random.default_rng(seed)
-    degenerate = abs(np.linalg.det(m)) < 1e-10 * float(np.abs(m).max()) ** 3
-    for _ in range(10):
-        curves = _conic_curves(m, degenerate, rng)
-        coeffs = [cubic.restriction(rows) for rows in curves]
-        if not coeffs or any(abs(c[0]) < 1e-9 * np.abs(c).max() for c in coeffs):
-            continue
-        pts = np.concatenate([np.power.outer(np.roots(c), np.arange(len(rows))) @ rows
-                              for c, rows in zip(coeffs, curves)])
-        try:
-            return _assemble_fiber(cubic, m, q, pts)
-        except SolveFailureError:
-            # the next curves give other raw points
-            continue
-    raise SolveFailureError(f"fiber solve failed at {q.coords}")
+    pts = []
+    for rows in _conic_curves(m):
+        f = cubic.restriction(rows)
+        if abs(f[-1]) > abs(f[0]):  # the chart s -> 1/s reverses the rows
+            rows, f = rows[::-1], f[::-1]
+        pts.append(np.power.outer(np.roots(f), np.arange(len(rows))) @ rows)
+    return _assemble_fiber(cubic, m, q, np.concatenate(pts))
 
 
 def _assemble_fiber(cubic, m, q, pts) -> Fiber:
@@ -266,9 +244,11 @@ def _assemble_fiber(cubic, m, q, pts) -> Fiber:
     entries = [(polished[k], 1) for k in single]
     if doubled:
         # a doubled tangency point is an inflection point of the cubic;
-        # polishing on {F = 0, det Hess F = 0} restores full precision there
-        centroids = np.array([sum(polished[k].vec for k in g) / len(g) for g in doubled])
-        rows = chart_newton(cubic, centroids, cubic.hessian_det_rows)
+        # polishing on {F = 0, det Hess F = 0} restores full precision there;
+        # it starts from one member, since two members scaled to a largest
+        # coordinate of 1 may differ in sign ([1:0:-1] against [-1:0:1]) and
+        # their centroid then cancels
+        rows = chart_newton(cubic, rows[[g[0] for g in doubled]], cubic.hessian_det_rows)
         # an inflection off the polar conic means two raw points were
         # polished onto one simple point, not a tangency
         off = _conic_residual(m, rows).max()
@@ -315,8 +295,7 @@ def _line_of_divisor(div: Divisor, cubic: Cubic, lat: Lattice) -> ProjLine:
     return line_through(embed_point(pts[0][0], lat), embed_point(pts[1][0], lat))
 
 
-def branch_divisors_via_tangents(f: EllipticFunction, lat: Lattice,
-                                 seed: int = 0) -> list[Divisor]:
+def branch_divisors_via_tangents(f: EllipticFunction, lat: Lattice) -> list[Divisor]:
     """Branch divisors of a degree-3 function through the tangency fiber of
     its line point.
 
@@ -343,7 +322,7 @@ def branch_divisors_via_tangents(f: EllipticFunction, lat: Lattice,
     line0 = _line_of_divisor(h.zeros, cubic, lat)
     line_inf = _line_of_divisor(h.poles, cubic, lat)
     q = lines_meet(line0, line_inf)
-    fiber = lambda_fiber(cubic, q, seed=seed)
+    fiber = lambda_fiber(cubic, q)
     out = []
     scale = abs(lat.omega1)
     for p, mult in fiber.entries:
@@ -462,11 +441,10 @@ def _match_permutation(start_pts: list[ProjPoint], end_pts: list[ProjPoint]) -> 
     return Permutation(tuple(images))
 
 
-def monodromy_group(cubic: Cubic, basepoint: ProjPoint, loops: list[LoopPath],
-                    seed: int = 0):
+def monodromy_group(cubic: Cubic, basepoint: ProjPoint, loops: list[LoopPath]):
     """Permutations of the labeled 6-point fiber induced by the loops, the
     order of the group they generate and whether it acts transitively."""
-    fiber0 = lambda_fiber(cubic, basepoint, seed=seed)
+    fiber0 = lambda_fiber(cubic, basepoint)
     if len(fiber0.entries) != 6:
         raise SolveFailureError("basepoint fiber is not simple")
     start_pts = [p for p, _ in fiber0.entries]

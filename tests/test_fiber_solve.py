@@ -12,6 +12,7 @@ from elliptica import (
     critical_locus_check,
     divisor,
     hesse_cubic,
+    inflection_points,
     lambda_fiber,
     point_from_vec,
     polar_conic,
@@ -20,11 +21,12 @@ from elliptica import (
     tangent_loop_library,
     weierstrass_cubic,
 )
-from elliptica import divisors
+from elliptica import covering, divisors
 from elliptica.divisors import match_divisors
 from elliptica.errors import SolveFailureError, SubdivisionFailureError
 
-CUBICS = [weierstrass_cubic(lat) for lat in (SQUARE, HEXAGONAL, GENERIC, GENERIC2)] + [
+LATTICES = [SQUARE, HEXAGONAL, GENERIC, GENERIC2, None, None, None]
+CUBICS = [weierstrass_cubic(lat) for lat in LATTICES[:4]] + [
     hesse_cubic(t) for t in (2.0, -1.0 + 3.0j, 0.5j)]
 CUBIC_IDS = ["square", "hexagonal", "generic", "tau2i", "t2", "t-1+3i", "t0.5i"]
 
@@ -64,11 +66,112 @@ def test_fibers_over_the_hessian_curve(cubic):
     for k, q in enumerate(hessian_curve_points(cubic, rng, 12)):
         m = polar_conic(cubic, q)
         assert abs(np.linalg.det(m)) < 1e-10 * np.abs(m).max() ** 3
-        fib = lambda_fiber(cubic, q, seed=k)
+        fib = lambda_fiber(cubic, q)
         assert fib.total == 6
         for p, _ in fib.entries:
             assert cubic.residual(p) <= 1e-9
             assert tangent_line(cubic, p, tol=1e-6).incidence(q) <= 1e-8
+
+
+def _assert_tangent_fiber(cubic, q, fib):
+    assert fib.total == 6
+    for p, _ in fib.entries:
+        assert cubic.residual(p) <= 1e-9
+        assert tangent_line(cubic, p, tol=1e-6).incidence(q) <= 1e-8
+
+
+@pytest.mark.parametrize("cubic", CUBICS, ids=CUBIC_IDS)
+def test_fibers_near_the_hessian_curve(cubic):
+    # base points 1e-12 to 1e-3 off the Hessian curve, where the polar conic
+    # is smooth but nearly a line pair
+    rng = np.random.default_rng(45)
+    for q in hessian_curve_points(cubic, rng, 12):
+        step = 10.0 ** rng.uniform(-12, -3) * rng.standard_normal(6).view(complex)
+        q = point_from_vec(q.vec + step)
+        _assert_tangent_fiber(cubic, q, lambda_fiber(cubic, q))
+
+
+def test_fiber_near_the_hessian_curve_of_the_square_cubic():
+    # `fiber --tau 0,1` at this base point once failed every retry
+    cubic = weierstrass_cubic(SQUARE)
+    q = proj_point(0.19636545528956592 + 0.2355696595375974j, 1.0,
+                   0.05297221220226345 - 0.04091641576178544j)
+    _assert_tangent_fiber(cubic, q, lambda_fiber(cubic, q))
+
+
+@pytest.mark.parametrize("cubic, lat", list(zip(CUBICS, LATTICES)), ids=CUBIC_IDS)
+def test_fibers_on_every_inflectional_tangent(cubic, lat):
+    rng = np.random.default_rng(46)
+    for p in inflection_points(cubic, lat):
+        s1, s2 = tangent_line(cubic, p, tol=1e-6).spanning_points()
+        for c in rng.standard_normal((2, 2)).view(complex)[:, 0]:
+            q = point_from_vec(s1.vec + c * s2.vec)
+            if cubic.on_curve(q, 1e-4):
+                continue
+            fib = lambda_fiber(cubic, q)
+            _assert_tangent_fiber(cubic, q, fib)
+            assert sorted(m for _, m in fib.entries) == [1, 1, 1, 1, 2]
+            assert next(u for u, m in fib.entries if m == 2).distance(p) < 1e-8
+
+
+@pytest.mark.parametrize("cubic, lat, q", [
+    # once a fiber whose tangents missed q by 2.0e-8
+    (weierstrass_cubic(GENERIC2), GENERIC2,
+     proj_point(-0.1083762166740059 - 0.7718992987281356j, 1.0,
+                0.03243756664299239 + 0.27469573255944635j)),
+    # the flex [1:0:-1] once came out polished as both (1, 0, -1) and
+    # (-1, 0, 1), and the average of the two cancelled
+    (hesse_cubic(2.0), None,
+     proj_point(-0.3139976067072815 - 0.1541471290792284j, 1.0,
+                0.9806642733739481 + 0.1541471290792284j)),
+], ids=["tau2i", "t2"])
+def test_fiber_doubles_at_the_flex_of_its_tangent(cubic, lat, q):
+    hits = critical_locus_check(cubic, q, lat)[1]
+    assert len(hits) == 1
+    fib = lambda_fiber(cubic, q)
+    _assert_tangent_fiber(cubic, q, fib)
+    assert sorted(m for _, m in fib.entries) == [1, 1, 1, 1, 2]
+    double = next(u for u, m in fib.entries if m == 2)
+    assert double.distance(inflection_points(cubic, lat)[hits[0]]) < 1e-12
+
+
+@pytest.mark.parametrize("cubic, lat", list(zip(CUBICS, LATTICES)), ids=CUBIC_IDS)
+def test_raw_fiber_points_need_no_more_than_a_polish(cubic, lat, monkeypatch):
+    # random base points and base points near a flex, off the critical
+    # locus: every raw point is within 1e-10 of the fiber point it polishes to
+    raws, assemble = [], covering._assemble_fiber
+
+    def spy(cubic, m, q, pts):
+        raws.append(pts)
+        return assemble(cubic, m, q, pts)
+
+    monkeypatch.setattr(covering, "_assemble_fiber", spy)
+    rng = np.random.default_rng(47)
+    qs = off_critical_points(cubic, lat, rng, 6)
+    for p in inflection_points(cubic, lat):
+        step = 10.0 ** rng.uniform(-3, 0) * rng.standard_normal(6).view(complex)
+        q = point_from_vec(p.vec + step)
+        if not cubic.on_curve(q, 1e-4) and not critical_locus_check(cubic, q, lat, tol=1e-6)[0]:
+            qs.append(q)
+    for q in qs:
+        raws.clear()
+        fib = lambda_fiber(cubic, q)
+        assert len(raws) == 1 and len(fib.entries) == 6
+        for v in raws[0]:
+            assert min(point_from_vec(v).distance(p) for p in fib.points()) <= 1e-10
+
+
+def test_fiber_with_a_double_line_polar_conic():
+    # q = [1:1:1] makes the polar conic of t = 6 the double line x + y + z = 0,
+    # which touches the cubic at three flexes
+    cubic = hesse_cubic(6.0)
+    q = proj_point(1, 1, 1)
+    assert np.linalg.matrix_rank(polar_conic(cubic, q)) == 1
+    fib = lambda_fiber(cubic, q)
+    _assert_tangent_fiber(cubic, q, fib)
+    assert [m for _, m in fib.entries] == [2, 2, 2]
+    for flex in ((0, 1, -1), (1, 0, -1), (1, -1, 0)):
+        assert min(p.distance(proj_point(*flex)) for p in fib.points()) < 1e-14
 
 
 def _mp_chart_solve(cubic, q, p):
