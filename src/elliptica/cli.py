@@ -6,8 +6,9 @@ triples.  In --exact mode the Hesse parameter is read as a,b with rational
 a, b meaning a + b*eps (eps = exp(2 pi i/3)), since the special parameters
 6*eps and 6*eps^2 have no finite decimal re,im form.
 
-All stochastic choices (subdivision shifts, loop sampling) are driven by
---seed, so reports are byte-reproducible; the fiber solve makes none.
+Reports are byte-reproducible.  Only monodromy draws at random, its
+basepoint and loop line from its --seed; the subdivision re-shifts of zero
+location come from one fixed stream, and the fiber solve makes no choice.
 """
 from __future__ import annotations
 
@@ -48,7 +49,6 @@ from .theta import theta
 @dataclass
 class RunConfig:
     lattice: Lattice | None
-    seed: int
     fmt: str
     out: str | None
 
@@ -104,7 +104,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--omega1", type=_parse_complex, help="first lattice generator re,im")
     p.add_argument("--omega2", type=_parse_complex, help="second lattice generator re,im")
     p.add_argument("--tau", type=_parse_complex, help="lattice Z + tau Z")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomized choices")
     p.add_argument("--format", dest="fmt", choices=["json", "csv", "svg"], default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
 
@@ -119,7 +118,7 @@ def _config(args) -> RunConfig:
         if args.omega1 is None or args.omega2 is None:
             raise InvalidArgumentError("--omega1 and --omega2 must be given together")
         lat = make_lattice(args.omega1, args.omega2)
-    return RunConfig(lat, args.seed, args.fmt, args.out)
+    return RunConfig(lat, args.fmt, args.out)
 
 
 def _require_lattice(cfg: RunConfig) -> Lattice:
@@ -279,10 +278,10 @@ def _cmd_zeros(args, cfg: RunConfig):
     lat = _require_lattice(cfg)
     if args.wp:
         fn = wp_evaluable(lat)
-        zeros, poles = locate_divisor_pair(fn, lat, seed=cfg.seed)
+        zeros, poles = locate_divisor_pair(fn, lat)
     else:
         f = _function_from_args(args, lat)
-        zeros, poles = locate_divisor_pair(f, lat, seed=cfg.seed)
+        zeros, poles = locate_divisor_pair(f, lat)
     defect = abel_defect(zeros, poles, lat)
     doc = {
         "zeros": zeros.to_json(),
@@ -394,7 +393,7 @@ def _cmd_branch_divisors(args, cfg: RunConfig):
         divs = covering.branch_divisors_via_tangents(f, lat)
         doc["via_tangents"] = [d.to_json() for d in divs]
     if args.method in ("direct", "both"):
-        divs = covering.branch_divisors_direct(f, lat, seed=cfg.seed)
+        divs = covering.branch_divisors_direct(f, lat)
         doc["direct"] = [d.to_json() for d in divs]
     return doc, None, None
 
@@ -405,7 +404,7 @@ def _cmd_monodromy(args, cfg: RunConfig):
         raise InvalidArgumentError(
             f"--circle-samples must be at least 3, got {args.circle_samples}")
     cubic = weierstrass_cubic(lat)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     if args.q:
         q0 = _point_from_pairs(args.q)
         onc, hits = covering.critical_locus_check(cubic, q0, lat)
@@ -422,7 +421,7 @@ def _cmd_monodromy(args, cfg: RunConfig):
                 if not onc:
                     break
     loops = covering.tangent_loop_library(
-        cubic, q0, lat, seed=cfg.seed, circle_samples=args.circle_samples
+        cubic, q0, lat, seed=args.seed, circle_samples=args.circle_samples
     )
     perms, transitive, order = covering.monodromy_group(cubic, q0, loops)
     doc = {
@@ -522,6 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="base point (default: seeded generic point)")
     sp.add_argument("--circle-samples", type=int, default=48,
                     help="samples on each circle around a tangent, at least 3")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the basepoint and the loop line")
     return p
 
 

@@ -179,17 +179,17 @@ def _conic_curves(m: np.ndarray) -> list[np.ndarray]:
     sum_k sigma_k w_k^2 = 0.  U's columns u = x + iy, M conj(u) = sigma u,
     are the eigenvectors (x; y) of the three largest eigenvalues of the real
     symmetric [[A, B], [B, -A]], M = A + iB, whose eigenvalues are the pairs
-    +-sigma; |det M| = sigma1 sigma2 sigma3 decides the rank.
-
-    A smooth conic is the one balanced curve w = diag(sqrt(sigma3 / sigma))
-    (1 - s^2, i (1 + s^2), 2 s); a rank-2 conic the two lines from its vertex
-    conj(U) e3 through conj(U) (sqrt(sigma2), +-i sqrt(sigma1), 0); a double
-    line twice the orthonormal null basis of M, since eigh's pair from the
-    four-dimensional null space of the real matrix need not be orthogonal."""
+    +-sigma.  While sigma3 >= 1e-13 sigma1, however small det M, the conic
+    is the one balanced curve w = diag(sqrt(sigma3 / sigma)) (1 - s^2,
+    i (1 + s^2), 2 s); below that a rank-2 conic is the two lines from its
+    vertex conj(U) e3 through conj(U) (sqrt(sigma2), +-i sqrt(sigma1), 0), a
+    double line twice the orthonormal null basis of M, since eigh's pair
+    from the four-dimensional null space of the real matrix need not be
+    orthogonal."""
     a, b = m.real, m.imag
     sig, vecs = np.linalg.eigh(np.block([[a, b], [b, -a]]))
     sig, u = sig[:2:-1], vecs[:3, :2:-1] - 1j * vecs[3:, :2:-1]  # descending; u = conj(U)
-    if sig.prod() >= 1e-10 * float(np.abs(m).max()) ** 3:
+    if sig[2] >= 1e-13 * sig[0]:
         k = np.sqrt(sig[2] / sig)
         return [np.array([u @ (k * [1, 1j, 0]), 2.0 * u[:, 2], u @ (k * [-1, 1j, 0])])]
     if sig[1] <= 1e-15 * sig[0]:  # sigma2 within eigh's rounding
@@ -347,8 +347,7 @@ def _shifted_evaluable(f: EllipticFunction, v: complex) -> Evaluable:
     return g
 
 
-def branch_divisors_direct(f: EllipticFunction, lat: Lattice,
-                           tol: float = 1e-5, seed: int = 0) -> list[Divisor]:
+def branch_divisors_direct(f: EllipticFunction, lat: Lattice) -> list[Divisor]:
     """Branch divisors from the critical points of f: zeros of f' plus
     multiple poles, with the full fiber divisor located over each critical
     value: the zeros of f - v, whose located poles must be f's own within
@@ -356,7 +355,7 @@ def branch_divisors_direct(f: EllipticFunction, lat: Lattice,
     if f.degree < 2:
         raise NotDegree3Error(f"degree is {f.degree}, need >= 2")
     try:
-        crit = locate_divisor_pair(Evaluable(f.derivative_pair), lat, tol, seed)[0]
+        crit = locate_divisor_pair(Evaluable(f.derivative_pair), lat)[0]
     except Exception as exc:
         raise DerivativeLocationError(f"derivative zero location failed: {exc}")
     crit_values: list[complex] = []
@@ -374,7 +373,7 @@ def branch_divisors_direct(f: EllipticFunction, lat: Lattice,
         if is_infinite(v):
             out.append(f.poles)
             continue
-        zeros, poles = locate_divisor_pair(_shifted_evaluable(f, v), lat, tol, seed)
+        zeros, poles = locate_divisor_pair(_shifted_evaluable(f, v), lat)
         if not match_divisors(poles, f.poles, lat, 1e-6):
             raise SubdivisionFailureError(
                 f"the poles located for the fiber over {v} are not the poles of f")

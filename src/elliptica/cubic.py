@@ -131,7 +131,11 @@ class Cubic:
         return s if np.ndim(s) else float(s)
 
     def residual(self, p: ProjPoint) -> float:
-        return abs(self.F(p.vec)) / self.term_scale(p.vec)
+        """|F| over the larger of term_scale and |grad F| |v|, the first-order
+        distance, which also judges points where term_scale is its floor."""
+        f, v = abs(self.F(p.vec)), p.vec
+        dist = f / (np.linalg.norm(self.grad(v)) * np.linalg.norm(v) + 1e-300)
+        return min(f / self.term_scale(v), dist)
 
     def hessian_det(self, v) -> complex:
         return complex(np.linalg.det(self.hessian_matrix(v)))
@@ -209,13 +213,13 @@ def embed_point(z, lat: Lattice) -> ProjPoint:
     return proj_point(p, pp, 1.0)
 
 
-def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice, tol: float = 1e-12) -> TorusPoint:
+def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice) -> TorusPoint:
     """Inverse of embed_point on the Weierstrass cubic; the +-z ambiguity of
     wp is resolved by matching wp' to the y-coordinate.
 
-    tol is wp_inverse's residual tolerance, relative to 1 + |x/z|.  Near its
-    pole wp is accurate to only about 2e-13 relative, so the default 1e-12
-    is one wp can meet for any |x/z|."""
+    wp_inverse runs at its default residual tolerance 1e-12, relative to
+    1 + |x/z|: near its pole wp is accurate to only about 2e-13 relative,
+    and 1e-12 is one wp can meet for any |x/z|."""
     if cubic.family != "weierstrass":
         raise PointOffCurveError("unembed requires a weierstrass-family cubic")
     if not cubic.on_curve(p, 1e-6):
@@ -227,7 +231,7 @@ def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice, tol: float = 1e-12) -> Tor
         return TorusPoint(0.0, lat)
     x, y = x0 / z0, y0 / z0
     try:
-        z = wp_inverse(x, lat, tol=tol)
+        z = wp_inverse(x, lat)
     except ReconstructionFailureError as exc:
         raise NoPreimageError(f"wp inversion failed from all grid seeds: {exc}")
     _, ppv = wp_values(z.rep, lat)

@@ -226,7 +226,6 @@ def contour_power_sums(
     radius: float,
     kmax: int,
     nodes: int = CONTOUR_NODES,
-    min_modulus: float = MIN_MODULUS_REL,
 ) -> PowerSums:
     """Power sums of the zeros of f inside |z - center| = radius.
 
@@ -240,7 +239,7 @@ def contour_power_sums(
     if kmax < 0:
         raise InsufficientSumsError(f"kmax must be >= 0, got {kmax}")
     _require_dlog(f)
-    s = _moments(f, center, radius, kmax, nodes, min_modulus)[0]
+    s = _moments(f, center, radius, kmax, nodes, MIN_MODULUS_REL)[0]
     return PowerSums(tuple(complex(v) for v in s * radius ** np.arange(kmax + 1)))
 
 
@@ -288,11 +287,11 @@ def _oriented(f, z: complex, weight: int):
         return 1.0 / np.asarray(v), -np.asarray(d)
 
 
-def _newton_polish(f, z0: complex, weight: int, max_iter: int = 28):
+def _newton_polish(f, z0: complex, weight: int):
     """Multiplicity-aware Newton iteration from seed z0 on f for a positive
     weight, on 1/f for a negative one, at multiplicity |weight|.
 
-    Returns (best point, its |f| or |1/f|) over the iteration; near
+    Returns (best point, its |f| or |1/f|) over at most 28 steps; near
     multiple roots the step stalls at the evaluation noise floor, so
     acceptance is by residual, not by step convergence.  At a root of
     multiplicity >= 2 that floor is reached up to about sqrt(eps) away,
@@ -308,7 +307,7 @@ def _newton_polish(f, z0: complex, weight: int, max_iter: int = 28):
     best_r = math.inf
     seen = []  # (residual, |derivative|, z) of the iterates with a finite residual
     stale = 0
-    for _ in range(max_iter):
+    for _ in range(28):
         fz_a, g_a = _oriented(f, z, weight)
         fz = complex(fz_a[0])
         r = abs(fz)
@@ -341,11 +340,10 @@ def _newton_polish(f, z0: complex, weight: int, max_iter: int = 28):
     return z, r
 
 
-def _cell_circle(lat: Lattice, a0, b0, sa, sb):
-    center = lat.from_coords(a0 + sa / 2.0, b0 + sb / 2.0)
-    half_diag = 0.5 * max(
-        abs(sa * lat.omega1 + sb * lat.omega2), abs(sa * lat.omega1 - sb * lat.omega2)
-    )
+def _cell_circle(lat: Lattice, a0, b0, side):
+    # side is a power of two, so scaling the diagonals by it is exact
+    center = lat.from_coords(a0 + side / 2.0, b0 + side / 2.0)
+    half_diag = 0.5 * side * max(abs(lat.omega1 + lat.omega2), abs(lat.omega1 - lat.omega2))
     return center, 1.07 * half_diag
 
 
@@ -383,9 +381,9 @@ def _models(s):
             yield x, m, gap
 
 
-def _resolve_cell(f, lat, a0, b0, sa, sb, depth, tol):
-    """The (point, signed multiplicity) pairs of the cell [a0, a0 + sa) x
-    [b0, b0 + sb) in lattice coordinates, positive for a zero and negative
+def _resolve_cell(f, lat, a0, b0, side, depth):
+    """The (point, signed multiplicity) pairs of the cell [a0, a0 + side) x
+    [b0, b0 + side) in lattice coordinates, positive for a zero and negative
     for a pole, or None when the cell must be subdivided.
 
     The signed moments of f'/f on the cell circle, scaled by radius^p
@@ -395,12 +393,12 @@ def _resolve_cell(f, lat, a0, b0, sa, sb, depth, tol):
     a pole close together nearly cancel in every moment.  Each point is
     Newton-polished once at its signed weight (a pole as a zero of 1/f):
     its residual must pass, it may move at most 0.2 x the radius, and a
-    multiple point must be one point to within tol; the polished points
-    must still explain the moments.  A model of more than 3 points counted
+    multiple point must be one point to within CLUSTER_RADIUS; the polished
+    points must still explain the moments.  A model of more than 3 points counted
     with multiplicity is not taken above the deepest level.  None when no
     model passes or a zero or pole sits too close to the circle.
     """
-    center, radius = _cell_circle(lat, a0, b0, sa, sb)
+    center, radius = _cell_circle(lat, a0, b0, side)
     try:
         s, scale, noise = _moments(
             f, center, radius, _KMAX_CAP, CONTOUR_NODES, CELL_MIN_MODULUS_REL
@@ -415,16 +413,16 @@ def _resolve_cell(f, lat, a0, b0, sa, sb, depth, tol):
         bound = 1e-6 * scale if weight > 0 else 1e-6 / scale
         z, resid = _newton_polish(f, seed, weight)
         # the residual grows like distance^mult away from a multiple point
-        # but not around points more than tol apart, which the moments may
-        # not tell from one point
+        # but not around points more than CLUSTER_RADIUS apart, which the
+        # moments may not tell from one point
         ok = resid <= bound and abs(z - seed) <= 0.2 * radius and (
             abs(weight) == 1
-            or resid * 4 ** abs(weight) <= abs(complex(_oriented(f, z + 2 * tol, weight)[0][0])))
+            or resid * 4 ** abs(weight) <= abs(complex(_oriented(f, z + 2 * CLUSTER_RADIUS, weight)[0][0])))
         return z if ok else None
 
     def inside(z):  # a point polished into a neighbouring cell is reported there
         a, b = lat.coords(z)
-        return a0 <= a < a0 + sa and b0 <= b < b0 + sb
+        return a0 <= a < a0 + side and b0 <= b < b0 + side
 
     for x, m, gap in _models(s):
         bound = _MOMENT_TOL if len(m) else max(4.0 * noise, 1e-10)
@@ -441,17 +439,17 @@ def _resolve_cell(f, lat, a0, b0, sa, sb, depth, tol):
     return None
 
 
-def _grid_offsets(seed: int):
+def _grid_offsets():
     """Lattice-coordinate offsets of successive base grids: a fixed one,
-    then seeded uniform re-shifts (the generator is made at the first
-    re-shift, which most sweeps never reach)."""
+    then uniform re-shifts from one fixed stream (the generator is made at
+    the first re-shift, which most sweeps never reach)."""
     yield 0.31007, 0.24203
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     while True:
         yield rng.uniform(0.03, 0.93, 2)
 
 
-def _sweep(f, lat: Lattice, tol: float, grids):
+def _sweep(f, lat: Lattice, grids):
     """(zeros, poles) from the first of at most MAX_GRID_SHIFTS base grids
     taken from `grids` whose cells all resolve.
 
@@ -468,7 +466,7 @@ def _sweep(f, lat: Lattice, tol: float, grids):
         found = []
         while cells:
             a0, b0, side, depth = cells.pop()
-            points = _resolve_cell(f, lat, a0, b0, side, side, depth, tol)
+            points = _resolve_cell(f, lat, a0, b0, side, depth)
             if points is not None:
                 found += points
             elif depth < MAX_CELL_DEPTH:
@@ -484,18 +482,18 @@ def _sweep(f, lat: Lattice, tol: float, grids):
     )
 
 
-def locate_zeros(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int = 0) -> Divisor:
+def locate_zeros(f, lat: Lattice) -> Divisor:
     """Zero divisor of an elliptic function f inside one fundamental
-    parallelogram: the zeros of locate_divisor_pair(f, lat, tol, seed).
+    parallelogram: the zeros of locate_divisor_pair(f, lat).
 
     Raises SubdivisionFailureError when no admissible subdivision grid is
-    found after the maximum number of seeded shifts or the zero and pole
+    found after the maximum number of grid shifts or the zero and pole
     degrees differ, NonIntegerCountError when f has no values_and_dlog.
     """
-    return locate_divisor_pair(f, lat, tol, seed)[0]
+    return locate_divisor_pair(f, lat)[0]
 
 
-def locate_divisor_pair(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int = 0):
+def locate_divisor_pair(f, lat: Lattice):
     """(zeros, poles) of f from one sweep over the cells, with a global
     degree cross-check.
 
@@ -508,10 +506,10 @@ def locate_divisor_pair(f, lat: Lattice, tol: float = CLUSTER_RADIUS, seed: int 
     Raises SubdivisionFailureError when they still differ or no admissible
     grid is found.
     """
-    grids = _grid_offsets(seed)
+    grids = _grid_offsets()
     known = getattr(f, "degree", None)
     for _ in range(3):
-        zeros, poles = _sweep(f, lat, tol, grids)
+        zeros, poles = _sweep(f, lat, grids)
         if zeros.degree == poles.degree and known in (None, zeros.degree):
             return zeros, poles
     raise SubdivisionFailureError(

@@ -240,14 +240,13 @@ def rescaled(f: EllipticFunction, scale: complex) -> EllipticFunction:
     return EllipticFunction(f.lattice, f.zeros, f.poles, scale, f._lifts)
 
 
-def build_from_divisors(zeros: Divisor, poles: Divisor, lat: Lattice,
-                        abel_tol: float = ABEL_TOL) -> EllipticFunction:
+def build_from_divisors(zeros: Divisor, poles: Divisor, lat: Lattice) -> EllipticFunction:
     """The theta-quotient elliptic function with the prescribed zero and pole
     divisors and scale 1.
 
     Raises DegreeMismatchError, OverlappingDivisorsError, or
-    AbelViolationError (reporting the defect) when the divisors do not
-    satisfy the existence conditions.
+    AbelViolationError (reporting the defect, when above ABEL_TOL |omega1|)
+    when the divisors do not satisfy the existence conditions.
     """
     if zeros.degree != poles.degree or zeros.degree < 1:
         raise DegreeMismatchError(
@@ -261,7 +260,7 @@ def build_from_divisors(zeros: Divisor, poles: Divisor, lat: Lattice,
                     f"zero and pole coincide at {zp.rep}"
                 )
     defect = abel_defect(zeros, poles, lat)
-    if defect > abel_tol * scale_len:
+    if defect > ABEL_TOL * scale_len:
         raise AbelViolationError(
             f"Abel condition violated: lift sum is {defect:.3e} from the lattice",
             defect=defect,
@@ -369,11 +368,10 @@ def _branch_translates(f: EllipticFunction) -> list[TorusPoint]:
     return cands
 
 
-def decompose_degree2(
-    f: EllipticFunction, tol: float = RECONSTRUCTION_TOL, grid: int = 7
-) -> tuple[MobiusTransform, TorusPoint]:
+def decompose_degree2(f: EllipticFunction) -> tuple[MobiusTransform, TorusPoint]:
     """Write a degree-2 function as g o wp o translation: returns (g, t) with
-    f(z) ~ g(wp(z - t)) on a verification grid.
+    f(z) ~ g(wp(z - t)) within RECONSTRUCTION_TOL (chordal) on a 7 x 7
+    verification grid.
 
     The translate t is a branch point of f: half the zero-lift sum up to a
     half-period, with the smallest admissible |t| preferred.  The answer is
@@ -384,7 +382,7 @@ def decompose_degree2(
     lat = f.lattice
     e1, e2, _ = half_period_values(lat)
     b1, b2, _ = half_periods(lat)
-    gs = np.linspace(0.11, 0.93, grid)
+    gs = np.linspace(0.11, 0.93, 7)
     aa, bb = np.meshgrid(gs, gs)
     zgrid = (aa.ravel() * lat.omega1 + bb.ravel() * lat.omega2).tolist()
     for t in _branch_translates(f):
@@ -403,9 +401,9 @@ def decompose_degree2(
             g = mobius_through((INF, e1, e2), dst)
         except (ValueError, IndeterminatePointError):
             continue
-        # "<= tol" is false for a NaN distance, so a NaN value never passes
+        # "<=" is false for a NaN distance, so a NaN value never passes
         if all(
-            chordal(eval_elliptic(f, z), g(wp_pair(z - t.rep, lat)[0])) <= tol
+            chordal(eval_elliptic(f, z), g(wp_pair(z - t.rep, lat)[0])) <= RECONSTRUCTION_TOL
             for z in zgrid
         ):
             return g, t

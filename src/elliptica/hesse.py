@@ -57,14 +57,14 @@ def concurrency_det_moduli(t) -> np.ndarray:
     return np.abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
 
 
-def concurrency_scan(t: complex, tol: float = CONCURRENCY_TOL) -> list[tuple[int, int, int]]:
+def concurrency_scan(t: complex) -> list[tuple[int, int, int]]:
     """Unordered triples of distinct inflectional tangents whose dual points
-    are collinear: normalized 3x3 determinant below tol.
+    are collinear: normalized 3x3 determinant below CONCURRENCY_TOL.
 
     All 84 triples are scanned; a nonempty result at a smooth parameter
     happens exactly on the equianharmonic orbit t in {0, 6, 6 eps, 6 eps^2}.
     """
-    return [TRIPLES[i] for i in np.flatnonzero(concurrency_det_moduli(complex(t)) <= tol)]
+    return [TRIPLES[i] for i in np.flatnonzero(concurrency_det_moduli(complex(t)) <= CONCURRENCY_TOL)]
 
 
 def concurrency_dets(t: complex) -> dict[tuple[int, int, int], float]:
@@ -183,21 +183,21 @@ def hesse_j(t: complex) -> complex:
     return sphere_from_pair(num, den)
 
 
-def is_equianharmonic(obj, tol: float = 1e-9) -> bool:
+def is_equianharmonic(obj) -> bool:
     """Whether a lattice or cubic is the equianharmonic one (hexagonal
     lattice, j = 0, the unique smooth cubic with three concurrent
-    inflectional tangents)."""
+    inflectional tangents), for a cubic to 1e-9 relative."""
     if isinstance(obj, Lattice):
         return classify_lattice(obj).kind is LatticeKind.HEXAGONAL
     if isinstance(obj, Cubic):
         if obj.family == "weierstrass":
             g2, g3 = obj.g2, obj.g3
-            return abs(g2) ** 3 <= tol * (abs(g2) ** 3 + 27.0 * abs(g3) ** 2)
+            return abs(g2) ** 3 <= 1e-9 * (abs(g2) ** 3 + 27.0 * abs(g3) ** 2)
         t = obj.t
-        if abs(t ** 3 + 27.0) <= tol * (abs(t) ** 3 + 27.0):
+        if abs(t ** 3 + 27.0) <= 1e-9 * (abs(t) ** 3 + 27.0):
             raise SingularInputError(f"hesse cubic t={t} is singular")
         jv = hesse_j(t)
         if is_infinite(jv):
             return False
-        return chordal(jv, 0j) <= tol
+        return chordal(jv, 0j) <= 1e-9
     raise TypeError(f"expected Lattice or Cubic, got {type(obj)!r}")

@@ -115,15 +115,15 @@ def make_lattice(w1: complex, w2: complex) -> Lattice:
     return Lattice(w1, w2)
 
 
-def classify_lattice(lat: Lattice, tol: float = CLASSIFY_TOL) -> LatticeClass:
-    """Square, hexagonal or generic, with the order of the automorphism group
-    fixing 0 (4, 6 and 2 respectively)."""
+def classify_lattice(lat: Lattice) -> LatticeClass:
+    """Square, hexagonal or generic (tau within CLASSIFY_TOL of i, e^(i pi/3)
+    or e^(2i pi/3)), with the automorphism group's order: 4, 6 and 2."""
     tau = lat.tau
-    if abs(tau - 1j) <= tol:
+    if abs(tau - 1j) <= CLASSIFY_TOL:
         return LatticeClass(LatticeKind.SQUARE, 4)
     hex1 = cmath.exp(1j * math.pi / 3)
     hex2 = cmath.exp(2j * math.pi / 3)
-    if min(abs(tau - hex1), abs(tau - hex2)) <= tol:
+    if min(abs(tau - hex1), abs(tau - hex2)) <= CLASSIFY_TOL:
         return LatticeClass(LatticeKind.HEXAGONAL, 6)
     return LatticeClass(LatticeKind.GENERIC, 2)
 

@@ -20,6 +20,25 @@ def mp_theta(x, q, d=0):
     return mpmath.pi ** d * mpmath.jtheta(3, mpmath.pi * x, q, d)
 
 
+def mp_wp(z, tau):
+    """(n, 2) array of [wp(x), wp'(x)] for the n points x of z on the
+    lattice Z + tau Z, in mpmath: wp = -(log B)'' + C and wp' = -(log B)'''
+    for B(u) = theta(u - h), h = (1+tau)/2, with C = B'''(0)/(3 B'(0)) -
+    (B''(0)/B'(0))^2/4; at 50 digits, plus the 2 Im tau that jtheta's own
+    sum cancels at |Im x| ~ Im tau."""
+    with mpmath.workdps(50 + int(2 * complex(tau).imag)):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        h = (1 + mpmath.mpc(tau)) / 2
+        b = [mp_theta(-h, q, d) for d in range(4)]
+        c = b[3] / (3 * b[1]) - (b[2] / b[1]) ** 2 / 4
+        ref = []
+        for x in np.ravel(z):
+            b = [mp_theta(mpmath.mpc(x) - h, q, d) for d in range(4)]
+            r1, r2, r3 = b[1] / b[0], b[2] / b[0], b[3] / b[0]
+            ref.append([complex(r1 * r1 - r2 + c), complex(-(r3 - 3 * r1 * r2 + 2 * r1 ** 3))])
+    return np.array(ref)
+
+
 @pytest.fixture
 def square():
     return SQUARE

@@ -359,6 +359,41 @@ def test_options_only_where_read():
     assert len(doc["concurrent_triples"]) == 3
 
 
+# a valid call of each of the 11 subcommands that draw nothing at random
+NO_SEED_ARGV = [
+    ["lattice", "--tau", "0,1"],
+    ["theta", "--tau", "0,1", "--z", "0.3,0.2"],
+    ["wp", "--tau", "0,1", "--z", "0.3,0.2"],
+    ["build-fn", "--tau", "0,1", "--zeros", "0.2,0.3,1", "--poles", "0.4,0.1,1"],
+    ["decompose2", "--tau", "0,1", "--zeros", "0.2,0.3,1", "--poles", "0.4,0.1,1"],
+    ["zeros", "--tau", "0,1", "--wp"],
+    ["cubic", "--tau", "0,1"],
+    ["inflections", "--t", "2,0"],
+    ["hesse-scan", "--t", "6,0"],
+    ["fiber", "--t", "2,0", "--q", "1,0", "0.3,0.2", "0.1,-0.05"],
+    ["branch-divisors", "--tau", "0,1", "--zeros", "0.2,0.3,1", "--poles", "0.4,0.1,1"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_SEED_ARGV, ids=lambda argv: argv[0])
+def test_seed_is_a_usage_error_where_nothing_is_random(argv):
+    from elliptica.cli import build_parser
+
+    build_parser().parse_args(argv)  # valid as it is
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_fiber_over_a_point_of_the_cubic_is_refused(capsys):
+    # [0:0:1] is the embedded half period (1+i)/2 of the square lattice; g3
+    # comes out about -1e-13 rather than 0, and F there is only g3, so its
+    # first-order distance from the cubic is about 5e-16
+    err = main_error(["fiber", "--tau", "0,1", "--q", "0,0", "0,0", "1,0"], capsys)
+    assert err["operation"] == "polar_conic"
+    assert re.fullmatch(r"base point .* lies on the cubic", err["message"])
+
+
 def test_error_details_are_strict_json():
     status, payload = dispatch(["theta", "--tau", "0.3,1.4", "--z", "0.1,500"])
     assert status == 1

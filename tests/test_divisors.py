@@ -15,7 +15,6 @@ from elliptica import (
 )
 from elliptica import divisors
 from elliptica.divisors import (
-    CLUSTER_RADIUS,
     MAX_CELL_DEPTH,
     MAX_GRID_SHIFTS,
     Divisor,
@@ -344,7 +343,7 @@ def test_pair_of_the_wrong_degree_is_never_returned(generic, monkeypatch):
     zeros, poles = (divisor(list(d.points[1:]), generic) for d in (f.zeros, f.poles))
     sweeps = []
 
-    def lossy(f, lat, tol, grids):
+    def lossy(f, lat, grids):
         sweeps.append(next(grids))
         return zeros, poles
 
@@ -431,10 +430,10 @@ def test_degree_mismatch_retries_on_fresh_grids(generic, monkeypatch):
     grids = set()
     process = divisors._resolve_cell
 
-    def recorded(f, lat, a0, b0, sa, sb, depth, *rest):
+    def recorded(f, lat, a0, b0, side, depth):
         if depth == 0:
-            grids.add((round(a0 % sa, 9), round(b0 % sb, 9)))
-        return process(f, lat, a0, b0, sa, sb, depth, *rest)
+            grids.add((round(a0 % side, 9), round(b0 % side, 9)))
+        return process(f, lat, a0, b0, side, depth)
 
     monkeypatch.setattr(divisors, "_resolve_cell", recorded)
     with pytest.raises(SubdivisionFailureError, match="degree mismatch"):
@@ -448,18 +447,18 @@ def test_dead_grid_is_dropped_for_the_next(generic, monkeypatch):
     # sweep returns what the next grid alone gives
     f = random_abel_function(np.random.default_rng(2), generic)
     grids = [(0.31007, 0.24203), (0.1, 0.6)]
-    expected = divisors._sweep(f, generic, CLUSTER_RADIUS, iter(grids[1:]))
+    expected = divisors._sweep(f, generic, iter(grids[1:]))
     resolve = divisors._resolve_cell
     depths = []
 
-    def dead_first_grid(f, lat, a0, b0, sa, sb, depth, tol):
+    def dead_first_grid(f, lat, a0, b0, side, depth):
         depths.append(depth)
         if len(depths) <= MAX_CELL_DEPTH + 1:
             return None
-        return resolve(f, lat, a0, b0, sa, sb, depth, tol)
+        return resolve(f, lat, a0, b0, side, depth)
 
     monkeypatch.setattr(divisors, "_resolve_cell", dead_first_grid)
-    zf, pf = divisors._sweep(f, generic, CLUSTER_RADIUS, iter(grids))
+    zf, pf = divisors._sweep(f, generic, iter(grids))
     assert depths[:MAX_CELL_DEPTH + 2] == list(range(MAX_CELL_DEPTH + 1)) + [0]
     assert (zf, pf) == expected
     assert match_divisors(zf, f.zeros, generic, 1e-6)
@@ -470,7 +469,7 @@ def test_no_resolvable_grid_exhausts_the_shift_budget(generic, monkeypatch):
     f = random_abel_function(np.random.default_rng(2), generic)
     bases = []
 
-    def never(f, lat, a0, b0, sa, sb, depth, tol):
+    def never(f, lat, a0, b0, side, depth):
         if depth == 0:
             bases.append((a0, b0))
         return None

@@ -1,8 +1,7 @@
-import mpmath
 import numpy as np
 import pytest
 
-from conftest import ORACLE_IM_TAUS, mp_theta
+from conftest import ORACLE_IM_TAUS, mp_wp
 from elliptica import (
     Lattice,
     half_period_values,
@@ -148,29 +147,16 @@ def test_wp_inverse_large_values(lat, modulus, tol):
 
 
 def test_wp_against_mpmath_jtheta():
-    # wp = -(log B)'' + C and wp' = -(log B)''' for B(u) = theta(u - h),
-    # h = (1+tau)/2, with C = B'''(0)/(3 B'(0)) - (B''(0)/B'(0))^2/4, in
-    # mpmath over the Im tau sweep of the theta oracle: band points within
-    # 1e-12 relative, and a point 1e-6 from the pole within 1e-8, as for the
-    # theta quotient
+    # the theta-quotient form of wp in mpmath (mp_wp) over the Im tau sweep
+    # of the theta oracle: band points within 1e-12 relative, and a point
+    # 1e-6 from the pole within 1e-8, as for the theta quotient
     rng = np.random.default_rng(14)
     for im in ORACLE_IM_TAUS:
         tau = complex(rng.uniform(-0.5, 0.5) if im >= 1.0 else 0.5, im)
         lat = Lattice(1.0 + 0j, tau)
         z = np.append(rng.uniform(0.05, 0.95, 5) + rng.uniform(0.05, 0.95, 5) * tau, 1e-6j)
         got = np.stack(wp_values(z, lat), axis=1)
-        # 50 digits, plus the 2 Im tau that jtheta's own sum cancels at
-        # |Im x| ~ Im tau
-        with mpmath.workdps(50 + int(2 * im)):
-            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
-            h = (1 + mpmath.mpc(tau)) / 2
-            b = [mp_theta(-h, q, d) for d in range(4)]
-            c = b[3] / (3 * b[1]) - (b[2] / b[1]) ** 2 / 4
-            ref = []
-            for x in z:
-                b = [mp_theta(mpmath.mpc(x) - h, q, d) for d in range(4)]
-                r1, r2, r3 = b[1] / b[0], b[2] / b[0], b[3] / b[0]
-                ref.append([complex(r1 * r1 - r2 + c), complex(-(r3 - 3 * r1 * r2 + 2 * r1 ** 3))])
+        ref = mp_wp(z, tau)
         rel = np.abs(got - ref) / np.abs(ref)
         assert rel[:5].max() <= 1e-12, (tau, rel[:5].max(axis=0))
         assert rel[5:].max() <= 1e-8, (tau, rel[5:].max(axis=0))
@@ -179,14 +165,21 @@ def test_wp_against_mpmath_jtheta():
 @pytest.mark.parametrize("re_tau", [0.0, 0.2, -0.45, 0.5])
 def test_wp_inverse_over_the_im_tau_sweep(re_tau):
     # at large Im tau no row of the seed grid comes near the zeros of wp, at
-    # Im z about +-0.36; the inverse on the degenerate lattice does
+    # Im z about +-0.36; the inverse on the degenerate lattice does.  Each z
+    # is also checked against the mpmath wp (mp_wp) within 2e-12 (1 + |v|):
+    # wp_inverse accepts a float residual below 1e-12 (1 + |v|), and float
+    # wp is within 1e-12 relative of mp_wp (test_wp_against_mpmath_jtheta);
+    # the worst seen is about 7e-15
     rng = np.random.default_rng(31)
     for im in ORACLE_IM_TAUS:
         lat = Lattice(1.0 + 0j, complex(re_tau, im))
         zs = rng.uniform(0.07, 0.93, 6) + rng.uniform(0.07, 0.93, 6) * lat.tau
-        for v in [0.0, *wp_values(zs, lat)[0]]:
-            z = wp_inverse(v, lat)
-            assert abs(wp_values(z.rep, lat)[0] - v) <= 1e-11 * (1 + abs(v)), (lat.tau, v)
+        vs = np.array([0.0, *wp_values(zs, lat)[0]])
+        got = [wp_inverse(v, lat).rep for v in vs]
+        for z, v in zip(got, vs):
+            assert abs(wp_values(z, lat)[0] - v) <= 1e-11 * (1 + abs(v)), (lat.tau, v)
+        err = np.abs(mp_wp(got, lat.tau)[:, 0] - vs) / (1 + np.abs(vs))
+        assert err.max() <= 2e-12, (lat.tau, err.max())
 
 
 def test_wp_function_at_large_im_tau():
