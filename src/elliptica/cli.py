@@ -276,18 +276,10 @@ def _cmd_decompose2(args, cfg: RunConfig):
 
 def _cmd_zeros(args, cfg: RunConfig):
     lat = _require_lattice(cfg)
-    if args.wp:
-        fn = wp_evaluable(lat)
-        zeros, poles = locate_divisor_pair(fn, lat)
-    else:
-        f = _function_from_args(args, lat)
-        zeros, poles = locate_divisor_pair(f, lat)
-    defect = abel_defect(zeros, poles, lat)
-    doc = {
-        "zeros": zeros.to_json(),
-        "poles": poles.to_json(),
-        "abel_defect": defect,
-    }
+    f = wp_evaluable(lat) if args.wp else _function_from_args(args, lat)
+    zeros, poles = locate_divisor_pair(f, lat)
+    doc = {"zeros": zeros.to_json(), "poles": poles.to_json(),
+           "abel_defect": abel_defect(zeros, poles, lat)}
     rows = [["zero", *e] for e in zeros.to_json()] + [["pole", *e] for e in poles.to_json()]
     return doc, (["kind", "re", "im", "mult"], rows), None
 

@@ -47,11 +47,10 @@ from .lattice import Lattice, reduce_mod_lattice, torus_distance
 from .projective import (
     ProjLine,
     ProjPoint,
-    cross,
     line_through,
     lines_meet,
     point_from_vec,
-    proj_distance,
+    row_distances,
     scaled_rows,
 )
 from .sphere import chordal, is_infinite
@@ -95,7 +94,7 @@ class LoopPath:
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero row scales to NaN
             rows = scaled_rows(s) if isinstance(s, np.ndarray) else np.array([p.vec for p in s])
         if (len(rows) < 2 or not np.isfinite(rows).all()
-                or _row_distances(rows[:1], rows[-1:])[0] > 1e-12):
+                or row_distances(rows[0], rows[-1]) > 1e-12):
             raise ValueError("loop must be finite, nonzero and closed (first sample = last)")
         rows.setflags(write=False)
         object.__setattr__(self, "samples", rows)
@@ -147,29 +146,23 @@ def polar_conic(cubic: Cubic, q: ProjPoint) -> np.ndarray:
     return 0.5 * cubic.hessian_matrix(q.vec)
 
 
+def _conic(m: np.ndarray, v: np.ndarray):
+    """(v.M.v, its gradient 2 v.M) for every row of the (N, 3) array v; the
+    stacked (1, 3) @ (3, 3) products round like one point's v @ M @ v."""
+    mv = v[:, None, :] @ m
+    return (mv @ v[:, :, None])[:, 0, 0], 2.0 * mv[:, 0]
+
+
 def _newton_rows(cubic: Cubic, m: np.ndarray, v: np.ndarray):
     """chart_newton on {F = 0, v.M.v = 0} for every row of the (N, 3) array
     v.  Returns (rows, residuals)."""
-
-    def conic(v):
-        # stacked (1, 3) @ (3, 3) products round like one point's v @ M @ v
-        mv = v[:, None, :] @ m
-        return (mv @ v[:, :, None])[:, 0, 0], 2.0 * mv[:, 0]
-
-    v = chart_newton(cubic, v, conic)
-    return v, np.abs(cubic.F(v.T)) / cubic.term_scale(v.T) + _conic_residual(m, v)
+    v = chart_newton(cubic, v, lambda v: _conic(m, v))
+    return v, cubic.residual(v.T) + _conic_residual(m, v)
 
 
 def _conic_residual(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """|v.M.v| of every row of v, relative to max|M| max|v|^2."""
-    q = (v[:, None, :] @ m @ v[:, :, None])[:, 0, 0]
-    return np.abs(q) / (float(np.abs(m).max()) * np.abs(v).max(axis=1) ** 2 + 1e-300)
-
-
-def _row_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """proj_distance between matching rows of two (N, 3) arrays."""
-    return np.sqrt((np.abs(cross(u.T, w.T)) ** 2).sum(axis=0)
-                   / ((np.abs(u) ** 2).sum(axis=1) * (np.abs(w) ** 2).sum(axis=1)))
+    return np.abs(_conic(m, v)[0]) / (float(np.abs(m).max()) * np.abs(v).max(axis=1) ** 2 + 1e-300)
 
 
 def _conic_curves(m: np.ndarray) -> list[np.ndarray]:
@@ -227,12 +220,13 @@ def _assemble_fiber(cubic, m, q, pts) -> Fiber:
     # iterates contract into the touching point
     rows, resid = _newton_rows(cubic, m, pts)
     polished = [point_from_vec(v) for v in rows]
+    near = row_distances(rows[:, None], rows[None]) <= FIBER_CLUSTER
     groups: list[list[int]] = []
     for k in sorted(range(6), key=lambda k: (polished[k].coords[0].real,
                                              polished[k].coords[0].imag,
                                              polished[k].coords[1].real)):
         for g in groups:
-            if proj_distance(polished[g[0]], polished[k]) <= FIBER_CLUSTER:
+            if near[g[0], k]:
                 g.append(k)
                 break
         else:
@@ -354,8 +348,12 @@ def branch_divisors_direct(f: EllipticFunction, lat: Lattice) -> list[Divisor]:
     1e-6 (else SubdivisionFailureError)."""
     if f.degree < 2:
         raise NotDegree3Error(f"degree is {f.degree}, need >= 2")
+    df = Evaluable(f.derivative_pair)
+    # f' has a pole of order m + 1 at each pole of order m of f: the sweeps
+    # are checked against the Riemann-Hurwitz count of critical points
+    df.degree = sum(m + 1 for _, m in f.poles.points)
     try:
-        crit = locate_divisor_pair(Evaluable(f.derivative_pair), lat)[0]
+        crit = locate_divisor_pair(df, lat)[0]
     except Exception as exc:
         raise DerivativeLocationError(f"derivative zero location failed: {exc}")
     crit_values: list[complex] = []
@@ -397,11 +395,11 @@ def continue_fiber(cubic: Cubic, path: LoopPath, start: Fiber) -> Fiber:
     """
     if start.total != 6 or len(start.entries) != 6:
         raise CollisionUnresolvedError("continuation needs 6 simple starting points")
-    if _row_distances(start.base.vec[None], path.samples[:1])[0] > 1e-9:
+    if row_distances(start.base.vec, path.samples[0]) > 1e-9:
         raise StartFiberMismatchError("start fiber is not over the path's first sample")
     pts = np.array([p.vec for p, _ in start.entries])
     i, j = np.triu_indices(6, 1)  # all 15 pairs of sheets
-    sep = _row_distances(pts[i], pts[j]).min()
+    sep = row_distances(pts[i], pts[j]).min()
     for qa, qb in zip(path.samples, path.samples[1:]):
         # unit length keeps the pace in t even on near-orthogonal samples
         a, b = qa / np.linalg.norm(qa), qb / np.linalg.norm(qb)
@@ -412,8 +410,8 @@ def continue_fiber(cubic: Cubic, path: LoopPath, start: Fiber) -> Fiber:
             h = min(h, 1.0 - t)
             m = polar_conic(cubic, point_from_vec((1.0 - t - h) * a + (t + h) * b))
             new, resid = _newton_rows(cubic, m, pts)
-            if resid.max() <= 1e-9 and _row_distances(pts, new).max() <= 0.4 * sep:
-                new_sep = _row_distances(new[i], new[j]).min()
+            if resid.max() <= 1e-9 and row_distances(pts, new).max() <= 0.4 * sep:
+                new_sep = row_distances(new[i], new[j]).min()
                 if new_sep >= COLLISION_THRESHOLD:
                     pts, sep, t, h = new, new_sep, t + h, 2.0 * h
                     continue
@@ -426,12 +424,10 @@ def continue_fiber(cubic: Cubic, path: LoopPath, start: Fiber) -> Fiber:
 def _match_permutation(start_pts: list[ProjPoint], end_pts: list[ProjPoint]) -> Permutation:
     """Each end point goes to its nearest start point; the match must be a
     bijection."""
-    images, nearest = [], []
-    for p in end_pts:
-        dists = [proj_distance(p, q) for q in start_pts]
-        j = int(np.argmin(dists))
-        images.append(j)
-        nearest.append(dists[j])
+    dists = row_distances(np.array([p.vec for p in end_pts])[:, None],
+                          np.array([q.vec for q in start_pts])[None])
+    images = dists.argmin(axis=1).tolist()
+    nearest = dists.min(axis=1).tolist()
     if sorted(images) != list(range(len(start_pts))):
         raise CollisionUnresolvedError(
             "loop end points do not match the start fiber one to one",

@@ -10,7 +10,9 @@ y^2 z - 4 x^3 + g2 x z^2 + g3 z^3 and the Hesse pencil
 x^3 + y^3 + z^3 + t x y z, both as the symmetric (3, 3, 3) coefficient
 tensor T of the form, built from a per-family table of nonzero coefficients:
 F, grad F, Hess F, the residual scale and the restriction of F to a line or
-to any polynomial curve s -> sum_i r_i s^i are its contractions.
+to any polynomial curve s -> sum_i r_i s^i are its contractions.  The
+residual is the smaller of the backward error |F| / |T|[|v|, |v|, |v|] and
+the first-order distance |F| / (|grad F| |v|) from the curve.
 
 chart_newton solves {F = 0, G = 0} for a batch of points: the inflection
 points (G = det Hess F, with its analytic gradient) and the tangency fibers
@@ -119,23 +121,18 @@ class Cubic:
     def term_scale(self, v):
         """|T|[|v|, |v|, |v|], the sum of the monomial magnitudes; the
         natural residual scale.  A float for one point, an array for an
-        array of points.
-
-        Floored at a small multiple of the coefficient scale: near [0,1,0]
-        every monomial vanishes together with F and the bare ratio would
-        misjudge points that sit numerically on the curve.
-        """
-        a = np.abs(np.asarray(v, dtype=complex))
-        coeff = 1.0 + sum(abs(getattr(self, name)) for name in _FORMS[self.family][1])
-        s = _tvvv(np.abs(self.tensor), a) + 1e-12 * coeff * a.max(axis=0) ** 3 + 1e-300
+        array of points."""
+        s = _tvvv(np.abs(self.tensor), np.abs(np.asarray(v, dtype=complex))) + 1e-300
         return s if np.ndim(s) else float(s)
 
-    def residual(self, p: ProjPoint) -> float:
+    def residual(self, v):
         """|F| over the larger of term_scale and |grad F| |v|, the first-order
-        distance, which also judges points where term_scale is its floor."""
-        f, v = abs(self.F(p.vec)), p.vec
-        dist = f / (np.linalg.norm(self.grad(v)) * np.linalg.norm(v) + 1e-300)
-        return min(f / self.term_scale(v), dist)
+        distance, which judges points near [0, 1, 0], where every monomial
+        vanishes with F; a float for one point, an array for an array."""
+        f = np.abs(self.F(v))
+        dist = f / (np.linalg.norm(self.grad(v), axis=0) * np.linalg.norm(v, axis=0) + 1e-300)
+        r = np.minimum(f / self.term_scale(v), dist)
+        return r if np.ndim(r) else float(r)
 
     def hessian_det(self, v) -> complex:
         return complex(np.linalg.det(self.hessian_matrix(v)))
@@ -166,22 +163,19 @@ class Cubic:
         return c[::-1]
 
     def on_curve(self, p: ProjPoint, tol: float = ON_CURVE_TOL) -> bool:
-        return self.residual(p) <= tol
+        return self.residual(p.vec) <= tol
 
     def is_smooth(self) -> bool:
         if self.family == "weierstrass":
-            disc = self.g2 ** 3 - 27.0 * self.g3 ** 2
-            return abs(disc) > 1e-12 * (abs(self.g2) ** 3 + 27.0 * abs(self.g3) ** 2 + 1e-300)
+            # weight-normalized, |g2| <= s^2 and |g3| <= s^3: no power overflows
+            s = max(abs(self.g2) ** 0.5, abs(self.g3) ** (1.0 / 3.0)) or math.nan
+            g2, g3 = self.g2 / s / s, self.g3 / s / s / s
+            return abs(g2 ** 3 - 27.0 * g3 ** 2) > 1e-12 * (abs(g2) ** 3 + 27.0 * abs(g3) ** 2)
         return abs(self.t ** 3 + 27.0) > 1e-12 * (abs(self.t) ** 3 + 27.0)
 
     def to_json(self) -> dict:
-        if self.family == "weierstrass":
-            return {
-                "family": "weierstrass",
-                "g2": [self.g2.real, self.g2.imag],
-                "g3": [self.g3.real, self.g3.imag],
-            }
-        return {"family": "hesse", "t": [self.t.real, self.t.imag]}
+        params = {name: getattr(self, name) for name in _FORMS[self.family][1]}
+        return {"family": self.family, **{k: [c.real, c.imag] for k, c in params.items()}}
 
 
 def weierstrass_cubic(lat: Lattice) -> Cubic:
@@ -224,7 +218,7 @@ def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice) -> TorusPoint:
         raise PointOffCurveError("unembed requires a weierstrass-family cubic")
     if not cubic.on_curve(p, 1e-6):
         raise PointOffCurveError(f"point {p.coords} not on the cubic")
-    if p.close_to(IDENTITY, 1e-12):
+    if p.distance(IDENTITY) <= 1e-12:
         return TorusPoint(0.0, lat)
     x0, y0, z0 = p.coords
     if abs(z0) < 1e-13:
@@ -418,10 +412,10 @@ def inflection_points(cubic: Cubic, lat: Lattice | None = None) -> list[ProjPoin
         pts = [point_from_vec(u) for u in chart_newton(cubic, seeds, cubic.hessian_det_rows)]
     for i, p in enumerate(pts):
         if not cubic.on_curve(p, 1e-7) or abs(cubic.hessian_det(p.vec)) > 1e-6 * (
-            1.0 + float(np.abs(cubic.hessian_matrix(p.vec)).max()) ** 3
+            1.0 + np.abs(cubic.hessian_matrix(p.vec)).max() ** 3
         ):
             raise FewerThanNineError(f"inflection candidate {i} failed residuals")
         for j in range(i):
-            if p.close_to(pts[j], 1e-6):
+            if p.distance(pts[j]) <= 1e-6:
                 raise FewerThanNineError("inflection points collided")
     return pts

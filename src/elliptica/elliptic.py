@@ -326,7 +326,9 @@ def wp_evaluable(lat: Lattice, shift: complex = 0j):
         with np.errstate(divide="ignore", invalid="ignore"):
             return v, pp / v
 
-    return Evaluable(pair)
+    f = Evaluable(pair)
+    f.degree = 2  # locate_divisor_pair checks its sweeps against it
+    return f
 
 
 def wp_function(lat: Lattice) -> EllipticFunction:

@@ -46,6 +46,10 @@ class InvalidOrderError(EllipticaError):
     operation = "eisenstein_series"
 
 
+class NonFiniteInvariantsError(EllipticaError):
+    operation = "weierstrass_invariants"
+
+
 class AbelViolationError(EllipticaError):
     operation = "build_from_divisors"
 

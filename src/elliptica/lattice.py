@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateGeneratorsError, InvalidOrderError
+from .errors import DegenerateGeneratorsError, InvalidOrderError, NonFiniteInvariantsError
 
 DEGENERACY_TOL = 1e-12
 CLASSIFY_TOL = 1e-9
@@ -185,10 +185,16 @@ def weierstrass_invariants(lat: Lattice) -> tuple[complex, complex]:
     Evaluated through the q-expansion of the normalized series rather than
     the raw truncated sums: the raw radius-200 tail (~1e-4 for k=4) is far
     too coarse for the 1e-8 residual targets downstream.  eisenstein_series
-    remains available as the independent cross-check.
+    remains available as the independent cross-check.  Raises
+    NonFiniteInvariantsError when g2 or g3 leaves double range.
     """
     g2n, g3n = _normalized_invariants(lat.tau)
-    return g2n / lat.omega1 ** 4, g3n / lat.omega1 ** 6
+    with np.errstate(all="ignore"):  # numpy's powers give inf and 0 where Python's raise
+        w4, w6 = (complex(np.complex128(lat.omega1) ** k) for k in (4, 6))
+    g2, g3 = (g2n / w4, g3n / w6) if w6 else (math.inf, math.inf)
+    if not (cmath.isfinite(g2) and cmath.isfinite(g3)):
+        raise NonFiniteInvariantsError(f"g2, g3 out of double range at omega1 = {lat.omega1}")
+    return g2, g3
 
 
 def reduce_mod_lattice(z: complex, lat: Lattice) -> TorusPoint:

@@ -47,9 +47,6 @@ class ProjPoint:
     def distance(self, other: "ProjPoint") -> float:
         return proj_distance(self, other)
 
-    def close_to(self, other: "ProjPoint", tol: float = 1e-9) -> bool:
-        return proj_distance(self, other) <= tol
-
     def to_json(self) -> list:
         return [[c.real, c.imag] for c in self.coords]
 
@@ -75,12 +72,18 @@ def cross(u, v) -> np.ndarray:
     )
 
 
+def row_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Scale-free distance |u x w| / (|u| |w|), zero iff equal points, between
+    the rows of (..., 3) arrays broadcast together: u[:, None], w[None] give
+    all pairs."""
+    c = cross(np.moveaxis(u, -1, 0), np.moveaxis(w, -1, 0))
+    return np.sqrt((np.abs(c) ** 2).sum(axis=0)
+                   / ((np.abs(u) ** 2).sum(axis=-1) * (np.abs(w) ** 2).sum(axis=-1)))
+
+
 def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
-    """Scale-free distance: |p x q| / (|p| |q|); zero iff equal points."""
-    u, v = p.vec, q.vec
-    return float(
-        np.linalg.norm(cross(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
-    )
+    """row_distances of two points."""
+    return float(row_distances(p.vec, q.vec))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import os
 import re
 import shlex
@@ -449,3 +450,38 @@ def test_monodromy_seed_2_draws_a_loop_direction_off_its_basepoint():
     doc = run_json(["monodromy", "--tau", "0.3,1.4", "--seed", "2"])
     assert doc["group_order"] == 720
     assert doc["transitive"] is True
+
+
+def test_zeros_of_wp_at_huge_im_tau_are_refused():
+    # at Im tau = 1000 every sweep finds 0 zeros and 0 poles, which agree
+    # with each other but not with wp's degree 2
+    status, payload = dispatch(["zeros", "--tau", "0.2,1000", "--wp"])
+    assert status == 1, payload
+    assert json.loads(payload)["error"]["operation"] == "locate_zeros"
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in _numbers(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in _numbers(v)]
+    return [doc]
+
+
+@pytest.mark.parametrize("argv", [
+    [command, "--omega1", f"{s},0", "--omega2", f"0,{s}"]
+    for command, scales in [("lattice", ["1e-60", "1e60"]),
+                            ("cubic", ["1e-60", "1e60", "1e-40", "1e-27"]),
+                            ("inflections", ["1e-60", "1e60", "1e-40", "1e-27"])]
+    for s in scales], ids=lambda argv: f"{argv[0]}-{argv[2][:-2]}")
+def test_extreme_lattice_scales_are_refused_or_finite(argv):
+    # the invariants scale as omega1^-4 and omega1^-6 and leave double range
+    status, payload = dispatch(argv)
+    doc = json.loads(payload)
+    if status == 0:
+        values = _numbers(doc)
+        assert all(math.isfinite(x) for x in values if isinstance(x, float)), doc
+        assert "inf" not in values and "nan" not in values, doc
+    else:
+        assert status == 1
+        assert doc["error"]["operation"] != "internal", doc

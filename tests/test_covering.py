@@ -69,7 +69,7 @@ def test_fiber_tangency_property(generic):
         fib = lambda_fiber(cubic, q)
         assert fib.total == 6
         for p, m in fib.entries:
-            assert cubic.residual(p) < 1e-9
+            assert cubic.residual(p.vec) < 1e-9
             assert tangent_line(cubic, p, tol=1e-6).incidence(q) <= 1e-8
 
 

@@ -72,14 +72,14 @@ def test_fibers_over_the_hessian_curve(cubic):
         fib = lambda_fiber(cubic, q)
         assert fib.total == 6
         for p, _ in fib.entries:
-            assert cubic.residual(p) <= 1e-9
+            assert cubic.residual(p.vec) <= 1e-9
             assert tangent_line(cubic, p, tol=1e-6).incidence(q) <= 1e-8
 
 
 def _assert_tangent_fiber(cubic, q, fib):
     assert fib.total == 6
     for p, _ in fib.entries:
-        assert cubic.residual(p) <= 1e-9
+        assert cubic.residual(p.vec) <= 1e-9
         assert tangent_line(cubic, p, tol=1e-6).incidence(q) <= 1e-8
 
 

@@ -42,7 +42,7 @@ def test_inflections_on_curve_any_t():
         t = complex(rng.standard_normal(), rng.standard_normal()) * 3.0
         cubic, infl, _ = hesse_data(t)
         for p in infl:
-            assert cubic.residual(p) < 1e-12
+            assert cubic.residual(p.vec) < 1e-12
 
 
 def test_duals_match_gradients():
