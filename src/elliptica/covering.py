@@ -219,6 +219,8 @@ def _assemble_fiber(cubic, m, q, pts) -> Fiber:
     # (double) intersection far exceeds the cluster radius, but the Newton
     # iterates contract into the touching point
     rows, resid = _newton_rows(cubic, m, pts)
+    if not np.isfinite(rows).all():
+        raise SolveFailureError("fiber point failed to polish: non-finite coordinates")
     polished = [point_from_vec(v) for v in rows]
     near = row_distances(rows[:, None], rows[None]) <= FIBER_CLUSTER
     groups: list[list[int]] = []
@@ -231,9 +233,15 @@ def _assemble_fiber(cubic, m, q, pts) -> Fiber:
                 break
         else:
             groups.append([k])
+    # a smooth cubic has no hyperflex: over a point off the cubic no
+    # tangency point counts more than twice
+    largest = max(map(len, groups))
+    if largest > 2:
+        raise SolveFailureError(f"{largest} fiber points in one cluster")
     single = [g[0] for g in groups if len(g) == 1]
     doubled = [g for g in groups if len(g) > 1]
-    if single and resid[single].max() > 1e-8:
+    # the gates read "not <=", so that a NaN residual fails them
+    if single and not resid[single].max() <= 1e-8:
         raise SolveFailureError(f"fiber point failed to polish: {resid[single].max():.2e}")
     entries = [(polished[k], 1) for k in single]
     if doubled:
@@ -246,7 +254,7 @@ def _assemble_fiber(cubic, m, q, pts) -> Fiber:
         # an inflection off the polar conic means two raw points were
         # polished onto one simple point, not a tangency
         off = _conic_residual(m, rows).max()
-        if off > 1e-8:
+        if not off <= 1e-8:
             raise SolveFailureError(f"doubled fiber point off the polar conic: {off:.2e}")
         entries += [(point_from_vec(u), len(g)) for u, g in zip(rows, doubled)]
     entries.sort(key=lambda e: (round(e[0].coords[0].real, 9),
@@ -259,19 +267,24 @@ def _assemble_fiber(cubic, m, q, pts) -> Fiber:
     return fib
 
 
+def _tangent_duals(cubic: Cubic, lat: Lattice | None) -> np.ndarray:
+    """The (9, 3) dual coordinates of the nine inflectional tangents, in
+    the order of inflection_points."""
+    return np.array([tangent_line(cubic, p, tol=1e-6).dual.vec
+                     for p in inflection_points(cubic, lat)])
+
+
 def critical_locus_check(cubic: Cubic, q: ProjPoint, lat: Lattice | None = None,
                          tol: float = CRITICAL_INCIDENCE_TOL):
     """(on_critical, tangent indices): whether q lies on inflectional
-    tangents; three or more indices marks a singular point of the critical
-    locus (possible only for the equianharmonic cubic)."""
+    tangents, each judged by its incidence |D q| / (|D| |q|) with q; three
+    or more indices marks a singular point of the critical locus (possible
+    only for the equianharmonic cubic)."""
     if cubic.on_curve(q, OFF_CURVE_MIN):
         raise PointOnCurveError(f"base point {q.coords} lies on the cubic")
-    infl = inflection_points(cubic, lat)
-    hits = []
-    for i, p in enumerate(infl):
-        line = tangent_line(cubic, p, tol=1e-6)
-        if line.incidence(q) <= tol:
-            hits.append(i)
+    duals, v = _tangent_duals(cubic, lat), q.vec
+    incidence = np.abs(duals @ v) / (np.linalg.norm(duals, axis=1) * np.linalg.norm(v))
+    hits = np.flatnonzero(incidence <= tol).tolist()
     return (len(hits) > 0, hits)
 
 
@@ -300,17 +313,9 @@ def branch_divisors_via_tangents(f: EllipticFunction, lat: Lattice) -> list[Divi
     """
     if f.degree != 3:
         raise NotDegree3Error(f"degree is {f.degree}, need 3")
-    beta = jacobi_sum(f.zeros, lat).rep
-    cands = []
-    for mm in range(3):
-        for nn in range(3):
-            t = reduce_mod_lattice(
-                (beta + mm * lat.omega1 + nn * lat.omega2) / 3.0, lat
-            )
-            a, b = lat.coords(t.rep)
-            cands.append(((round(a, 12), round(b, 12)), t))
-    cands.sort(key=lambda it: it[0])
-    t0 = cands[0][1].rep
+    # beta is reduced into the cell, so beta / 3 is the cube root whose
+    # cell coordinates are smallest
+    t0 = reduce_mod_lattice(jacobi_sum(f.zeros, lat).rep / 3.0, lat).rep
     h = f.translated(t0)
     cubic = weierstrass_cubic(lat)
     line0 = _line_of_divisor(h.zeros, cubic, lat)
@@ -474,56 +479,45 @@ def tangent_loop_library(cubic: Cubic, basepoint: ProjPoint,
     if circle_samples < 3:
         raise ValueError(f"circle_samples must be at least 3, got {circle_samples}")
     rng = np.random.default_rng(seed)
-    infl = inflection_points(cubic, lat)
-    duals = np.array([tangent_line(cubic, p, tol=1e-6).dual.vec for p in infl])
+    duals = _tangent_duals(cubic, lat)
     bvec = basepoint.vec
-    for attempt in range(40):
+    turns = 2.0 * np.pi * np.arange(circle_samples + 1) / circle_samples
+    # row i of a (9, 12) array without its entry i
+    without_self = ~np.eye(9, 12, dtype=bool)
+    for _ in range(40):
         drawn = rng.standard_normal(6).view(np.complex128)
         d = drawn - (drawn @ bvec.conjugate()) * bvec / (bvec @ bvec.conjugate())
         # the CLI's basepoint is this seed's first draw: d is then noise
         if not np.isfinite(d).all() or np.linalg.norm(d) < 1e-8 * np.linalg.norm(drawn):
             continue
         d = d / np.abs(d).max()
-        # the tangents meet the affine line s -> bvec + s d at these s
+        # the twelve branch points of the line s -> bvec + s d: its nine
+        # tangent crossings, then the roots of F restricted to it
         den = duals @ d
-        if (np.abs(den) < 1e-6).any():
-            continue
-        svals = list(-(duals @ bvec) / den)
-        # curve intersections of the line
         coeffs = cubic.restriction([bvec, d])
-        if abs(coeffs[0]) <= 1e-12:
+        if (np.abs(den) < 1e-6).any() or abs(coeffs[0]) <= 1e-12:
             continue
-        scurve = list(np.roots(coeffs))
+        s = np.concatenate([-(duals @ bvec) / den, np.roots(coeffs)])
+        si = s[:9]
+        others = np.broadcast_to(s, (9, 12))[without_self].reshape(9, 11)
+        radius = np.minimum(0.35 * np.abs(si[:, None] - others).min(axis=1), 0.45 * np.abs(si))
+        if (radius < 1e-6).any():
+            continue
+        # tail from 0 to the circle start (nearest point toward base);
+        # passing near other features is fine (step halving absorbs it),
+        # passing through them is not: the clearance of [0, start] from o
+        # is |t start - o|, t = Re(o / start) clipped to [0, 1]
+        start = si * (1.0 - radius / np.abs(si))
+        t = np.clip((others / start[:, None]).real, 0.0, 1.0)
+        clear = np.abs(t * start[:, None] - others).min(axis=1)
+        if (clear < 5e-4 * (1.0 + np.abs(start))).any():
+            continue
+        ntail = np.maximum(6, (3.0 * np.abs(start) / np.maximum(clear, radius)).astype(int))
         loops = []
-        for i, si in enumerate(svals):
-            others = svals[:i] + svals[i + 1:] + scurve
-            gap = min(abs(si - s) for s in others)
-            radius = min(0.35 * gap, 0.45 * abs(si))
-            if radius < 1e-6:
-                break
-            # tail from 0 to the circle start (nearest point toward base);
-            # passing near other features is fine (step halving absorbs it),
-            # passing through them is not
-            start = si * (1.0 - radius / abs(si))
-            tail_clear = min(_seg_point_dist(0.0, start, s) for s in others)
-            if tail_clear < 5e-4 * (1.0 + abs(start)):
-                break
-            ntail = max(6, int(3.0 * abs(start) / max(tail_clear, radius)))
-            tail = start * np.arange(ntail) / ntail
-            turns = 2.0 * np.pi * np.arange(circle_samples + 1) / circle_samples
-            circle = si + radius * np.exp(1j * (np.angle(start - si) + turns))
+        for c, r, a, n in zip(si, radius, start, ntail):
+            tail = a * np.arange(n) / n
+            circle = c + r * np.exp(1j * (np.angle(a - c) + turns))
             sweep = np.concatenate([tail, circle, tail[::-1], [0.0]])
             loops.append(LoopPath(bvec + sweep[:, None] * d))
-        else:
-            return loops
+        return loops
     raise LoopDirectionError("no admissible loop direction found")
-
-
-def _seg_point_dist(a: complex, b: complex, p: complex) -> float:
-    """Distance of p from segment [a, b] in the complex plane."""
-    ab = b - a
-    if ab == 0:
-        return abs(p - a)
-    t = ((p - a) / ab).real
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * ab - p)

@@ -129,8 +129,9 @@ class Cubic:
         """|F| over the larger of term_scale and |grad F| |v|, the first-order
         distance, which judges points near [0, 1, 0], where every monomial
         vanishes with F; a float for one point, an array for an array."""
-        f = np.abs(self.F(v))
-        dist = f / (np.linalg.norm(self.grad(v), axis=0) * np.linalg.norm(v, axis=0) + 1e-300)
+        f, g = np.abs(self.F(v)), np.abs(self.grad(v))
+        gmax = g.max(axis=0) + 1e-300  # squared unscaled, |grad F| overflows past 1e154
+        dist = f / (np.linalg.norm(g / gmax, axis=0) * gmax * np.linalg.norm(v, axis=0) + 1e-300)
         r = np.minimum(f / self.term_scale(v), dist)
         return r if np.ndim(r) else float(r)
 
@@ -171,7 +172,9 @@ class Cubic:
             s = max(abs(self.g2) ** 0.5, abs(self.g3) ** (1.0 / 3.0)) or math.nan
             g2, g3 = self.g2 / s / s, self.g3 / s / s / s
             return abs(g2 ** 3 - 27.0 * g3 ** 2) > 1e-12 * (abs(g2) ** 3 + 27.0 * abs(g3) ** 2)
-        return abs(self.t ** 3 + 27.0) > 1e-12 * (abs(self.t) ** 3 + 27.0)
+        s = max(1.0, abs(self.t))  # |t / s| <= 1: no power overflows
+        t, c = self.t / s, 27.0 / s / s / s
+        return abs(t ** 3 + c) > 1e-12 * (abs(t) ** 3 + c)
 
     def to_json(self) -> dict:
         params = {name: getattr(self, name) for name in _FORMS[self.family][1]}

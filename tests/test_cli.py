@@ -485,3 +485,27 @@ def test_extreme_lattice_scales_are_refused_or_finite(argv):
     else:
         assert status == 1
         assert doc["error"]["operation"] != "internal", doc
+
+
+FIBER_Q = ["--q", "1,0", "0.3,0.2", "0.1,-0.05"]
+
+
+@pytest.mark.parametrize("argv", [
+    # far from unit scale the fiber points crowd toward [0:1:0] or [0:0:1],
+    # inside the cluster radius: a smooth cubic has no hyperflex, so a
+    # cluster of three or more is refused, not reported as one tangency
+    *(["fiber", "--omega1", f"{s},0", "--omega2", f"0,{s}", *FIBER_Q]
+      for s in ("1e-27", "1e-10", "1e10")),
+    # the polish of the fiber points gives NaN, which the gates refuse
+    *(["fiber", "--t", f"{t},0", *FIBER_Q] for t in ("1e100", "1e200")),
+], ids=["omega-1e-27", "omega-1e-10", "omega-1e10", "t-1e100", "t-1e200"])
+def test_fibers_that_do_not_solve_are_refused(argv):
+    status, payload = dispatch(argv)
+    assert status == 1, payload
+    assert json.loads(payload)["error"]["operation"] == "lambda_fiber"
+
+
+def test_cubic_at_a_huge_hesse_parameter_is_smooth():
+    assert run_json(["cubic", "--t", "1e200,0"])["smooth"] is True
+    status, payload = dispatch(["cubic", "--t", "1e200,0", "--format", "svg"])
+    assert status == 0 and payload.startswith(b"<svg"), payload

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import random_abel_function
+from conftest import GENERIC, GENERIC2, SQUARE, random_abel_function
 from elliptica import (
     LoopPath,
     Permutation,
@@ -12,6 +12,7 @@ from elliptica import (
     continue_fiber,
     critical_locus_check,
     embed_point,
+    hesse_cubic,
     inflection_points,
     lambda_fiber,
     lines_meet,
@@ -504,3 +505,46 @@ def test_loop_library_needs_three_circle_samples(generic):
     for n in (2, 0, -3):
         with pytest.raises(ValueError):
             tangent_loop_library(cubic, q0, generic, circle_samples=n)
+
+
+def _winding(values) -> float:
+    """Turns of the closed sequence values around 0."""
+    return float(np.angle(values[1:] / values[:-1]).sum() / (2.0 * np.pi))
+
+
+def _geodesic_samples(samples, per_segment=64):
+    """The projective geodesics that continue_fiber follows between
+    consecutive loop samples, each cut into per_segment steps."""
+    t = np.arange(1, per_segment + 1)[:, None] / per_segment
+    out = [samples[:1]]
+    for qa, qb in zip(samples, samples[1:]):
+        a, b = qa / np.linalg.norm(qa), qb / np.linalg.norm(qb)
+        b = b * np.exp(1j * np.angle(np.vdot(b, a)))
+        out.append((1.0 - t) * a + t * b)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("cubic, lat", [
+    (weierstrass_cubic(GENERIC), GENERIC), (weierstrass_cubic(SQUARE), SQUARE),
+    (weierstrass_cubic(GENERIC2), GENERIC2), (hesse_cubic(2.0), None),
+], ids=["generic", "square", "tau-2i", "hesse-2"])
+def test_each_tangent_loop_is_a_lasso_around_its_own_tangent(cubic, lat):
+    # the loop line branches at its nine tangent crossings and its three
+    # points of the cubic; loop i must wind once around crossing i and
+    # around none of the other eleven, along the path the tracker follows.
+    # For a j != i that is the winding of (D_k . v) / (D_j . v), 1 for
+    # k = i and 0 for every other k != j, and of F(v) / (D_j . v)^3, 0:
+    # ratios of forms of equal degree, blind to the scale of v
+    duals = np.array([tangent_line(cubic, p, tol=1e-6).dual.vec
+                      for p in inflection_points(cubic, lat)])
+    rng = np.random.default_rng(23)
+    for seed in range(4):
+        q0 = generic_base_point(cubic, lat, rng)
+        for i, loop in enumerate(tangent_loop_library(cubic, q0, lat, seed=seed)):
+            v = _geodesic_samples(loop.samples)
+            lin = duals @ v.T
+            j = (i + 1) % 9
+            for k in range(9):
+                if k != j:
+                    assert _winding(lin[k] / lin[j]) == pytest.approx(float(k == i), abs=1e-9), (seed, i, k)
+            assert _winding(cubic.F(v.T) / lin[j] ** 3) == pytest.approx(0.0, abs=1e-9), (seed, i)

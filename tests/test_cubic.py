@@ -428,6 +428,15 @@ def test_residual_near_the_identity_is_the_distance_from_the_cubic(lat):
                 assert 0.5 * delta <= cubic.residual(off) <= 2.0 * delta, (z, step)
 
 
+def test_residual_of_a_huge_hesse_parameter_does_not_overflow():
+    # |grad F| near 1e200 squares past double range unless it is scaled
+    # first; the residual is scale-free, so it agrees with t = 1e100's
+    v = np.array([1.0, 0.3 + 0.2j, 0.1 - 0.05j])
+    r = hesse_cubic(1e100).residual(v)
+    assert r > 0.05
+    assert hesse_cubic(1e200).residual(v) == pytest.approx(r, rel=1e-12)
+
+
 def test_loop_rows_from_points_and_from_an_array():
     rng = np.random.default_rng(34)
     raw = rng.standard_normal((7, 6)).view(complex) * np.exp(rng.uniform(-5, 5, (7, 1)))
