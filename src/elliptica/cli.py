@@ -6,6 +6,14 @@ triples.  In --exact mode the Hesse parameter is read as a,b with rational
 a, b meaning a + b*eps (eps = exp(2 pi i/3)), since the special parameters
 6*eps and 6*eps^2 have no finite decimal re,im form.
 
+Each subcommand accepts only the options it reads, all declared in one
+call in build_parser, and no option may be abbreviated.  Every subcommand
+but hesse-scan takes a lattice, as --tau or as --omega1 with --omega2.
+Options that would drop one another's input are refused as bad input:
+--t with a lattice, --wp with --zeros, --poles or --fn, --fn with --zeros
+or --poles, and --tol with --exact; so is a non-finite --z, --t or
+divisor point.
+
 Reports are byte-reproducible.  Only monodromy draws at random, its
 basepoint and loop line from its --seed; the subdivision re-shifts of zero
 location come from one fixed stream, and the fiber solve makes no choice.
@@ -13,10 +21,10 @@ location come from one fixed stream, and the fiber solve makes no choice.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,13 +52,6 @@ from .projective import ProjPoint, point_from_vec
 from .report import SvgCanvas, marching_segments, render_report, to_json_bytes
 from .sphere import INF
 from .theta import theta
-
-
-@dataclass
-class RunConfig:
-    lattice: Lattice | None
-    fmt: str
-    out: str | None
 
 
 def _parse_complex(text: str) -> complex:
@@ -100,35 +101,30 @@ def _nonfinite_field(v, path: str) -> str | None:
     return None
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--omega1", type=_parse_complex, help="first lattice generator re,im")
-    p.add_argument("--omega2", type=_parse_complex, help="second lattice generator re,im")
-    p.add_argument("--tau", type=_parse_complex, help="lattice Z + tau Z")
-    p.add_argument("--format", dest="fmt", choices=["json", "csv", "svg"], default="json")
-    p.add_argument("--out", help="write the report here instead of stdout")
+def _finite(flag: str, z: complex) -> complex:
+    """z, refused as bad input unless finite: a NaN or infinite point would
+    fail deep inside the library instead."""
+    if not cmath.isfinite(z):
+        raise InvalidArgumentError(f"{flag} must be finite, got {z.real},{z.imag}")
+    return z
 
 
-def _config(args) -> RunConfig:
-    lat = None
+def _require_lattice(args) -> Lattice:
     if args.tau is not None and (args.omega1 is not None or args.omega2 is not None):
         raise InvalidArgumentError("give either --tau or --omega1/--omega2, not both")
     if args.tau is not None:
-        lat = make_lattice(1.0, args.tau)
-    elif args.omega1 is not None or args.omega2 is not None:
-        if args.omega1 is None or args.omega2 is None:
-            raise InvalidArgumentError("--omega1 and --omega2 must be given together")
-        lat = make_lattice(args.omega1, args.omega2)
-    return RunConfig(lat, args.fmt, args.out)
-
-
-def _require_lattice(cfg: RunConfig) -> Lattice:
-    if cfg.lattice is None:
+        return make_lattice(1.0, args.tau)
+    if args.omega1 is None and args.omega2 is None:
         raise InvalidArgumentError("this subcommand requires --tau or --omega1/--omega2")
-    return cfg.lattice
+    if args.omega1 is None or args.omega2 is None:
+        raise InvalidArgumentError("--omega1 and --omega2 must be given together")
+    return make_lattice(args.omega1, args.omega2)
 
 
 def _function_from_args(args, lat: Lattice) -> EllipticFunction:
-    if getattr(args, "fn", None):
+    if args.fn is not None and (args.zeros or args.poles):
+        raise InvalidArgumentError("give --zeros and --poles or --fn, not both")
+    if args.fn is not None:
         import json as _json
 
         try:
@@ -150,16 +146,18 @@ def _function_from_args(args, lat: Lattice) -> EllipticFunction:
         return f
     if not args.zeros or not args.poles:
         raise InvalidArgumentError("give --zeros and --poles (re,im,mult each) or --fn FILE")
-    zeros = divisor(args.zeros, lat)
-    poles = divisor(args.poles, lat)
+    zeros = divisor([(_finite("--zeros", z), m) for z, m in args.zeros], lat)
+    poles = divisor([(_finite("--poles", z), m) for z, m in args.poles], lat)
     return build_from_divisors(zeros, poles, lat)
 
 
-def _cubic_from_args(args, cfg: RunConfig) -> tuple[Cubic, Lattice | None]:
-    if getattr(args, "t", None) is not None:
-        return hesse_cubic(args.t), None
-    lat = _require_lattice(cfg)
-    return weierstrass_cubic(lat), lat
+def _cubic_from_args(args) -> tuple[Cubic, Lattice | None]:
+    if args.t is None:
+        lat = _require_lattice(args)
+        return weierstrass_cubic(lat), lat
+    if args.tau is not None or args.omega1 is not None or args.omega2 is not None:
+        raise InvalidArgumentError("give either --t or a lattice, not both")
+    return hesse_cubic(_finite("--t", args.t)), None
 
 
 def _point_from_pairs(pairs) -> ProjPoint:
@@ -222,8 +220,8 @@ def _cubic_svg(cubic: Cubic, extra_points=None, lines=None, paths=None):
     return make
 
 
-def _cmd_lattice(args, cfg: RunConfig):
-    lat = _require_lattice(cfg)
+def _cmd_lattice(args):
+    lat = _require_lattice(args)
     cls = classify_lattice(lat)
     g2, g3 = weierstrass_invariants(lat)
     doc = {
@@ -245,26 +243,26 @@ def _trunc(args) -> int | None:
     return args.trunc
 
 
-def _cmd_theta(args, cfg: RunConfig):
-    lat = _require_lattice(cfg)
-    v = theta(args.z, lat, _trunc(args))
+def _cmd_theta(args):
+    lat = _require_lattice(args)
+    v = theta(_finite("--z", args.z), lat, _trunc(args))
     return {"z": _pair(args.z), "value": _pair(complex(v))}, None, None
 
 
-def _cmd_wp(args, cfg: RunConfig):
-    lat = _require_lattice(cfg)
-    p, pp = wp_pair(args.z, lat, trunc=_trunc(args))
+def _cmd_wp(args):
+    lat = _require_lattice(args)
+    p, pp = wp_pair(_finite("--z", args.z), lat, trunc=_trunc(args))
     return {"z": _pair(args.z), "p": _sphere_json(p), "pprime": _sphere_json(pp)}, None, None
 
 
-def _cmd_build_fn(args, cfg: RunConfig):
-    lat = _require_lattice(cfg)
+def _cmd_build_fn(args):
+    lat = _require_lattice(args)
     f = _function_from_args(args, lat)
     return f.to_json(), None, None
 
 
-def _cmd_decompose2(args, cfg: RunConfig):
-    lat = _require_lattice(cfg)
+def _cmd_decompose2(args):
+    lat = _require_lattice(args)
     f = _function_from_args(args, lat)
     g, t = decompose_degree2(f)
     doc = {
@@ -274,8 +272,10 @@ def _cmd_decompose2(args, cfg: RunConfig):
     return doc, None, None
 
 
-def _cmd_zeros(args, cfg: RunConfig):
-    lat = _require_lattice(cfg)
+def _cmd_zeros(args):
+    lat = _require_lattice(args)
+    if args.wp and (args.zeros or args.poles or args.fn is not None):
+        raise InvalidArgumentError("give --wp or a function (--zeros and --poles, or --fn), not both")
     f = wp_evaluable(lat) if args.wp else _function_from_args(args, lat)
     zeros, poles = locate_divisor_pair(f, lat)
     doc = {"zeros": zeros.to_json(), "poles": poles.to_json(),
@@ -284,8 +284,8 @@ def _cmd_zeros(args, cfg: RunConfig):
     return doc, (["kind", "re", "im", "mult"], rows), None
 
 
-def _cmd_cubic(args, cfg: RunConfig):
-    cubic, lat = _cubic_from_args(args, cfg)
+def _cmd_cubic(args):
+    cubic, lat = _cubic_from_args(args)
     doc = cubic.to_json()
     doc["smooth"] = cubic.is_smooth()
     infl = inflection_points(cubic, lat)
@@ -293,8 +293,8 @@ def _cmd_cubic(args, cfg: RunConfig):
     return doc, None, _cubic_svg(cubic, infl, lines=duals)
 
 
-def _cmd_inflections(args, cfg: RunConfig):
-    cubic, lat = _cubic_from_args(args, cfg)
+def _cmd_inflections(args):
+    cubic, lat = _cubic_from_args(args)
     infl = inflection_points(cubic, lat)
     doc = {"family": cubic.family, "inflections": [p.to_json() for p in infl]}
     rows = [
@@ -311,10 +311,11 @@ def _float_hits(moduli: np.ndarray, tol: float):
     return [hesse.TRIPLES[i] for i in idx], moduli[idx].tolist()
 
 
-def _cmd_hesse_scan(args, cfg: RunConfig):
+def _cmd_hesse_scan(args):
     if args.grid is not None and args.grid < 1:
         raise InvalidArgumentError(f"--grid must be at least 1, got {args.grid}")
-    if not 0.0 < args.tol < 1.0:  # also refuses NaN
+    tol = hesse.CONCURRENCY_TOL if args.tol is None else args.tol
+    if not 0.0 < tol < 1.0:  # also refuses NaN
         raise InvalidArgumentError(f"--tol must be finite and in (0, 1), got {args.tol}")
     if args.radius is not None and not 0.0 < args.radius < math.inf:  # also refuses NaN
         raise InvalidArgumentError(f"--radius must be finite and > 0, got {args.radius}")
@@ -322,6 +323,8 @@ def _cmd_hesse_scan(args, cfg: RunConfig):
         raise InvalidArgumentError("hesse-scan needs either --t or --grid, not both")
     if args.exact and args.t_raw is None:
         raise InvalidArgumentError("--exact needs --t")
+    if args.exact and args.tol is not None:
+        raise InvalidArgumentError("--exact takes no --tol: its determinants are exact")
     if args.radius is not None and args.grid is None:
         raise InvalidArgumentError("--radius needs --grid")
     if args.grid is not None:
@@ -330,8 +333,8 @@ def _cmd_hesse_scan(args, cfg: RunConfig):
         found = []
         for re in axis:  # one kernel call per grid row
             moduli = hesse.concurrency_det_moduli(re + 1j * axis)
-            for j in np.flatnonzero((moduli <= args.tol).any(axis=1)):
-                found.append((re, axis[j], *_float_hits(moduli[j], args.tol)))
+            for j in np.flatnonzero((moduli <= tol).any(axis=1)):
+                found.append((re, axis[j], *_float_hits(moduli[j], tol)))
         hits = [{"t": [re, im], "triples": [list(tr) for tr in trs]} for re, im, trs, _ in found]
         doc = {"grid": args.grid, "radius": radius, "hits": hits}
     else:
@@ -340,7 +343,7 @@ def _cmd_hesse_scan(args, cfg: RunConfig):
                 a_s, b_s = args.t_raw.split(",")
                 tq = hesse.QEps(Fraction(a_s), Fraction(b_s))
             else:
-                t_c = _parse_complex(args.t_raw)
+                t_c = _finite("--t", _parse_complex(args.t_raw))
         except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
             raise InvalidArgumentError(f"--t {args.t_raw!r}: {exc}") from None
         if args.exact:
@@ -349,7 +352,7 @@ def _cmd_hesse_scan(args, cfg: RunConfig):
             dets = [0.0] * len(triples)
             doc = {"t_exact": [str(tq.a), str(tq.b)], "exact": True}
         else:
-            triples, dets = _float_hits(hesse.concurrency_det_moduli(t_c), args.tol)
+            triples, dets = _float_hits(hesse.concurrency_det_moduli(t_c), tol)
             doc = {"exact": False}
         doc.update(t=_pair(t_c), concurrent_triples=[list(tr) for tr in triples])
         found = [(t_c.real, t_c.imag, triples, dets)]
@@ -357,8 +360,8 @@ def _cmd_hesse_scan(args, cfg: RunConfig):
     return doc, (["t_re", "t_im", "triple_indices", "det_modulus"], rows), None
 
 
-def _cmd_fiber(args, cfg: RunConfig):
-    cubic, lat = _cubic_from_args(args, cfg)
+def _cmd_fiber(args):
+    cubic, lat = _cubic_from_args(args)
     q = _point_from_pairs(args.q)
     fib = covering.lambda_fiber(cubic, q)
     doc = {
@@ -377,8 +380,8 @@ def _cmd_fiber(args, cfg: RunConfig):
     return doc, (header, rows), _cubic_svg(cubic, pts)
 
 
-def _cmd_branch_divisors(args, cfg: RunConfig):
-    lat = _require_lattice(cfg)
+def _cmd_branch_divisors(args):
+    lat = _require_lattice(args)
     f = _function_from_args(args, lat)
     doc = {}
     if args.method in ("tangents", "both"):
@@ -390,8 +393,8 @@ def _cmd_branch_divisors(args, cfg: RunConfig):
     return doc, None, None
 
 
-def _cmd_monodromy(args, cfg: RunConfig):
-    lat = _require_lattice(cfg)
+def _cmd_monodromy(args):
+    lat = _require_lattice(args)
     if args.circle_samples < 3:
         raise InvalidArgumentError(
             f"--circle-samples must be at least 3, got {args.circle_samples}")
@@ -432,107 +435,82 @@ def _cmd_monodromy(args, cfg: RunConfig):
     return doc, None, svg
 
 
-_HANDLERS = {
-    "lattice": _cmd_lattice,
-    "theta": _cmd_theta,
-    "wp": _cmd_wp,
-    "build-fn": _cmd_build_fn,
-    "decompose2": _cmd_decompose2,
-    "zeros": _cmd_zeros,
-    "cubic": _cmd_cubic,
-    "inflections": _cmd_inflections,
-    "hesse-scan": _cmd_hesse_scan,
-    "fiber": _cmd_fiber,
-    "branch-divisors": _cmd_branch_divisors,
-    "monodromy": _cmd_monodromy,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="elliptica",
         description="elliptic functions, plane cubics and their tangency covering",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
+    lattice_options = [
+        ("--omega1", dict(type=_parse_complex, help="first lattice generator re,im")),
+        ("--omega2", dict(type=_parse_complex, help="second lattice generator re,im")),
+        ("--tau", dict(type=_parse_complex, help="lattice Z + tau Z")),
+    ]
+    report = [
+        ("--format", dict(dest="fmt", choices=["json", "csv", "svg"], default="json")),
+        ("--out", dict(help="write the report here instead of stdout")),
+    ]
 
-    def add(name, **kw):
-        sp = sub.add_parser(name, **kw)
+    def add(name, handler, help, *options, lattice=True):
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
         # a token such as "-0.3,0.2" is a value, not an option; argparse
         # reads only plain negative numbers that way by default
         sp._negative_number_matcher = re.compile(r"^-\.?\d")
-        _add_common(sp)
-        return sp
+        for flag, kw in [*(lattice_options if lattice else []), *report, *options]:
+            sp.add_argument(flag, **kw)
+        sp.set_defaults(handler=handler)
 
-    add("lattice", help="normalize, classify and report invariants")
-    for name, hlp in [
-        ("theta", "evaluate the Jacobi theta function"),
-        ("wp", "evaluate wp and wp'"),
-    ]:
-        sp = add(name, help=hlp)
-        sp.add_argument("--z", type=_parse_complex, required=True)
-        sp.add_argument(
-            "--trunc", type=int, default=None,
-            help="theta terms per sign (default: as many as the tail bound "
-                 "needs, 1-4 for a reduced lattice; the term ladder cannot overflow)",
-        )
-    for name, hlp in [
-        ("build-fn", "build an elliptic function from divisors"),
-        ("decompose2", "degree-2 normal form g o wp o translation"),
-        ("zeros", "locate zero and pole divisors numerically"),
-        ("branch-divisors", "branch divisors of a degree-3 function"),
-    ]:
-        sp = add(name, help=hlp)
-        sp.add_argument("--zeros", type=_parse_divisor_point, action="append")
-        sp.add_argument("--poles", type=_parse_divisor_point, action="append")
-        sp.add_argument("--fn", help="EllipticFunction JSON file")
-        if name == "zeros":
-            sp.add_argument("--wp", action="store_true", help="use the wp function")
-        if name == "branch-divisors":
-            sp.add_argument(
-                "--method", choices=["tangents", "direct", "both"], default="both"
-            )
-    for name, hlp in [
-        ("cubic", "weierstrass or hesse cubic report"),
-        ("inflections", "the nine inflection points"),
-    ]:
-        sp = add(name, help=hlp)
-        sp.add_argument("--t", type=_parse_complex, help="hesse parameter re,im")
-    sp = add("hesse-scan", help="84-case concurrency scan")
-    sp.add_argument("--t", dest="t_raw", help="re,im (float mode) or a,b rationals meaning a+b*eps (--exact)")
-    sp.add_argument("--exact", action="store_true", help="exact Q(eps) determinants")
-    sp.add_argument("--grid", type=int, help="scan an n x n grid of t values, n >= 1")
-    sp.add_argument("--radius", type=float,
-                    help="grid half-width, finite and > 0 (default 8); only with --grid")
-    sp.add_argument("--tol", type=float, default=1e-9, help="concurrency tolerance in (0, 1)")
-    sp = add("fiber", help="tangency fiber over a base point")
-    sp.add_argument("--t", type=_parse_complex, help="hesse parameter re,im")
-    sp.add_argument("--q", type=_parse_complex, nargs=3, required=True,
-                    help="base point: three re,im pairs")
-    sp = add("monodromy", help="monodromy of the 6-sheeted tangency covering")
-    sp.add_argument("--q", type=_parse_complex, nargs=3,
-                    help="base point (default: seeded generic point)")
-    sp.add_argument("--circle-samples", type=int, default=48,
-                    help="samples on each circle around a tangent, at least 3")
-    sp.add_argument("--seed", type=int, default=0, help="seed of the basepoint and the loop line")
+    z = ("--z", dict(type=_parse_complex, required=True))
+    trunc = ("--trunc", dict(
+        type=int, help="theta terms per sign (default: as many as the tail bound "
+                       "needs, 1-4 for a reduced lattice; the term ladder cannot overflow)"))
+    function = [("--zeros", dict(type=_parse_divisor_point, action="append")),
+                ("--poles", dict(type=_parse_divisor_point, action="append")),
+                ("--fn", dict(help="EllipticFunction JSON file"))]
+    t = ("--t", dict(type=_parse_complex, help="hesse parameter re,im"))
+    add("lattice", _cmd_lattice, "normalize, classify and report invariants")
+    add("theta", _cmd_theta, "evaluate the Jacobi theta function", z, trunc)
+    add("wp", _cmd_wp, "evaluate wp and wp'", z, trunc)
+    add("build-fn", _cmd_build_fn, "build an elliptic function from divisors", *function)
+    add("decompose2", _cmd_decompose2, "degree-2 normal form g o wp o translation", *function)
+    add("zeros", _cmd_zeros, "locate zero and pole divisors numerically", *function,
+        ("--wp", dict(action="store_true", help="use the wp function")))
+    add("branch-divisors", _cmd_branch_divisors, "branch divisors of a degree-3 function", *function,
+        ("--method", dict(choices=["tangents", "direct", "both"], default="both")))
+    add("cubic", _cmd_cubic, "weierstrass or hesse cubic report", t)
+    add("inflections", _cmd_inflections, "the nine inflection points", t)
+    add("hesse-scan", _cmd_hesse_scan, "84-case concurrency scan",
+        ("--t", dict(dest="t_raw", help="re,im (float mode) or a,b rationals meaning a+b*eps (--exact)")),
+        ("--exact", dict(action="store_true", help="exact Q(eps) determinants")),
+        ("--grid", dict(type=int, help="scan an n x n grid of t values, n >= 1")),
+        ("--radius", dict(type=float, help="grid half-width, finite and > 0 (default 8); only with --grid")),
+        ("--tol", dict(type=float, help="concurrency tolerance in (0, 1); not with --exact")),
+        lattice=False)
+    add("fiber", _cmd_fiber, "tangency fiber over a base point", t,
+        ("--q", dict(type=_parse_complex, nargs=3, required=True, help="base point: three re,im pairs")))
+    add("monodromy", _cmd_monodromy, "monodromy of the 6-sheeted tangency covering",
+        ("--q", dict(type=_parse_complex, nargs=3, help="base point (default: seeded generic point)")),
+        ("--circle-samples", dict(type=int, default=48,
+                                  help="samples on each circle around a tangent, at least 3")),
+        ("--seed", dict(type=int, default=0, help="seed of the basepoint and the loop line")))
     return p
 
 
 def _run(argv: list[str]):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config(args)
         # every non-finite value is refused below, so numpy's overflow and
         # invalid-value warnings would only put noise ahead of the error
         with np.errstate(all="ignore"):
-            json_doc, csv_doc, svg_fn = _HANDLERS[args.command](args, cfg)
+            json_doc, csv_doc, svg_fn = args.handler(args)
         field = _nonfinite_field(json_doc, "") or _nonfinite_field(csv_doc and csv_doc[1], "rows")
         if field is not None:
             raise NonFiniteResultError(
                 f"{args.command} computed a non-finite value at {field}", field=field
             )
-        payload = render_report(cfg.fmt, json_doc, csv_doc, svg_fn)
-        return 0, payload, cfg.out
+        payload = render_report(args.fmt, json_doc, csv_doc, svg_fn)
+        return 0, payload, args.out
     except EllipticaError as exc:
         return 1, to_json_bytes({"error": exc.to_json()}), None
     # np.linalg.LinAlgError is a ValueError; ArithmeticError covers

@@ -341,9 +341,7 @@ def _shifted_evaluable(f: EllipticFunction, v: complex) -> Evaluable:
         with np.errstate(divide="ignore", invalid="ignore"):
             return fv - v, fv * d / (fv - v)
 
-    g = Evaluable(gpair)
-    g.degree = f.degree  # locate_divisor_pair checks its sweeps against it
-    return g
+    return Evaluable(gpair, degree=f.degree)
 
 
 def branch_divisors_direct(f: EllipticFunction, lat: Lattice) -> list[Divisor]:
@@ -353,10 +351,9 @@ def branch_divisors_direct(f: EllipticFunction, lat: Lattice) -> list[Divisor]:
     1e-6 (else SubdivisionFailureError)."""
     if f.degree < 2:
         raise NotDegree3Error(f"degree is {f.degree}, need >= 2")
-    df = Evaluable(f.derivative_pair)
     # f' has a pole of order m + 1 at each pole of order m of f: the sweeps
     # are checked against the Riemann-Hurwitz count of critical points
-    df.degree = sum(m + 1 for _, m in f.poles.points)
+    df = Evaluable(f.derivative_pair, degree=sum(m + 1 for _, m in f.poles.points))
     try:
         crit = locate_divisor_pair(df, lat)[0]
     except Exception as exc:

@@ -384,11 +384,11 @@ def chart_newton(cubic: Cubic, v: np.ndarray, g) -> np.ndarray:
     return v
 
 
-_HESSE_EPS = complex(math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0))
+EPS = complex(math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0))  # exp(2 pi i / 3)
 
 
 def _hesse_inflection_table() -> list[ProjPoint]:
-    e = _HESSE_EPS
+    e = EPS
     rows = [
         (0, 1, -1), (0, 1, -e), (0, 1, -e * e),
         (1, 0, -1), (1, 0, -e * e), (1, 0, -e),

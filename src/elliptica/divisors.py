@@ -214,10 +214,12 @@ def _moments(f, center: complex, radius: float, kmax: int, nodes: int, min_modul
 
 class Evaluable:
     """The protocol the contour routines accept, from pair(z) = (f(z),
-    f'(z)/f(z)) for an elementwise f."""
+    f'(z)/f(z)) for an elementwise f; a known degree, when given, is what
+    locate_divisor_pair checks its sweeps against."""
 
-    def __init__(self, pair):
+    def __init__(self, pair, degree: int | None = None):
         self.values_and_dlog = pair
+        self.degree = degree
 
 
 def contour_power_sums(

@@ -281,8 +281,6 @@ def build_from_divisors(zeros: Divisor, poles: Divisor, lat: Lattice) -> Ellipti
         else:
             zlifts[0][1] = mult0 - 1
             zlifts.insert(0, [lift0 - shift, 1])
-            if zlifts[1][1] == 0:
-                del zlifts[1]
     return EllipticFunction(
         lat,
         zeros,
@@ -326,9 +324,7 @@ def wp_evaluable(lat: Lattice, shift: complex = 0j):
         with np.errstate(divide="ignore", invalid="ignore"):
             return v, pp / v
 
-    f = Evaluable(pair)
-    f.degree = 2  # locate_divisor_pair checks its sweeps against it
-    return f
+    return Evaluable(pair, degree=2)
 
 
 def wp_function(lat: Lattice) -> EllipticFunction:

@@ -13,7 +13,6 @@ floating-point tolerance at all.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,13 +20,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .cubic import Cubic, hesse_cubic, _hesse_inflection_table
+from .cubic import EPS, Cubic, hesse_cubic, _hesse_inflection_table
 from .errors import SingularInputError
 from .lattice import Lattice, LatticeKind, classify_lattice
 from .projective import ProjPoint, point_from_vec
 from .sphere import INF, chordal, is_infinite, sphere_from_pair
 
-EPS = cmath.exp(2j * math.pi / 3.0)
 CONCURRENCY_TOL = 1e-9
 
 # the four smooth and three singular parameters with concurrent tangents

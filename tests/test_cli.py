@@ -261,9 +261,35 @@ def test_monodromy_json_solves_the_basepoint_fiber_once(monkeypatch):
         (["lattice", "--omega1", "1,0"], "parse_arguments"),
         (["lattice"], "parse_arguments"),
         (["build-fn", "--tau", "0.3,1.4"], "parse_arguments"),
+        # options that would drop one another's input; fn.json is the
+        # README's function on tau = 0.3+1.4i
+        (["cubic", "--t", "2,0", "--tau", "0,1"], "parse_arguments"),
+        (["inflections", "--t", "2,0", "--omega1", "1,0", "--omega2", "0,1"], "parse_arguments"),
+        (["fiber", "--t", "2,0", "--tau", "0,1", "--q", "1,0", "0.3,0.2", "0.1,-0.05"],
+         "parse_arguments"),
+        (["zeros", "--tau", "0.3,1.4", "--wp", "--zeros", "0.2,0.3,1", "--poles", "0.1,0.1,1"],
+         "parse_arguments"),
+        (["zeros", "--tau", "0.3,1.4", "--wp", "--fn", "fn.json"], "parse_arguments"),
+        (["zeros", "--tau", "0.3,1.4", "--fn", "fn.json", "--zeros", "0.2,0.3,1",
+          "--poles", "0.1,0.1,1"], "parse_arguments"),
+        (["branch-divisors", "--tau", "0.3,1.4", "--fn", "fn.json", "--poles", "0.1,0.1,1"],
+         "parse_arguments"),
+        (["hesse-scan", "--t", "6,0", "--exact", "--tol", "0.5"], "parse_arguments"),
+        # non-finite points, which would fail inside the library
+        (["wp", "--tau", "0,1", "--z", "nan,0"], "parse_arguments"),
+        (["theta", "--tau", "0,1", "--z", "0,inf"], "parse_arguments"),
+        (["zeros", "--tau", "0,1", "--zeros", "nan,0,1", "--poles", "0.4,0.1,1"], "parse_arguments"),
+        (["build-fn", "--tau", "0,1", "--zeros", "0.2,0.3,1", "--poles", "0.4,inf,1"],
+         "parse_arguments"),
+        (["fiber", "--t", "nan,0", "--q", "1,0", "0.3,0.2", "0.1,-0.05"], "parse_arguments"),
+        (["inflections", "--t", "nan,0"], "parse_arguments"),
+        (["cubic", "--t", "nan,0"], "parse_arguments"),
+        (["hesse-scan", "--t", "inf,0"], "parse_arguments"),
     ],
 )
-def test_bad_input_or_nonfinite_result_is_domain_error(argv, operation):
+def test_bad_input_or_nonfinite_result_is_domain_error(argv, operation, tmp_path):
+    if "fn.json" in argv:
+        argv = [_readme_fn_file(tmp_path) if a == "fn.json" else a for a in argv]
     status, payload = dispatch(argv)
     assert status == 1, payload
     assert json.loads(payload)["error"]["operation"] == operation
@@ -285,10 +311,10 @@ def test_negative_real_parts_need_no_equals_sign():
 def test_library_fault_is_one_structured_internal_error(exc, monkeypatch, capsys):
     from elliptica import cli
 
-    def handler(args, cfg):
+    def handler(args):
         raise exc
 
-    monkeypatch.setitem(cli._HANDLERS, "lattice", handler)
+    monkeypatch.setattr(cli, "_cmd_lattice", handler)
     assert cli.main(["lattice", "--tau", "0,1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -298,7 +324,8 @@ def test_library_fault_is_one_structured_internal_error(exc, monkeypatch, capsys
 
 
 def test_infinite_argument_is_one_structured_error():
-    # math.floor(inf) in the torus reduction raises OverflowError
+    # refused as bad input before math.floor(inf) in the torus reduction
+    # could raise OverflowError
     src = os.path.dirname(os.path.dirname(elliptica.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
@@ -307,8 +334,8 @@ def test_infinite_argument_is_one_structured_error():
     )
     assert proc.returncode == 1 and proc.stdout == b""
     doc = json.loads(proc.stderr)["error"]  # exactly one JSON document
-    assert doc["operation"] == "internal"
-    assert doc["details"] == {"exception": "OverflowError"}
+    assert doc["operation"] == "parse_arguments"
+    assert doc["message"].startswith("--z ")
 
 
 def test_wp_at_large_im_tau_matches_trigonometric_limit():
@@ -351,13 +378,26 @@ def test_zeros_imports_neither_numpy_ma_nor_numpy_random():
 
 def test_options_only_where_read():
     for argv in (["lattice", "--tau", "0,1", "--trunc", "5"],
-                 ["lattice", "--tau", "0,1", "--tol", "1e-6"]):
+                 ["lattice", "--tau", "0,1", "--tol", "1e-6"],
+                 ["hesse-scan", "--tau", "0,1", "--t", "6,0"]):
         with pytest.raises(SystemExit) as exc:
             dispatch(argv)
         assert exc.value.code == 2
     assert run_json(["theta", "--tau", "0,2", "--z", "0.3,0.2", "--trunc", "8"])["value"]
     doc = run_json(["hesse-scan", "--t", "6,0", "--tol", "1e-8"])
     assert len(doc["concurrent_triples"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "--t", "0,1.5"],  # was read as --tau
+    ["zeros", "--tau", "0,1", "--w"],
+    ["monodromy", "--tau", "0.3,1.4", "--circle", "3"],
+    ["build-fn", "--tau", "0,1", "--zero", "0.2,0.3,1", "--pole", "0.4,0.1,1"],
+], ids=["monodromy-t", "zeros-w", "monodromy-circle", "build-fn-zero-pole"])
+def test_options_are_never_abbreviated(argv):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
 
 
 # a valid call of each of the 11 subcommands that draw nothing at random
