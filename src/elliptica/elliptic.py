@@ -60,12 +60,20 @@ def wp_values(z, lat: Lattice, trunc: int | None = None):
     """
     z = np.asarray(z, dtype=complex)
     d, _ = theta_sums(z.reshape(-1) / lat.omega1, [(1.0 + lat.tau) / 2.0], lat, trunc, 3)
+    # on the kernel's rows s0..s3 and two fresh arrays, which end up as p
+    # and pp; each step writes to an array that is none of its operands
+    # (numpy rounds a product of one point over an operand differently,
+    # and takes longer over small arrays)
+    s0, s1, s2, s3 = d[:, 0]
+    p, pp = np.empty_like(s0), np.empty_like(s0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d[0, 0]
-        r1, r2, r3 = d[1, 0] * inv, d[2, 0] * inv, d[3, 0] * inv
-        r11 = r1 * r1
-        p = (r11 - r2 + _wp_constant(lat, trunc)) * lat.omega1 ** -2
-        pp = (r1 * (3.0 * r2 - 2.0 * r11) - r3) * lat.omega1 ** -3
+        inv = np.divide(1.0, s0, p)
+        r1 = np.multiply(s1, inv, pp)
+        r2, r3 = np.multiply(s2, inv, s0), np.multiply(s3, inv, s1)
+        r11 = np.multiply(r1, r1, s2)
+        np.multiply(np.add(np.subtract(r11, r2, p), _wp_constant(lat, trunc), s3), lat.omega1 ** -2, p)
+        t = np.subtract(np.multiply(3.0, r2, s3), np.multiply(2.0, r11, s0), s2)
+        np.multiply(np.subtract(np.multiply(r1, t, s0), r3, s2), lat.omega1 ** -3, pp)
     if z.ndim == 0:
         return complex(p[0]), complex(pp[0])
     return p.reshape(z.shape), pp.reshape(z.shape)
@@ -150,40 +158,67 @@ class EllipticFunction:
     def _quotient(self, z, order: int):
         """All zero and pole lifts at the points z in one theta kernel call.
 
-        Returns (f, L1, L2), the values and the summed log-derivatives in
-        u = z / omega1 up to the given order (0, 1 or 2; higher stay zero),
-        from the kernel's sums and k at the shifts c = h + lift, with one
-        complex exp per point for the quasi-period factors (s = +-m):
+        Returns [f, L1, L2][:order + 1] (order 0, 1 or 2), the values and
+        the summed log-derivatives in u = z / omega1, from the kernel's sums
+        and k at the shifts c = h + lift, with one complex exp per point for
+        the quasi-period factors (s = +-m):
 
             L1 = sum s sums1/sums0 - 2 pi i sum s k,
             L2 = sum s (sums2/sums0 - (sums1/sums0)^2),
             f = scale prod sums0^s exp(sum s (i pi k^2 tau - 2 pi i k (u - c))).
+
+        The kernel's fresh arrays are the workspace: sums1 and sums2 are
+        divided by sums0 and weighted by s in place, sums0 is raised to the
+        multiplicities and then holds (sums1/sums0)^2, k s c and the
+        per-point temporaries, and k becomes k^2.  The returned arrays are
+        fresh.
         """
         lat = self.lattice
         shifts, s, sc, mults, nz = self._rows
         u = np.asarray(z, dtype=complex).reshape(-1) / lat.omega1
         n = u.size
-        if n == 1:  # numpy sums the lifts of two points row by row, of one pairwise
+        # numpy sums the lifts of two points row by row, of one pairwise, and
+        # rounds a product of one point in place unlike out of place
+        if n == 1:
             u = u.repeat(2)
         d, k = theta_sums(u, shifts, lat, order=order)
-        sk, sk2 = s[:, 0] @ k, s[:, 0] @ (k * k)  # integers: exact in any order
+        sk = s[:, 0] @ k  # integers: exact in any order
 
-        def total(rows):  # sum s rows over the lifts, as a real product
-            return (rows.view(float) * s).view(complex).sum(axis=0)
+        def total(rows):  # sum s rows over the lifts, weighted in place as reals
+            np.multiply(rows.view(float), s, rows.view(float))
+            return rows.sum(axis=0)
 
-        l1 = l2 = np.zeros_like(u)
+        def product(rows):  # left to right, each partial product into the next row
+            return reduce(lambda a, b: np.multiply(a, b, b), rows)
+
         if order >= 1:
-            r1 = d[1] / d[0]
-            l1 = total(r1) - 2j * np.pi * sk
+            r1 = np.divide(d[1], d[0], d[1])
         if order >= 2:
-            l2 = total(d[2] / d[0] - r1 * r1)
-        vals = d[0]
+            np.divide(d[2], d[0], d[2])
+        d0 = d[0]
         for i, m in enumerate(mults):
             if m > 1:
-                vals[i] = vals[i] ** m
-        logs = (1j * np.pi * lat.tau) * sk2 - 2j * np.pi * (sk * u - (k * sc).sum(axis=0))
-        f = self.scale * (reduce(np.multiply, vals[:nz]) / reduce(np.multiply, vals[nz:])) * np.exp(logs)
-        return f[:n], l1[:n], l2[:n]
+                d0[i] **= m
+        f = product(d0[:nz]) / product(d0[nz:])
+        np.multiply(self.scale, f, f)
+        l1 = l2 = None
+        if order >= 2:  # before total() weights r1
+            d[2] -= np.multiply(r1, r1, d0)
+            l2 = total(d[2])
+        if order >= 1:
+            l1 = total(r1)
+            l1 -= np.multiply(2j * np.pi, sk, d0[0])
+        # sum s k c, the rows of d0 are free again after the sum
+        d0[...] = k
+        ksc = np.multiply(d0, sc, d0).sum(axis=0)
+        t = np.multiply(sk, u, d0[0])
+        t -= ksc
+        np.multiply(2j * np.pi, t, t)
+        k *= k
+        logs = np.multiply(1j * np.pi * lat.tau, s[:, 0] @ k, ksc)
+        logs -= t
+        f *= np.exp(logs, logs)
+        return [a[:n] for a in (f, l1, l2)[:order + 1]]
 
     def values(self, z):
         """Raw vectorized evaluation (no pole thresholding)."""
@@ -195,7 +230,7 @@ class EllipticFunction:
 
     def values_and_dlog(self, z):
         """(f(z), f'(z)/f(z)) in one pass; the theta factors are shared."""
-        vals, l1, _ = self._quotient(z, 1)
+        vals, l1 = self._quotient(z, 1)
         dlog = l1 / self.lattice.omega1
         if np.ndim(z) == 0:
             return complex(vals[0]), complex(dlog[0])

@@ -19,7 +19,13 @@ takes a cos/sin: a point has one phase e^(2 pi i Re(u - k_u tau)), times an
 entry of a per-shift table per pair.  All orders are one Horner pass in w.
 The quasi-period factor is left to the callers as k: log-derivatives see it
 only as -2 pi i k in order 1, so wp and the theta quotients never form it
-per pair.  Blocks of _BLOCK pairs keep the temporaries a few hundred KB.
+per pair.  A call runs in blocks of at most _BLOCK pairs.  Every
+temporary of a block is a view into one workspace per thread, of a fixed
+size (1.1 MiB) made at the thread's first call and never grown, and every
+step writes into one with out=, so a warm call maps no fresh pages but for
+its two outputs.  Only the fresh sums and k are returned: no view of the
+workspace escapes a call, and a later call on other inputs, in this thread
+or another, never changes an earlier result.
 Every step is elementwise on operands of one layout for any number of points
 and shifts, so a pair's values are the same bits alone or anywhere in a long
 call (a BLAS product rounds by position, and numpy rounds an in-place
@@ -28,6 +34,7 @@ product of one element like a scalar one).
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -35,8 +42,10 @@ import numpy as np
 from .lattice import Lattice
 
 TAIL_EPS = 1e-18
-# pairs per pass: the largest temporary, the Horner sums of every order on
-# both signs, holds (order + 1) x 2 x _BLOCK complex values (512 KB at order 3)
+# pairs per pass; the workspace holds the temporaries of a block of _BLOCK
+# pairs at order <= 3 (the largest, the Horner sums of every order on both
+# signs, is 8 x _BLOCK complex values: 512 KB).  A block beyond it (more
+# than _BLOCK shifts, or order > 3) takes a fresh buffer of its own.
 _BLOCK = 4096
 _SIGN = np.array([[[1.0]], [[-1.0]]])  # the signs of w, +n first
 _SIGN_2PI = -2.0 * math.pi * _SIGN
@@ -82,6 +91,57 @@ def _shift_table(tau: complex, shifts: tuple):
     return out
 
 
+def _block_layout(order: int, ns: int, nb: int):
+    """(shape, dtype) of the temporaries of a block of ns shifts x nb points,
+    in the order theta_sums unpacks them: ku and ex per point; ya, yb, ta,
+    tb, ix, tab and ph per pair; ma, mb and w per sign and pair; acc per
+    order, sign and pair."""
+    point, pair, signs = (1, nb), (ns, nb), (2, ns, nb)
+    return ([(point, float), (point, complex)] + [(pair, float)] * 4
+            + [(pair, np.intp), (pair, complex), (pair, complex), (signs, float), (signs, float),
+               (signs, complex), ((order + 1,) + signs, complex)])
+
+
+def _nbytes(layout) -> int:
+    """Bytes of a layout with every array on a 64-byte boundary."""
+    return sum(-(-math.prod(shape) * np.dtype(dt).itemsize // 64) * 64 for shape, dt in layout)
+
+
+_WORKSPACE = _nbytes(_block_layout(3, 1, _BLOCK))
+_local = threading.local()
+
+
+def _block(order: int, ns: int, nb: int):
+    """The temporaries of a block as views of this thread's workspace,
+    cached per (order, ns, nb), or of a fresh buffer when they do not fit."""
+    key = (order, ns, nb)
+    try:
+        return _local.views[key]
+    except AttributeError:
+        _local.workspace = np.empty(_WORKSPACE, np.uint8)
+        _local.views = {}
+    except KeyError:
+        pass
+    layout = _block_layout(order, ns, nb)
+    need = _nbytes(layout)
+    buf = _local.workspace if need <= _WORKSPACE else np.empty(need, np.uint8)
+    views, at = [], 0
+    for shape, dt in layout:
+        size = math.prod(shape) * np.dtype(dt).itemsize
+        views.append(buf[at:at + size].view(dt).reshape(shape))
+        at += -(-size // 64) * 64
+    ku, ex, ya, yb, ta, tb, ix, tab, ph, ma, mb, w, acc = views
+    # and the views the steps take of them: per-point scratch in the first
+    # rows of pair arrays that are not yet live
+    views = tuple(views) + (ta[:1], tb[:1], ya[:1], tab[:1], ph.real, ph.imag, w.real, w.imag, acc[0],
+                            acc[::2, 0], acc[::2, 1], acc[1::2, 0], acc[1::2, 1])
+    if need <= _WORKSPACE:
+        if len(_local.views) >= 64:  # call sizes vary; the views are cheap to remake
+            _local.views.clear()
+        _local.views[key] = views
+    return views
+
+
 def theta_sums(u, shifts, lat: Lattice, trunc: int | None = None, order: int = 0):
     """(sums, k) on every pair of a shift c_j and a point u_i of a 1-d array,
     indexed [..., j, i]: sums[d] is theta^(d) at the band-reduced argument
@@ -95,37 +155,49 @@ def theta_sums(u, shifts, lat: Lattice, trunc: int | None = None, order: int = 0
     alpha = _coefficients(tau, nt, order)
     yc, offset, table = _shift_table(tau, tuple(shifts))
     u = np.asarray(u, dtype=complex).reshape(-1)
-    sums = np.empty((order + 1, len(yc), u.size), dtype=complex)
+    ns = len(yc)
+    sums = np.empty((order + 1, ns, u.size), dtype=complex)
     k = np.empty(sums.shape[1:])
-    step = max(1, _BLOCK // len(yc))
+    step = max(1, _BLOCK // ns)
     for s in range(0, u.size, step):
+        # every step but the Horner pass writes to a view that is none of
+        # its operands: numpy rounds a one-element complex product written
+        # over an operand like a scalar one, and such a step costs more on
+        # small arrays; per-point values keep the shape (1, nb), as numpy
+        # rounds a one-element product by operand layout too
         ub = u[None, s:s + step]
-        # per point: k_u and x_u = Re(u - k_u tau) mod 1
-        ku = np.rint(ub.imag / tau.imag)
-        xu = ub.real - ku * tau.real
-        xu -= np.rint(xu)
+        (ku, ex, ya, yb, ta, tb, ix, tab, ph, ma, mb, w, acc, xa, xb, xc, ea, ph_re, ph_im, w_re, w_im,
+         acc0, even_plus, even_minus, odd_plus, odd_minus) = _block(order, ns, ub.shape[1])
+        kk = k[:, s:s + step]
+        # per point: k_u, x_u = Re(u - k_u tau) mod 1 and e^(2 pi i x_u)
+        np.rint(np.divide(ub.imag, tau.imag, xa), ku)
+        np.subtract(ub.real, np.multiply(ku, tau.real, xa), xb)
+        np.subtract(xb, np.rint(xb, xa), xc)
+        np.exp(np.multiply(2j * np.pi, xc, ea), ex)
         # per pair: k, Im z_r and the phase e^(2 pi i Re z_r); fmax sends the
         # NaN index of a non-finite point (NaN through yr anyway) to entry 0
-        yr = ub.imag - yc
-        kk = np.rint(yr / tau.imag, out=k[:, s:s + step])
-        yr -= kk * tau.imag
-        ph = table.take(np.fmax(kk - ku + offset, 0.0).astype(np.intp), mode="clip")
-        ph = ph * np.exp(2j * np.pi * xu)
+        np.subtract(ub.imag, yc, ya)
+        np.rint(np.divide(ya, tau.imag, ta), kk)
+        yr = np.subtract(ya, np.multiply(kk, tau.imag, ta), yb)
+        ix[...] = np.fmax(np.add(np.subtract(kk, ku, ta), offset, tb), 0.0, ta)
+        np.multiply(table.take(ix, out=tab, mode="clip"), ex, ph)
         # w on both signs; negating z_r swaps them bitwise, so
         # theta(-z) = theta(z) exactly at the summation level
-        mod = np.exp(_SIGN_2PI * yr - math.pi * tau.imag)
-        w = np.empty(mod.shape, dtype=complex)
-        np.multiply(mod, ph.real, out=w.real)
-        np.multiply(mod, ph.imag * _SIGN, out=w.imag)
+        mod = np.exp(np.subtract(np.multiply(_SIGN_2PI, yr, ma), math.pi * tau.imag, mb), ma)
+        np.multiply(mod, ph_re, w_re)
+        np.multiply(mod, np.multiply(ph_im, _SIGN, mb), w_im)
         # every order in one Horner pass on each sign; order d is the +n sum
         # plus (-1)^d the -n sum (an explicit trunc < 1 is the empty sum)
-        acc = alpha[-1] * w if nt else np.zeros((order + 1,) + w.shape, dtype=complex)
+        if nt:
+            np.multiply(alpha[-1], w, acc)
+        else:
+            acc.fill(0.0)
         for a in alpha[-2::-1]:
             acc += a
             acc *= w
-        acc[0] += 0.5  # theta's constant term, half on each sign
-        np.add(acc[::2, 0], acc[::2, 1], out=sums[::2, :, s:s + step])
-        np.subtract(acc[1::2, 0], acc[1::2, 1], out=sums[1::2, :, s:s + step])
+        acc0 += 0.5  # theta's constant term, half on each sign
+        np.add(even_plus, even_minus, sums[::2, :, s:s + step])
+        np.subtract(odd_plus, odd_minus, sums[1::2, :, s:s + step])
     return sums, k
 
 
@@ -134,11 +206,17 @@ def _shifted_derivs(z, shift: complex, lat: Lattice, trunc: int | None, order: i
     z = np.asarray(z, dtype=complex)
     d, k = theta_sums(z, [shift], lat, trunc, order)
     d, k = d[:, 0], k[0]
-    logf = k * (1j * np.pi * lat.tau * k - 2j * np.pi * (z.reshape(-1) - shift))
-    a = -2j * np.pi * k
+    # k (i pi tau k - 2 pi i (z - shift)), no complex product written over
+    # one of its operands (numpy rounds that differently for one point)
+    zs = z.reshape(-1) - shift
+    logf = np.multiply(2j * np.pi, zs)
+    np.subtract(np.multiply(1j * np.pi * lat.tau, k, zs), logf, zs)
+    np.multiply(k, zs, logf)
     # the binomial sum over l, as `order` passes of d[l] += a * d[l-1]
-    for i in range(order):
-        d[i + 1:] += a * d[i:-1]
+    if order:
+        a = -2j * np.pi * k
+        for i in range(order):
+            d[i + 1:] += a * d[i:-1]
     if z.ndim == 0:
         return d[:, 0], logf[0]
     return d.reshape((order + 1,) + z.shape), logf.reshape(z.shape)
