@@ -16,7 +16,6 @@ the rows of one (n, 3) array.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,6 @@ from .projective import (
     row_distances,
     scaled_rows,
 )
-from .sphere import chordal, is_infinite
 
 COLLISION_THRESHOLD = 1e-5
 HALVING_LIMIT = 12
@@ -345,10 +343,14 @@ def _shifted_evaluable(f: EllipticFunction, v: complex) -> Evaluable:
 
 
 def branch_divisors_direct(f: EllipticFunction, lat: Lattice) -> list[Divisor]:
-    """Branch divisors from the critical points of f: zeros of f' plus
-    multiple poles, with the full fiber divisor located over each critical
-    value: the zeros of f - v, whose located poles must be f's own within
-    1e-6 (else SubdivisionFailureError)."""
+    """Branch divisors from the critical points of f: the full fiber divisor
+    over each zero of f' that is not already a multiple point of a fiber
+    found before it (within 1e-6), in the order of the zeros, then f's
+    poles when one is multiple.  A finite fiber is the zeros of f - v,
+    whose located poles must be f's own within 1e-6 (else
+    SubdivisionFailureError).  The fibers must ramify 2 deg f times in all,
+    counting m - 1 for each point of multiplicity m (Riemann-Hurwitz on the
+    torus), else DerivativeLocationError."""
     if f.degree < 2:
         raise NotDegree3Error(f"degree is {f.degree}, need >= 2")
     # f' has a pole of order m + 1 at each pole of order m of f: the sweeps
@@ -358,26 +360,25 @@ def branch_divisors_direct(f: EllipticFunction, lat: Lattice) -> list[Divisor]:
         crit = locate_divisor_pair(df, lat)[0]
     except Exception as exc:
         raise DerivativeLocationError(f"derivative zero location failed: {exc}")
-    crit_values: list[complex] = []
-    for p, _ in crit.points:
-        crit_values.append(eval_elliptic(f, p.rep))
-    if any(m >= 2 for _, m in f.poles.points):
-        crit_values.append(complex(math.inf, math.inf))
     out: list[Divisor] = []
-    seen: list[complex] = []
-    for v in crit_values:
-        if any(chordal(v, u) < 1e-7 for u in seen):
+    for c, _ in crit.points:
+        if any(m >= 2 and torus_distance(c.rep, p.rep, lat) <= 1e-6
+               for d in out for p, m in d.points):
             continue
-        seen.append(v)
-        # the fiber over infinity is the pole divisor, known exactly
-        if is_infinite(v):
-            out.append(f.poles)
-            continue
+        v = eval_elliptic(f, c.rep)
         zeros, poles = locate_divisor_pair(_shifted_evaluable(f, v), lat)
         if not match_divisors(poles, f.poles, lat, 1e-6):
             raise SubdivisionFailureError(
                 f"the poles located for the fiber over {v} are not the poles of f")
         out.append(zeros)
+    # the fiber over infinity is the pole divisor, known exactly
+    if any(m >= 2 for _, m in f.poles.points):
+        out.append(f.poles)
+    ramification = sum(m - 1 for d in out for _, m in d.points)
+    if ramification != 2 * f.degree:
+        raise DerivativeLocationError(
+            f"the branch divisors ramify {ramification} times, f of degree {f.degree} "
+            f"needs {2 * f.degree}")
     return out
 
 

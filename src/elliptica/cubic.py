@@ -51,6 +51,7 @@ from .projective import (
     cross,
     point_from_vec,
     proj_point,
+    row_distances,
 )
 
 ON_CURVE_TOL = 1e-8
@@ -403,7 +404,9 @@ def inflection_points(cubic: Cubic, lat: Lattice | None = None) -> list[ProjPoin
     Weierstrass family: seeded from the embedded 3-torsion points (which is
     what they are) and polished together on {F = 0, det Hess F = 0} by
     chart_newton with the analytic gradient of the determinant; requires
-    the lattice.  Hesse family: the classical fixed table, independent of t.
+    the lattice.  Each polished point must be nearer (row_distances) to its
+    own seed than to any other, which keeps the nine apart at any lattice
+    scale.  Hesse family: the classical fixed table, independent of t.
     Every point must pass F and det Hess F (by LU) residual checks.
     """
     if cubic.family == "hesse":
@@ -412,13 +415,13 @@ def inflection_points(cubic: Cubic, lat: Lattice | None = None) -> list[ProjPoin
         if lat is None:
             raise FewerThanNineError("weierstrass inflections need the lattice")
         seeds = np.array([embed_point(tp, lat).vec for tp in torsion_points(lat, 3)])
-        pts = [point_from_vec(u) for u in chart_newton(cubic, seeds, cubic.hessian_det_rows)]
+        rows = chart_newton(cubic, seeds, cubic.hessian_det_rows)
+        if (row_distances(rows[:, None], seeds).argmin(axis=1) != np.arange(9)).any():
+            raise FewerThanNineError("inflection points collided")
+        pts = [point_from_vec(u) for u in rows]
     for i, p in enumerate(pts):
         if not cubic.on_curve(p, 1e-7) or abs(cubic.hessian_det(p.vec)) > 1e-6 * (
             1.0 + np.abs(cubic.hessian_matrix(p.vec)).max() ** 3
         ):
             raise FewerThanNineError(f"inflection candidate {i} failed residuals")
-        for j in range(i):
-            if p.distance(pts[j]) <= 1e-6:
-                raise FewerThanNineError("inflection points collided")
     return pts

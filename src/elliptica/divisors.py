@@ -15,7 +15,8 @@ empty only when its moments are at the quadrature noise.
 Each point is Newton-polished at its multiplicity, on f for a zero and on
 1/f for a pole, and verified.  The cells form a worklist: one whose data is
 inconsistent is replaced by its four quarters, and the whole grid is
-re-shifted when a cell boundary passes too close to a zero or pole.
+re-shifted when a cell past the depth limit still fails or the degrees
+disagree.
 contour_power_sums and Newton's identities (newton_elementary) give the
 power sums and the polynomial of the zeros inside one circle.
 """
@@ -383,7 +384,7 @@ def _models(s):
             yield x, m, gap
 
 
-def _resolve_cell(f, lat, a0, b0, side, depth):
+def _resolve_cell(f, lat, a0, b0, side):
     """The (point, signed multiplicity) pairs of the cell [a0, a0 + side) x
     [b0, b0 + side) in lattice coordinates, positive for a zero and negative
     for a pole, or None when the cell must be subdivided.
@@ -396,9 +397,8 @@ def _resolve_cell(f, lat, a0, b0, side, depth):
     Newton-polished once at its signed weight (a pole as a zero of 1/f):
     its residual must pass, it may move at most 0.2 x the radius, and a
     multiple point must be one point to within CLUSTER_RADIUS; the polished
-    points must still explain the moments.  A model of more than 3 points counted
-    with multiplicity is not taken above the deepest level.  None when no
-    model passes or a zero or pole sits too close to the circle.
+    points must still explain the moments.  None when no model passes or a
+    zero or pole sits too close to the circle.
     """
     center, radius = _cell_circle(lat, a0, b0, side)
     try:
@@ -428,7 +428,7 @@ def _resolve_cell(f, lat, a0, b0, side, depth):
 
     for x, m, gap in _models(s):
         bound = _MOMENT_TOL if len(m) else max(4.0 * noise, 1e-10)
-        if gap > bound or (np.abs(m).sum() > 3 and depth < MAX_CELL_DEPTH):
+        if gap > bound:
             continue
         found = []
         for xk, mk in zip(x, m):
@@ -451,37 +451,30 @@ def _grid_offsets():
         yield rng.uniform(0.03, 0.93, 2)
 
 
-def _sweep(f, lat: Lattice, grids):
-    """(zeros, poles) from the first of at most MAX_GRID_SHIFTS base grids
-    taken from `grids` whose cells all resolve.
+def _grid(f, lat: Lattice, oa: float, ob: float):
+    """(zeros, poles) from the base grid at lattice-coordinate offset (oa,
+    ob), or None when a cell past MAX_CELL_DEPTH does not resolve.
 
-    The cells of a grid form a worklist, taken depth first: a cell that
-    does not resolve is replaced by its four quarters, and one past
-    MAX_CELL_DEPTH drops the grid."""
-    _require_dlog(f)
+    The cells of the grid form a worklist, taken depth first: a cell that
+    does not resolve is replaced by its four quarters."""
     s = 1.0 / BASE_SUBDIVISION
-    for oa, ob in itertools.islice(grids, MAX_GRID_SHIFTS):
-        # (a0, b0, side, depth), popped from the end
-        cells = [(oa + i * s, ob + j * s, s, 0)
-                 for i in reversed(range(BASE_SUBDIVISION))
-                 for j in reversed(range(BASE_SUBDIVISION))]
-        found = []
-        while cells:
-            a0, b0, side, depth = cells.pop()
-            points = _resolve_cell(f, lat, a0, b0, side, depth)
-            if points is not None:
-                found += points
-            elif depth < MAX_CELL_DEPTH:
-                h = side / 2.0
-                cells += [(a0 + da, b0 + db, h, depth + 1) for da in (h, 0.0) for db in (h, 0.0)]
-            else:
-                break
+    # (a0, b0, side, depth), popped from the end
+    cells = [(oa + i * s, ob + j * s, s, 0)
+             for i in reversed(range(BASE_SUBDIVISION))
+             for j in reversed(range(BASE_SUBDIVISION))]
+    found = []
+    while cells:
+        a0, b0, side, depth = cells.pop()
+        points = _resolve_cell(f, lat, a0, b0, side)
+        if points is not None:
+            found += points
+        elif depth < MAX_CELL_DEPTH:
+            h = side / 2.0
+            cells += [(a0 + da, b0 + db, h, depth + 1) for da in (h, 0.0) for db in (h, 0.0)]
         else:
-            return (divisor([(z, m) for z, m in found if m > 0], lat),
-                    divisor([(z, -m) for z, m in found if m < 0], lat))
-    raise SubdivisionFailureError(
-        "no zero-free subdivision grid found within the shift budget"
-    )
+            return None
+    return (divisor([(z, m) for z, m in found if m > 0], lat),
+            divisor([(z, -m) for z, m in found if m < 0], lat))
 
 
 def locate_zeros(f, lat: Lattice) -> Divisor:
@@ -496,28 +489,31 @@ def locate_zeros(f, lat: Lattice) -> Divisor:
 
 
 def locate_divisor_pair(f, lat: Lattice):
-    """(zeros, poles) of f from one sweep over the cells, with a global
-    degree cross-check.
+    """(zeros, poles) of f from the first of at most MAX_GRID_SHIFTS base
+    grids (_grid_offsets) whose cells all resolve and whose degrees agree.
 
     The signed moments of f'/f on each cell circle give the cell's zeros
     and poles together, as the weighted points of one Hankel pencil; the
     sign of a point's weight says whether it is polished on f or on 1/f,
-    both read from f.values_and_dlog.  When the degrees differ, or differ
-    from f.degree where f has one (an EllipticFunction), the sweep is
-    repeated, at most twice, each time on base grids not swept before.
-    Raises SubdivisionFailureError when they still differ or no admissible
-    grid is found.
+    both read from f.values_and_dlog.  A grid is dropped for the next when
+    a cell past MAX_CELL_DEPTH does not resolve, or when the zero and pole
+    degrees differ from each other or from f.degree where f has one (an
+    EllipticFunction).  Raises SubdivisionFailureError, with the last
+    grid's failure, when no grid passes.
     """
-    grids = _grid_offsets()
+    _require_dlog(f)
     known = getattr(f, "degree", None)
-    for _ in range(3):
-        zeros, poles = _sweep(f, lat, grids)
+    for oa, ob in itertools.islice(_grid_offsets(), MAX_GRID_SHIFTS):
+        pair = _grid(f, lat, oa, ob)
+        if pair is None:
+            failed = "no zero-free subdivision grid found within the shift budget"
+            continue
+        zeros, poles = pair
         if zeros.degree == poles.degree and known in (None, zeros.degree):
             return zeros, poles
-    raise SubdivisionFailureError(
-        f"degree mismatch persists: {zeros.degree} zeros vs {poles.degree} poles"
-        + ("" if known is None else f", f has degree {known}")
-    )
+        failed = (f"degree mismatch: {zeros.degree} zeros vs {poles.degree} poles"
+                  + ("" if known is None else f", f has degree {known}"))
+    raise SubdivisionFailureError(failed)
 
 
 def match_divisors(d1: Divisor, d2: Divisor, lat: Lattice, tol: float) -> bool:

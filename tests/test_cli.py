@@ -493,8 +493,9 @@ def test_monodromy_seed_2_draws_a_loop_direction_off_its_basepoint():
 
 
 def test_zeros_of_wp_at_huge_im_tau_are_refused():
-    # at Im tau = 1000 every sweep finds 0 zeros and 0 poles, which agree
-    # with each other but not with wp's degree 2
+    # at Im tau = 1000 the grids that resolve find 0 zeros and 0 poles,
+    # which agree with each other but not with wp's degree 2, and the other
+    # grids fail past the depth limit
     status, payload = dispatch(["zeros", "--tau", "0.2,1000", "--wp"])
     assert status == 1, payload
     assert json.loads(payload)["error"]["operation"] == "locate_zeros"

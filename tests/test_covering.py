@@ -31,7 +31,12 @@ from elliptica.covering import _match_permutation, _newton_rows
 from elliptica.cubic import IDENTITY
 from elliptica.divisors import match_divisors
 from elliptica.elliptic import wp_function
-from elliptica.errors import CollisionUnresolvedError, NotDegree3Error, PointOnCurveError
+from elliptica.errors import (
+    CollisionUnresolvedError,
+    DerivativeLocationError,
+    NotDegree3Error,
+    PointOnCurveError,
+)
 
 
 def generic_base_point(cubic, lat, rng, off_critical=True):
@@ -222,6 +227,15 @@ def test_branch_divisors_oracle_agreement(generic):
         assert all(used)
 
 
+def _same_branch_divisors(bd, bt, lat):
+    unmatched = list(bd)
+    for d1 in bt:
+        hits = [d2 for d2 in unmatched if match_divisors(d1, d2, lat, 1e-6)]
+        assert hits, "branch divisor multisets disagree"
+        unmatched.remove(hits[0])
+    assert not unmatched
+
+
 def test_branch_divisors_direct_finds_critical_point_between_double_poles():
     # f' has double poles at the last two poles of f, 0.05 apart on the
     # torus, and a zero midway between them: one cell circle holds all
@@ -240,11 +254,7 @@ def test_branch_divisors_direct_finds_critical_point_between_double_poles():
     bt = branch_divisors_via_tangents(f, lat)
     bd = branch_divisors_direct(f, lat)
     assert len(bt) == len(bd) == 6
-    unmatched = list(bd)
-    for d1 in bt:
-        hits = [d2 for d2 in unmatched if match_divisors(d1, d2, lat, 1e-6)]
-        assert hits, "branch divisor multisets disagree"
-        unmatched.remove(hits[0])
+    _same_branch_divisors(bd, bt, lat)
 
 
 def test_branch_divisors_direct_fiber_over_infinity_is_the_pole_divisor():
@@ -256,6 +266,59 @@ def test_branch_divisors_direct_fiber_over_infinity_is_the_pole_divisor():
     f = build_from_divisors(divisor([(0.2 + 0.3j, 1), (0.6 + 0.5j, 1), (0.4j, 1)], lat),
                             divisor([(0.4 + 0.1j, 2), (1j, 1)], lat), lat)
     assert f.poles in branch_divisors_direct(f, lat)
+
+
+def test_branch_divisors_direct_keeps_crowded_critical_values():
+    # two critical values of this function are 1.35e5 apart but only 5.5e-8
+    # apart on the sphere; each is the value of its own branch divisor
+    from elliptica import build_from_divisors, divisor
+
+    lat = make_lattice(1.0, 0.3283178283149279 + 2.2684840238912947j)
+    zeros = [0.41003847667515403 + 2.066018462889216j,
+             0.8782447414872014 + 0.6363793034152154j,
+             1.2241995215113675 + 2.123259554643985j]
+    f = build_from_divisors(divisor([(z, 1) for z in zeros], lat),
+                            divisor([(0.6186156943479557 + 0.0962297577219424j, 3)], lat), lat)
+    bd = branch_divisors_direct(f, lat)
+    assert len(bd) == 5
+    assert sum(m - 1 for d in bd for _, m in d.points) == 6
+    assert bd[-1] == f.poles
+    _same_branch_divisors(bd, branch_divisors_via_tangents(f, lat), lat)
+
+
+def test_branch_divisors_direct_at_a_triple_pole():
+    # f' has a 4-fold pole at f's triple pole, so a cell of the derivative's
+    # sweep may hold more than three points
+    from elliptica import build_from_divisors, divisor
+
+    lat = make_lattice(1.0, -0.15572495105499534 + 2.479642949340681j)
+    zeros = [0.0018759918601854442 + 2.4387881774316966j,
+             0.2140119684842363 + 1.8980799421765604j,
+             0.7780462633501841 + 0.9913563464524695j]
+    f = build_from_divisors(divisor([(z, 1) for z in zeros], lat),
+                            divisor([(0.3832197249165337 + 0.9495271722400153j, 3)], lat), lat)
+    bd = branch_divisors_direct(f, lat)
+    assert sum(m - 1 for d in bd for _, m in d.points) == 6
+    _same_branch_divisors(bd, branch_divisors_via_tangents(f, lat), lat)
+
+
+def test_branch_divisors_direct_refuses_a_short_ramification(generic, monkeypatch):
+    # a critical point lost from the derivative's sweep leaves its fiber
+    # out; the fibers then ramify fewer than 2 deg f times
+    from elliptica import covering, divisor
+
+    f = wp_function(generic)
+    locate = covering.locate_divisor_pair
+
+    def lossy(g, lat):
+        zeros, poles = locate(g, lat)
+        if g.values_and_dlog == f.derivative_pair:
+            zeros = divisor(list(zeros.points[1:]), lat)
+        return zeros, poles
+
+    monkeypatch.setattr(covering, "locate_divisor_pair", lossy)
+    with pytest.raises(DerivativeLocationError, match="ramify 3 times"):
+        branch_divisors_direct(f, generic)
 
 
 def test_branch_divisors_with_large_fiber_coordinates(square):
@@ -273,12 +336,7 @@ def test_branch_divisors_with_large_fiber_coordinates(square):
                             divisor([(p, 1) for p in poles], square), square)
     bt = branch_divisors_via_tangents(f, square)
     bd = branch_divisors_direct(f, square)
-    assert len(bt) == len(bd)
-    unmatched = list(bd)
-    for d1 in bt:
-        hits = [d2 for d2 in unmatched if match_divisors(d1, d2, square, 1e-6)]
-        assert hits, "branch divisor multisets disagree"
-        unmatched.remove(hits[0])
+    _same_branch_divisors(bd, bt, square)
 
 
 def test_branch_divisors_wp(generic):

@@ -25,6 +25,7 @@ from elliptica import (
     wp_values,
 )
 from elliptica.cubic import IDENTITY, group_negate
+from elliptica.projective import row_distances
 from elliptica.errors import PointOffCurveError, SingularCubicError
 
 
@@ -272,6 +273,23 @@ def test_inflections_weierstrass_are_torsion(generic):
             1.0 + float(np.abs(cubic.hessian_matrix(p.vec)).max()) ** 3
         )
     assert min(p.distance(IDENTITY) for p in infl) < 1e-10
+
+
+@pytest.mark.parametrize("tau, scale", [(1j, 1e3), (1j, 1e4), (1j, 1e-10),
+                                        (HEXAGONAL.tau, 1e-2), (HEXAGONAL.tau, 1e-3),
+                                        (HEXAGONAL.tau, 1e3)],
+                         ids=["square-1e3", "square-1e4", "square-1e-10",
+                              "hexagonal-1e-2", "hexagonal-1e-3", "hexagonal-1e3"])
+def test_inflections_far_from_unit_scale(tau, scale):
+    # the cubic of scale (Z + tau Z) is the unit cubic moved by diag(scale^-2,
+    # scale^-3, 1): its flexes crowd toward [0:0:1] or [0:1:0] but are the
+    # unit flexes moved, one each
+    unit, lat = make_lattice(1.0, tau), make_lattice(scale, scale * tau)
+    u = np.array([p.vec for p in inflection_points(weierstrass_cubic(unit), unit)])
+    v = np.array([p.vec for p in inflection_points(weierstrass_cubic(lat), lat)])
+    d = row_distances(v * [scale ** 2, scale ** 3, 1.0], u[:, None])
+    assert sorted(d.argmin(axis=0)) == list(range(9))
+    assert d.min(axis=0).max() < 1e-12
 
 
 def test_inflection_tangent_triple_contact(generic):

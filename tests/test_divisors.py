@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from elliptica import (
 )
 from elliptica import divisors
 from elliptica.divisors import (
+    BASE_SUBDIVISION,
     MAX_CELL_DEPTH,
     MAX_GRID_SHIFTS,
     Divisor,
@@ -343,14 +347,14 @@ def test_pair_of_the_wrong_degree_is_never_returned(generic, monkeypatch):
     zeros, poles = (divisor(list(d.points[1:]), generic) for d in (f.zeros, f.poles))
     sweeps = []
 
-    def lossy(f, lat, grids):
-        sweeps.append(next(grids))
+    def lossy(f, lat, oa, ob):
+        sweeps.append((oa, ob))
         return zeros, poles
 
-    monkeypatch.setattr(divisors, "_sweep", lossy)
+    monkeypatch.setattr(divisors, "_grid", lossy)
     with pytest.raises(SubdivisionFailureError, match="f has degree 3"):
         locate_divisor_pair(f, generic)
-    assert len(sweeps) == len(set(map(tuple, sweeps))) == 3
+    assert len(sweeps) == len(set(sweeps)) == MAX_GRID_SHIFTS
 
 
 def test_direct_branch_double_points_match_tangents():
@@ -427,18 +431,17 @@ def test_degree_mismatch_retries_on_fresh_grids(generic, monkeypatch):
             return z - c, 1.0 / (z - c)
 
     f = Evaluable(pair)
-    grids = set()
-    process = divisors._resolve_cell
+    grids = []
+    sweep = divisors._grid
 
-    def recorded(f, lat, a0, b0, side, depth):
-        if depth == 0:
-            grids.add((round(a0 % side, 9), round(b0 % side, 9)))
-        return process(f, lat, a0, b0, side, depth)
+    def recorded(f, lat, oa, ob):
+        grids.append((oa, ob))
+        return sweep(f, lat, oa, ob)
 
-    monkeypatch.setattr(divisors, "_resolve_cell", recorded)
+    monkeypatch.setattr(divisors, "_grid", recorded)
     with pytest.raises(SubdivisionFailureError, match="degree mismatch"):
         locate_divisor_pair(f, generic)
-    assert len(grids) >= 3
+    assert len(grids) == len(set(grids)) == MAX_GRID_SHIFTS
 
 
 def test_dead_grid_is_dropped_for_the_next(generic, monkeypatch):
@@ -446,19 +449,19 @@ def test_dead_grid_is_dropped_for_the_next(generic, monkeypatch):
     # depth first down to MAX_CELL_DEPTH, drops the grid there, and the
     # sweep returns what the next grid alone gives
     f = random_abel_function(np.random.default_rng(2), generic)
-    grids = [(0.31007, 0.24203), (0.1, 0.6)]
-    expected = divisors._sweep(f, generic, iter(grids[1:]))
+    second = list(itertools.islice(divisors._grid_offsets(), 2))[1]
+    expected = divisors._grid(f, generic, *second)
     resolve = divisors._resolve_cell
     depths = []
 
-    def dead_first_grid(f, lat, a0, b0, side, depth):
-        depths.append(depth)
+    def dead_first_grid(f, lat, a0, b0, side):
+        depths.append(round(math.log2(1.0 / (BASE_SUBDIVISION * side))))
         if len(depths) <= MAX_CELL_DEPTH + 1:
             return None
-        return resolve(f, lat, a0, b0, side, depth)
+        return resolve(f, lat, a0, b0, side)
 
     monkeypatch.setattr(divisors, "_resolve_cell", dead_first_grid)
-    zf, pf = divisors._sweep(f, generic, iter(grids))
+    zf, pf = locate_divisor_pair(f, generic)
     assert depths[:MAX_CELL_DEPTH + 2] == list(range(MAX_CELL_DEPTH + 1)) + [0]
     assert (zf, pf) == expected
     assert match_divisors(zf, f.zeros, generic, 1e-6)
@@ -469,8 +472,8 @@ def test_no_resolvable_grid_exhausts_the_shift_budget(generic, monkeypatch):
     f = random_abel_function(np.random.default_rng(2), generic)
     bases = []
 
-    def never(f, lat, a0, b0, side, depth):
-        if depth == 0:
+    def never(f, lat, a0, b0, side):
+        if side == 1.0 / BASE_SUBDIVISION:
             bases.append((a0, b0))
         return None
 

@@ -1,5 +1,6 @@
-"""The fiber solve on every kind of polar conic, against an mpmath oracle,
-and the checks on the fibers of branch_divisors_direct."""
+"""The fiber solve on every kind of polar conic, against an mpmath oracle
+and against the zeros of a degree-6 function on the torus, and the checks
+on the fibers of branch_divisors_direct."""
 from itertools import combinations
 
 import mpmath
@@ -13,6 +14,7 @@ from elliptica import (
     continue_fiber,
     critical_locus_check,
     divisor,
+    embed_point,
     hesse_cubic,
     inflection_points,
     lambda_fiber,
@@ -25,8 +27,11 @@ from elliptica import (
     weierstrass_cubic,
 )
 from elliptica import covering, divisors
-from elliptica.divisors import match_divisors
+from elliptica.divisors import Evaluable, locate_divisor_pair, match_divisors
+from elliptica.elliptic import wp_values
 from elliptica.errors import SolveFailureError, SubdivisionFailureError
+from elliptica.lattice import torus_distance, weierstrass_invariants
+from elliptica.projective import row_distances
 
 LATTICES = [SQUARE, HEXAGONAL, GENERIC, GENERIC2, None, None, None]
 CUBICS = [weierstrass_cubic(lat) for lat in LATTICES[:4]] + [
@@ -253,6 +258,41 @@ def test_fiber_points_match_an_mpmath_solve(cubic, lat):
                 assert _mp_chart_solve(cubic, q, p) <= 1e-12
 
 
+def _tangency_function(q, lat):
+    """W_q(z) = det(q, P(z), P'(z)) for P = [wp : wp' : 1], of degree 6:
+    its zeros are the points whose tangent passes through q, and it has a
+    6-fold pole at 0."""
+    g2 = weierstrass_invariants(lat)[0]
+    q0, q1, q2 = q.vec
+
+    def pair(z):
+        p, pp = wp_values(z, lat)
+        p2 = 6.0 * p * p - g2 / 2.0
+        p3 = 12.0 * p * pp
+        w = -q0 * p2 + q1 * pp + q2 * (p * p2 - pp * pp)
+        dw = -q0 * p3 + q1 * p2 + q2 * (p * p3 - pp * p2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return w, dw / w
+
+    return Evaluable(pair, degree=6)
+
+
+@pytest.mark.parametrize("lat", [GENERIC, SQUARE, GENERIC2, HEXAGONAL],
+                         ids=["generic", "square", "tau2i", "hexagonal"])
+def test_degree6_tangency_zeros_are_the_fiber(lat):
+    # a cell may hold any number of points: the six zeros and the 6-fold
+    # pole of W_q are located, and the zeros embed onto lambda_fiber's points
+    cubic = weierstrass_cubic(lat)
+    for q in off_critical_points(cubic, lat, np.random.default_rng(45), 5):
+        zeros, poles = locate_divisor_pair(_tangency_function(q, lat), lat)
+        assert [m for _, m in poles.points] == [6]
+        assert torus_distance(poles.points[0][0].rep, 0.0, lat) < 1e-9
+        fiber = np.array([p.vec for p, _ in lambda_fiber(cubic, q).entries])
+        assert zeros.degree == 6
+        for z, _ in zeros.points:
+            assert row_distances(embed_point(z, lat).vec, fiber).min() <= 1e-12
+
+
 def _drop_one_pair(zeros, poles, lat):
     """The divisors with one zero and one pole taken out."""
     def drop(d):
@@ -263,18 +303,19 @@ def _drop_one_pair(zeros, poles, lat):
 
 
 def _patch_fiber_sweeps(monkeypatch, change, times):
-    """Replace the result of the first `times` sweeps of an f - v by
-    change(zeros, poles, lat); every other sweep runs as it is."""
-    sweep, done = divisors._sweep, []
+    """Replace the result of the first `times` resolved grids of an f - v
+    by change(zeros, poles, lat); every other grid runs as it is."""
+    sweep, done = divisors._grid, []
 
-    def patched(f, lat, grids):
-        zeros, poles = sweep(f, lat, grids)
-        if "_shifted_evaluable" in f.values_and_dlog.__qualname__ and len(done) < times:
+    def patched(f, lat, oa, ob):
+        pair = sweep(f, lat, oa, ob)
+        if (pair is not None and "_shifted_evaluable" in f.values_and_dlog.__qualname__
+                and len(done) < times):
             done.append(1)
-            return change(zeros, poles, lat)
-        return zeros, poles
+            return change(*pair, lat)
+        return pair
 
-    monkeypatch.setattr(divisors, "_sweep", patched)
+    monkeypatch.setattr(divisors, "_grid", patched)
     return done
 
 
