@@ -194,7 +194,7 @@ def _line_window_segment(dual, w):
     return pts[:2] if len(pts) >= 2 else None
 
 
-def _cubic_svg(cubic: Cubic, extra_points=None, lines=None, paths=None):
+def _cubic_svg(cubic: Cubic, extra_points=None, tangents=False, paths=None):
     def make() -> bytes:
         pts = extra_points or []
         w = _window_of(pts)
@@ -205,8 +205,8 @@ def _cubic_svg(cubic: Cubic, extra_points=None, lines=None, paths=None):
 
         for a, b in marching_segments(fre, -w, w, -w, w):
             canvas.segment(a, b, color="black", width=1.0)
-        for dual in lines or []:
-            seg = _line_window_segment(dual, w)
+        for q in pts if tangents else []:
+            seg = _line_window_segment(tangent_line(cubic, q, tol=1e-6).dual, w)
             if seg:
                 canvas.segment(seg[0], seg[1], color="steelblue", width=0.7)
         for x, y, z in (path[np.abs(path[:, 2]) > 1e-9].T for path in paths or []):
@@ -288,9 +288,7 @@ def _cmd_cubic(args):
     cubic, lat = _cubic_from_args(args)
     doc = cubic.to_json()
     doc["smooth"] = cubic.is_smooth()
-    infl = inflection_points(cubic, lat)
-    duals = [tangent_line(cubic, q, tol=1e-6).dual for q in infl]
-    return doc, None, _cubic_svg(cubic, infl, lines=duals)
+    return doc, None, _cubic_svg(cubic, inflection_points(cubic, lat), tangents=True)
 
 
 def _cmd_inflections(args):
@@ -301,8 +299,7 @@ def _cmd_inflections(args):
         [i] + [c for pair in p.to_json() for c in pair] for i, p in enumerate(infl)
     ]
     header = ["index", "x_re", "x_im", "y_re", "y_im", "z_re", "z_im"]
-    duals = [tangent_line(cubic, q, tol=1e-6).dual for q in infl]
-    return doc, (header, rows), _cubic_svg(cubic, infl, lines=duals)
+    return doc, (header, rows), _cubic_svg(cubic, infl, tangents=True)
 
 
 def _float_hits(moduli: np.ndarray, tol: float):

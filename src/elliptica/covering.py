@@ -288,15 +288,12 @@ def critical_locus_check(cubic: Cubic, q: ProjPoint, lat: Lattice | None = None,
 
 def _line_of_divisor(div: Divisor, cubic: Cubic, lat: Lattice) -> ProjLine:
     """The line cutting the embedded divisor on the cubic (divisor sums to 0
-    on the torus)."""
+    on the torus); at a triple point the inflectional tangent, at a double
+    point its tangent."""
     pts = div.points
-    if len(pts) == 1:
-        # triple point: inflectional tangent
-        return tangent_line(cubic, embed_point(pts[0][0], lat), tol=1e-6)
-    if len(pts) == 2:
-        # double + simple: tangent at the double point
-        double = pts[0] if pts[0][1] == 2 else pts[1]
-        return tangent_line(cubic, embed_point(double[0], lat), tol=1e-6)
+    if len(pts) < 3:
+        multiple = max(pts, key=lambda e: e[1])[0]
+        return tangent_line(cubic, embed_point(multiple, lat), tol=1e-6)
     return line_through(embed_point(pts[0][0], lat), embed_point(pts[1][0], lat))
 
 
@@ -345,9 +342,9 @@ def _shifted_evaluable(f: EllipticFunction, v: complex) -> Evaluable:
 def branch_divisors_direct(f: EllipticFunction, lat: Lattice) -> list[Divisor]:
     """Branch divisors from the critical points of f: the full fiber divisor
     over each zero of f' that is not already a multiple point of a fiber
-    found before it (within 1e-6), in the order of the zeros, then f's
-    poles when one is multiple.  A finite fiber is the zeros of f - v,
-    whose located poles must be f's own within 1e-6 (else
+    found before it (within 1e-6 |omega1|), in the order of the zeros, then
+    f's poles when one is multiple.  A finite fiber is the zeros of f - v,
+    whose located poles must be f's own within 1e-6 |omega1| (else
     SubdivisionFailureError).  The fibers must ramify 2 deg f times in all,
     counting m - 1 for each point of multiplicity m (Riemann-Hurwitz on the
     torus), else DerivativeLocationError."""
@@ -361,13 +358,14 @@ def branch_divisors_direct(f: EllipticFunction, lat: Lattice) -> list[Divisor]:
     except Exception as exc:
         raise DerivativeLocationError(f"derivative zero location failed: {exc}")
     out: list[Divisor] = []
+    near = 1e-6 * abs(lat.omega1)
     for c, _ in crit.points:
-        if any(m >= 2 and torus_distance(c.rep, p.rep, lat) <= 1e-6
+        if any(m >= 2 and torus_distance(c.rep, p.rep, lat) <= near
                for d in out for p, m in d.points):
             continue
         v = eval_elliptic(f, c.rep)
         zeros, poles = locate_divisor_pair(_shifted_evaluable(f, v), lat)
-        if not match_divisors(poles, f.poles, lat, 1e-6):
+        if not match_divisors(poles, f.poles, lat, near):
             raise SubdivisionFailureError(
                 f"the poles located for the fiber over {v} are not the poles of f")
         out.append(zeros)

@@ -14,9 +14,9 @@ to any polynomial curve s -> sum_i r_i s^i are its contractions.  The
 residual is the smaller of the backward error |F| / |T|[|v|, |v|, |v|] and
 the first-order distance |F| / (|grad F| |v|) from the curve.
 
-chart_newton solves {F = 0, G = 0} for a batch of points: the inflection
-points (G = det Hess F, with its analytic gradient) and the tangency fibers
-of the covering module (G a polar conic) both go through it.
+chart_newton solves {F = 0, G = 0} for a batch of points: the tangency
+fibers of the covering module (G a polar conic) and their doubled points,
+which are flexes (G = det Hess F, with its analytic gradient).
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ from .projective import (
     cross,
     point_from_vec,
     proj_point,
-    row_distances,
 )
 
 ON_CURVE_TOL = 1e-8
@@ -215,18 +214,24 @@ def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice) -> TorusPoint:
     """Inverse of embed_point on the Weierstrass cubic; the +-z ambiguity of
     wp is resolved by matching wp' to the y-coordinate.
 
-    wp_inverse runs at its default residual tolerance 1e-12, relative to
-    1 + |x/z|: near its pole wp is accurate to only about 2e-13 relative,
-    and 1e-12 is one wp can meet for any |x/z|."""
+    Within r = 1e-3 |omega1| of 0, where wp loses digits to its pole, the
+    series w = -2x/y = z (1 + g2 z^4 / 10 + 3 g3 z^6 / 28 + ...) is
+    inverted; there |z/y| is about |z|^3 / 2 < r^3, also for a point that
+    rounding moved off [0:1:0], unlike at the zeros of wp, where x = 0 too
+    but |z/y| = |g3|^(-1/2), of the order of |omega1|^3.  Elsewhere
+    wp_inverse runs at its default tolerance 1e-12, which wp meets for any
+    |x/z| (about 2e-13 relative near its pole)."""
     if cubic.family != "weierstrass":
         raise PointOffCurveError("unembed requires a weierstrass-family cubic")
     if not cubic.on_curve(p, 1e-6):
         raise PointOffCurveError(f"point {p.coords} not on the cubic")
-    if p.distance(IDENTITY) <= 1e-12:
-        return TorusPoint(0.0, lat)
     x0, y0, z0 = p.coords
-    if abs(z0) < 1e-13:
-        return TorusPoint(0.0, lat)
+    r = 1e-3 * abs(lat.omega1)
+    if abs(2.0 * x0) < r * abs(y0) and abs(z0) <= r ** 3 * abs(y0):
+        w = -2.0 * x0 / y0
+        return reduce_mod_lattice(w * (1.0 - cubic.g2 * w ** 4 / 10.0 - 3.0 * cubic.g3 * w ** 6 / 28.0), lat)
+    if z0 == 0:
+        raise NoPreimageError(f"point {p.coords} at infinity is not the identity")
     x, y = x0 / z0, y0 / z0
     try:
         z = wp_inverse(x, lat)
@@ -236,7 +241,7 @@ def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice) -> TorusPoint:
     if abs(ppv - y) > abs(-ppv - y):
         z = -z
         ppv = -ppv
-    if abs(ppv - y) > 1e-5 * (1.0 + abs(y)):
+    if abs(ppv - y) > 1e-5 * (abs(lat.omega1) ** -3 + abs(y)):
         raise NoPreimageError(
             f"wp' mismatch {abs(ppv - y):.2e} at recovered preimage"
         )
@@ -244,11 +249,13 @@ def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice) -> TorusPoint:
 
 
 def tangent_line(cubic: Cubic, p: ProjPoint, tol: float = ON_CURVE_TOL) -> ProjLine:
-    """Tangent at a smooth curve point: dual coordinates are the gradient."""
+    """Tangent at a smooth curve point: dual coordinates are the gradient,
+    which must not vanish against its term scale 3 |T|[., |p|, |p|] (both
+    in the max norm, which does not overflow where the gradient is finite)."""
     if not cubic.on_curve(p, tol):
         raise PointOffCurveError(f"point {p.coords} not on the cubic")
     g = cubic.grad(p.vec)
-    if np.linalg.norm(g) < 1e-12 * max(1.0, np.linalg.norm(p.vec) ** 2):
+    if np.abs(g).max() < 1e-12 * 3.0 * _tvv(np.abs(cubic.tensor), np.abs(p.vec)).max():
         raise SingularPointError(f"vanishing gradient at {p.coords}")
     return ProjLine(point_from_vec(g))
 
@@ -401,24 +408,18 @@ def _hesse_inflection_table() -> list[ProjPoint]:
 def inflection_points(cubic: Cubic, lat: Lattice | None = None) -> list[ProjPoint]:
     """The nine distinct inflection points (curve meets its Hessian).
 
-    Weierstrass family: seeded from the embedded 3-torsion points (which is
-    what they are) and polished together on {F = 0, det Hess F = 0} by
-    chart_newton with the analytic gradient of the determinant; requires
-    the lattice.  Each polished point must be nearer (row_distances) to its
-    own seed than to any other, which keeps the nine apart at any lattice
-    scale.  Hesse family: the classical fixed table, independent of t.
-    Every point must pass F and det Hess F (by LU) residual checks.
+    Weierstrass family: the embedded 3-torsion points, which is what the
+    flexes are, exactly as embed_point gives them, at any lattice scale;
+    requires the lattice.  Hesse family: the classical fixed table,
+    independent of t.  Every point must pass F and det Hess F (by LU)
+    residual checks.
     """
     if cubic.family == "hesse":
         pts = _hesse_inflection_table()
+    elif lat is None:
+        raise FewerThanNineError("weierstrass inflections need the lattice")
     else:
-        if lat is None:
-            raise FewerThanNineError("weierstrass inflections need the lattice")
-        seeds = np.array([embed_point(tp, lat).vec for tp in torsion_points(lat, 3)])
-        rows = chart_newton(cubic, seeds, cubic.hessian_det_rows)
-        if (row_distances(rows[:, None], seeds).argmin(axis=1) != np.arange(9)).any():
-            raise FewerThanNineError("inflection points collided")
-        pts = [point_from_vec(u) for u in rows]
+        pts = [embed_point(tp, lat) for tp in torsion_points(lat, 3)]
     for i, p in enumerate(pts):
         if not cubic.on_curve(p, 1e-7) or abs(cubic.hessian_det(p.vec)) > 1e-6 * (
             1.0 + np.abs(cubic.hessian_matrix(p.vec)).max() ** 3

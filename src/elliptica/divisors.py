@@ -396,9 +396,9 @@ def _resolve_cell(f, lat, a0, b0, side):
     a pole close together nearly cancel in every moment.  Each point is
     Newton-polished once at its signed weight (a pole as a zero of 1/f):
     its residual must pass, it may move at most 0.2 x the radius, and a
-    multiple point must be one point to within CLUSTER_RADIUS; the polished
-    points must still explain the moments.  None when no model passes or a
-    zero or pole sits too close to the circle.
+    multiple point must be one point to within CLUSTER_RADIUS |omega1|; the
+    polished points must still explain the moments.  None when no model
+    passes or a zero or pole sits too close to the circle.
     """
     center, radius = _cell_circle(lat, a0, b0, side)
     try:
@@ -415,11 +415,11 @@ def _resolve_cell(f, lat, a0, b0, side):
         bound = 1e-6 * scale if weight > 0 else 1e-6 / scale
         z, resid = _newton_polish(f, seed, weight)
         # the residual grows like distance^mult away from a multiple point
-        # but not around points more than CLUSTER_RADIUS apart, which the
-        # moments may not tell from one point
+        # but not around points more than CLUSTER_RADIUS |omega1| apart,
+        # which the moments may not tell from one point
         ok = resid <= bound and abs(z - seed) <= 0.2 * radius and (
             abs(weight) == 1
-            or resid * 4 ** abs(weight) <= abs(complex(_oriented(f, z + 2 * CLUSTER_RADIUS, weight)[0][0])))
+            or resid * 4 ** abs(weight) <= abs(complex(_oriented(f, z + 2 * CLUSTER_RADIUS * abs(lat.omega1), weight)[0][0])))
         return z if ok else None
 
     def inside(z):  # a point polished into a neighbouring cell is reported there

@@ -104,7 +104,8 @@ def wp_inverse(v: complex, lat: Lattice, tol: float = 1e-12) -> TorusPoint:
     sqrt(v omega1^2 + pi^2/3)) / pi, the inverse on the degenerate lattice
     q = 0, which is finite at v = 0, near v^(-1/2) for large v, and near a
     solution at large Im tau.  The first seed whose polished residual is
-    below tol (1 + |v|) gives the answer.
+    below tol (|omega1|^-2 + |v|) gives the answer; wp scales as
+    omega1^-2.
     """
     if is_infinite(v):
         return TorusPoint(0.0, lat)
@@ -119,7 +120,7 @@ def wp_inverse(v: complex, lat: Lattice, tol: float = 1e-12) -> TorusPoint:
     f = wp_evaluable(lat, v)
     for idx in np.argsort(np.abs(p - v))[:8]:
         z, resid = _newton_polish(f, complex(zz[idx]), 1)
-        if resid < tol * (1.0 + abs(v)):
+        if resid < tol * (abs(w1) ** -2 + abs(v)):
             return reduce_mod_lattice(z, lat)
     raise ReconstructionFailureError(f"wp_inverse failed for value {v}")
 

@@ -339,6 +339,74 @@ def test_branch_divisors_with_large_fiber_coordinates(square):
     _same_branch_divisors(bd, bt, square)
 
 
+@pytest.mark.parametrize("kind", ["double-zero", "double-pole"])
+def test_branch_divisors_at_a_double_zero_or_pole(kind, generic):
+    # the translated zero or pole divisor has a double point, whose line is
+    # the tangent there
+    from elliptica import build_from_divisors, divisor
+
+    simple = divisor([(0.6 + 0.5j, 1), (0.1 + 1.1j, 1), (0.8 + 0.2j, 1)], generic)
+    double = divisor([(0.2 + 0.3j, 2), (1.1 + 1.2j, 1)], generic)
+    zeros, poles = (double, simple) if kind == "double-zero" else (simple, double)
+    f = build_from_divisors(zeros, poles, generic)
+    _same_branch_divisors(branch_divisors_direct(f, generic),
+                          branch_divisors_via_tangents(f, generic), generic)
+
+
+@pytest.mark.parametrize("tau", [0.3 + 1.4j, 0.45 + 3j])
+def test_branch_divisors_with_a_triple_pole_at_the_identity(tau):
+    # poles 3.0 and the half periods as zeros: the tangency fiber doubles at
+    # the flex [0:1:0], which comes back from the fiber solve with rounding
+    # noise in x and z
+    from elliptica import build_from_divisors, divisor, half_periods
+
+    lat = make_lattice(1.0, tau)
+    f = build_from_divisors(divisor([(h, 1) for h in half_periods(lat)], lat),
+                            divisor([(0.0, 3)], lat), lat)
+    _same_branch_divisors(branch_divisors_direct(f, lat),
+                          branch_divisors_via_tangents(f, lat), lat)
+
+
+def test_branch_divisors_direct_skips_a_critical_point_already_multiple(generic):
+    # wp^2 has zeros 2y + 2(-y) and a 4-fold pole: the fiber over 0 is found
+    # at y and contains -y doubly, so the critical point -y is skipped
+    from elliptica import build_from_divisors, divisor
+    from elliptica.elliptic import wp_inverse
+
+    y = wp_inverse(0.0, generic)
+    f = build_from_divisors(divisor([(y, 2), (-y, 2)], generic),
+                            divisor([(0.0, 4)], generic), generic)
+    bd = branch_divisors_direct(f, generic)
+    assert len(bd) == 5
+    assert sum(m - 1 for d in bd for _, m in d.points) == 8
+    assert sum(match_divisors(d, f.zeros, generic, 1e-6) for d in bd) == 1
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-2, 1e4])
+def test_torus_lengths_scale_with_the_lattice(s):
+    # the README function and wp on s (Z + (0.3 + 1.4i) Z): the lengths of
+    # wp_inverse and branch_divisors_direct are in units of |omega1|
+    from elliptica import build_from_divisors, divisor, wp_values
+
+    zeros = [0.2 + 0.3j, 0.5 + 1.0j, -0.7 - 1.3j]
+    poles = [0.1 + 0.1j, 0.6 + 1.0j, -0.7 - 1.1j]
+
+    def direct(k):
+        lat = make_lattice(k, k * (0.3 + 1.4j))
+        f = build_from_divisors(divisor([(k * z, 1) for z in zeros], lat),
+                                divisor([(k * p, 1) for p in poles], lat), lat)
+        return lat, branch_divisors_direct(f, lat)
+
+    lat, got = direct(s)
+    unit = direct(1.0)[1]
+    assert len(got) == len(unit) == 6
+    for d, u in zip(got, unit):
+        assert match_divisors(d, divisor([(s * p.rep, m) for p, m in u.points], lat), lat, 1e-6 * s)
+    z = s * np.array([0.31 + 0.43j, 0.7 + 0.2j, 0.15 + 1.1j])
+    ref = wp_values(z, lat)[0]
+    assert (np.abs(wp_function(lat).values(z) - ref) <= 1e-13 * np.abs(ref)).all()
+
+
 def test_branch_divisors_wp(generic):
     from elliptica import half_periods
 

@@ -1,7 +1,9 @@
+import cmath
+
 import numpy as np
 import pytest
 
-from conftest import GENERIC, GENERIC2, HEXAGONAL, SQUARE
+from conftest import GENERIC, GENERIC2, HEXAGONAL, SQUARE, mp_wp
 from elliptica import (
     EPS,
     LoopPath,
@@ -24,9 +26,10 @@ from elliptica import (
     wp_pair,
     wp_values,
 )
+from elliptica.covering import _tangent_duals
 from elliptica.cubic import IDENTITY, group_negate
-from elliptica.projective import row_distances
-from elliptica.errors import PointOffCurveError, SingularCubicError
+from elliptica.projective import row_distances, scaled_rows
+from elliptica.errors import NoPreimageError, PointOffCurveError, SingularCubicError, SingularPointError
 
 
 def rand_points(rng, lat, n):
@@ -68,6 +71,9 @@ def test_embed_parity(generic):
 def test_unembed_identity(generic):
     cubic = weierstrass_cubic(generic)
     assert unembed(IDENTITY, cubic, generic).rep == 0.0
+    # rounding noise off [0:1:0], as a fiber solve may leave it
+    assert torus_distance(unembed(proj_point(1e-17, 1.0, 1e-17), cubic, generic).rep,
+                          0.0, generic) <= 1e-15
 
 
 @pytest.mark.parametrize("tau, modulus", [(1j, 3e5), (0.3 + 1.4j, 1e6)])
@@ -84,6 +90,24 @@ def test_unembed_near_the_pole(tau, modulus):
         p, pp = wp_values(z.rep, lat)
         assert abs(p - x) <= 1e-11 * (1 + abs(x))
         assert abs(pp - y) <= 1e-5 * (1 + abs(y))
+
+
+@pytest.mark.parametrize("lat", [GENERIC, SQUARE, make_lattice(2.5 * cmath.exp(0.7j),
+                                                                 2.5 * cmath.exp(0.7j) * (0.45 + 3j))],
+                         ids=["generic", "square", "rotated-2.5"])
+def test_unembed_near_the_identity(lat):
+    # below 1e-3 |omega1| the series inverse of w = -2x/y answers, where wp
+    # has lost digits to its pole; no point near 0 comes back as 0
+    cubic = weierstrass_cubic(lat)
+    rng = np.random.default_rng(5)
+    w1 = abs(lat.omega1)
+    for r, t in zip(10 ** rng.uniform(-8, -1, 200), rng.uniform(0, 2 * np.pi, 200)):
+        z = r * w1 * cmath.exp(1j * t)
+        assert torus_distance(unembed(embed_point(z, lat), cubic, lat).rep, z, lat) <= 1e-12 * w1, z
+    # of the line at infinity only [0:1:0] is on the cubic; this point is
+    # within the on-curve tolerance but beyond the series' range
+    with pytest.raises(NoPreimageError):
+        unembed(proj_point(0.004, 1.0, 0.0), cubic, lat)
 
 
 def test_unembed_rejects_off_curve(generic):
@@ -290,6 +314,43 @@ def test_inflections_far_from_unit_scale(tau, scale):
     d = row_distances(v * [scale ** 2, scale ** 3, 1.0], u[:, None])
     assert sorted(d.argmin(axis=0)) == list(range(9))
     assert d.min(axis=0).max() < 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.45 + 3j, 2j, 0.3 + 1.4j])
+def test_weierstrass_flexes_match_the_oracle(tau):
+    # [wp : wp' : 1] at the 3-torsion points, from the mpmath theta oracle;
+    # coordinates scaled to largest modulus 1
+    lat = make_lattice(1.0, tau)
+    reps = [t.rep for t in torsion_points(lat, 3)]
+    values = iter(mp_wp([z for z in reps if z], tau))
+    ref = np.array([[*next(values), 1.0] if z else [0.0, 1.0, 0.0] for z in reps])
+    got = np.array([p.vec for p in inflection_points(weierstrass_cubic(lat), lat)])
+    assert np.abs(got - scaled_rows(ref)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("tau, scale", [pytest.param(t, s, id=f"{name}-{s:g}")
+                                        for t, name in ((1j, "square"), (0.3 + 1.4j, "generic"))
+                                        for s in (1e-12, 1e5, 1e10, 1e12)]
+                         + [pytest.param(HEXAGONAL.tau, 1e-10, id="hexagonal-1e-10")])
+def test_flex_tangents_at_any_scale(tau, scale):
+    lat = make_lattice(scale, scale * tau)
+    cubic = weierstrass_cubic(lat)
+    infl = inflection_points(cubic, lat)
+    flexes = np.array([p.vec for p in infl])
+    duals = _tangent_duals(cubic, lat)
+    assert np.isfinite(duals).all()
+    incidence = np.abs((duals * flexes).sum(axis=1)) / (
+        np.linalg.norm(duals, axis=1) * np.linalg.norm(flexes, axis=1))
+    assert incidence.max() <= 1e-12
+    # tangent_line judges the gradient against its own term scale
+    for p in infl:
+        assert tangent_line(cubic, p).incidence(p) <= 1e-12
+
+
+def test_tangent_line_refuses_a_node():
+    # [1:1:1] is a node of x^3 + y^3 + z^3 - 3xyz, whose gradient vanishes
+    with pytest.raises(SingularPointError):
+        tangent_line(hesse_cubic(-3.0), proj_point(1, 1, 1))
 
 
 def test_inflection_tangent_triple_contact(generic):
