@@ -345,9 +345,10 @@ def branch_divisors_direct(f: EllipticFunction, lat: Lattice) -> list[Divisor]:
     found before it (within 1e-6 |omega1|), in the order of the zeros, then
     f's poles when one is multiple.  A finite fiber is the zeros of f - v,
     whose located poles must be f's own within 1e-6 |omega1| (else
-    SubdivisionFailureError).  The fibers must ramify 2 deg f times in all,
-    counting m - 1 for each point of multiplicity m (Riemann-Hurwitz on the
-    torus), else DerivativeLocationError."""
+    SubdivisionFailureError), and its multiple point within 1e-6 |omega1|
+    of the zero c of f' is taken to be c itself.  The fibers must ramify
+    2 deg f times in all, counting m - 1 for each point of multiplicity m
+    (Riemann-Hurwitz on the torus), else DerivativeLocationError."""
     if f.degree < 2:
         raise NotDegree3Error(f"degree is {f.degree}, need >= 2")
     # f' has a pole of order m + 1 at each pole of order m of f: the sweeps
@@ -368,7 +369,10 @@ def branch_divisors_direct(f: EllipticFunction, lat: Lattice) -> list[Divisor]:
         if not match_divisors(poles, f.poles, lat, near):
             raise SubdivisionFailureError(
                 f"the poles located for the fiber over {v} are not the poles of f")
-        out.append(zeros)
+        # the multiple point over f(c) is c, a simple zero of f' polished as
+        # one, where f - v has a zero as flat as the evaluation noise
+        out.append(divisor([(c if m >= 2 and torus_distance(p.rep, c.rep, lat) <= near else p, m)
+                            for p, m in zeros.points], lat))
     # the fiber over infinity is the pole divisor, known exactly
     if any(m >= 2 for _, m in f.poles.points):
         out.append(f.poles)

@@ -39,6 +39,7 @@ from .errors import (
 from .lattice import (
     Lattice,
     TorusPoint,
+    _weight_normalized,
     reduce_mod_lattice,
     torsion_points,
     torus_distance,
@@ -168,9 +169,7 @@ class Cubic:
 
     def is_smooth(self) -> bool:
         if self.family == "weierstrass":
-            # weight-normalized, |g2| <= s^2 and |g3| <= s^3: no power overflows
-            s = max(abs(self.g2) ** 0.5, abs(self.g3) ** (1.0 / 3.0)) or math.nan
-            g2, g3 = self.g2 / s / s, self.g3 / s / s / s
+            g2, g3 = _weight_normalized(self.g2, self.g3)
             return abs(g2 ** 3 - 27.0 * g3 ** 2) > 1e-12 * (abs(g2) ** 3 + 27.0 * abs(g3) ** 2)
         s = max(1.0, abs(self.t))  # |t / s| <= 1: no power overflows
         t, c = self.t / s, 27.0 / s / s / s
@@ -421,8 +420,10 @@ def inflection_points(cubic: Cubic, lat: Lattice | None = None) -> list[ProjPoin
     else:
         pts = [embed_point(tp, lat) for tp in torsion_points(lat, 3)]
     for i, p in enumerate(pts):
-        if not cubic.on_curve(p, 1e-7) or abs(cubic.hessian_det(p.vec)) > 1e-6 * (
-            1.0 + np.abs(cubic.hessian_matrix(p.vec)).max() ** 3
-        ):
+        # |det H| <= 1e-6 (1 + s^3), s = max|H|, divided through by s^3, which
+        # overflows where s passes 1e103 (omega1 <= 1e-34)
+        h = cubic.hessian_matrix(p.vec)
+        s = np.abs(h).max()
+        if not cubic.on_curve(p, 1e-7) or abs(np.linalg.det(h / s)) > 1e-6 * (s ** -3.0 + 1.0):
             raise FewerThanNineError(f"inflection candidate {i} failed residuals")
     return pts

@@ -22,6 +22,7 @@ power sums and the polynomial of the zeros inside one circle.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -275,11 +276,6 @@ def monic_from_elementary(sym: list[complex]) -> np.ndarray:
     return np.array(coeffs)
 
 
-# at a multiple root, iterates whose |f| is within this factor of the
-# smallest are not told apart by |f| (its noise floor) but by |f'|
-_NOISE_BAND = 64.0
-
-
 def _oriented(f, z: complex, weight: int):
     """(h(z), h'(z)/h(z)) as length-1 arrays from one f.values_and_dlog
     call: h = f for a positive weight, h = 1/f for a negative one."""
@@ -291,55 +287,27 @@ def _oriented(f, z: complex, weight: int):
 
 
 def _newton_polish(f, z0: complex, weight: int):
-    """Multiplicity-aware Newton iteration from seed z0 on f for a positive
-    weight, on 1/f for a negative one, at multiplicity |weight|.
+    """Residual descent by Newton steps at multiplicity m = |weight| from
+    seed z0, on h = f for a positive weight and on h = 1/f for a negative
+    one: the step z - m h/h' is taken only while it lowers |h|, for at most
+    28 steps.  Returns (the last point, its |h|).
 
-    Returns (best point, its |f| or |1/f|) over at most 28 steps; near
-    multiple roots the step stalls at the evaluation noise floor, so
-    acceptance is by residual, not by step convergence.  At a root of
-    multiplicity >= 2 that floor is reached up to about sqrt(eps) away,
-    where the residual no longer ranks the iterates, while the derivative
-    (through the log derivative, with no cancellation against a shift)
-    still vanishes to order mult - 1.  So there the best point is the
-    iterate of smallest derivative among those whose residual is within
-    _NOISE_BAND of the smallest; at mult 1 it is the iterate of smallest
-    residual.
+    Near a root |h| stops falling at the evaluation noise floor, and the
+    first step that does not lower it ends the descent, so a seed already
+    at that floor (the moment seed of a multiple point usually is) is
+    returned as it is.
     """
     mult = abs(weight)
-    z = z0
-    best_r = math.inf
-    seen = []  # (residual, |derivative|, z) of the iterates with a finite residual
-    stale = 0
+    h, g = _oriented(f, z0, weight)
+    z, r, g = z0, abs(complex(h[0])), complex(g[0])
     for _ in range(28):
-        fz_a, g_a = _oriented(f, z, weight)
-        fz = complex(fz_a[0])
-        r = abs(fz)
-        fp = fz * complex(g_a[0])
-        if r < 0.5 * best_r:
-            stale = 0
-        else:
-            stale += 1
-        if r < math.inf:
-            seen.append((r, abs(fp) if math.isfinite(abs(fp)) else math.inf, z))
-            best_r = min(best_r, r)
-        if stale >= 4:
+        if not (g and cmath.isfinite(g)):
             break
-        if fp == 0 or not (math.isfinite(fp.real) and math.isfinite(fp.imag)):
+        z1 = z - mult / g
+        h, g1 = _oriented(f, z1, weight)
+        if not abs(complex(h[0])) < r:
             break
-        dz = mult * fz / fp
-        z = z - dz
-        if abs(dz) < 1e-15 * max(1.0, abs(z)):
-            r = abs(complex(_oriented(f, z, weight)[0][0]))
-            if r < math.inf:
-                seen.append((r, math.inf, z))
-                best_r = min(best_r, r)
-            break
-    if not seen:
-        return z0, math.inf
-    if mult == 1:
-        r, _, z = min(seen, key=lambda s: s[0])
-    else:
-        r, _, z = min((s for s in seen if s[0] <= _NOISE_BAND * best_r), key=lambda s: s[1])
+        z, r, g = z1, abs(complex(h[0])), complex(g1[0])
     return z, r
 
 

@@ -179,6 +179,14 @@ def _normalized_invariants(tau: complex) -> tuple[complex, complex]:
     return g2, g3
 
 
+def _weight_normalized(g2: complex, g3: complex) -> tuple[complex, complex]:
+    """(g2 / s^2, g3 / s^3) with s = max(|g2|^(1/2), |g3|^(1/3)): the same
+    curve, both of modulus <= 1, so no power of them overflows; NaN when g2
+    and g3 both vanish or one is not finite."""
+    s = max(abs(g2) ** 0.5, abs(g3) ** (1.0 / 3.0)) or math.nan
+    return g2 / s / s, g3 / s / s / s
+
+
 def weierstrass_invariants(lat: Lattice) -> tuple[complex, complex]:
     """(g2, g3) = (60 G4, 140 G6) at full working precision.
 
@@ -186,13 +194,22 @@ def weierstrass_invariants(lat: Lattice) -> tuple[complex, complex]:
     the raw truncated sums: the raw radius-200 tail (~1e-4 for k=4) is far
     too coarse for the 1e-8 residual targets downstream.  eisenstein_series
     remains available as the independent cross-check.  Raises
-    NonFiniteInvariantsError when g2 or g3 leaves double range.
+    NonFiniteInvariantsError when g2 or g3 leaves double range: when the
+    pair's J is not the normalized pair's within CLASSIFY_TOL in chordal
+    distance, which also catches a g2 or g3 that rounds or underflows to
+    another curve (g3 = 0 on a hexagonal lattice far above unit scale).
     """
     g2n, g3n = _normalized_invariants(lat.tau)
     with np.errstate(all="ignore"):  # numpy's powers give inf and 0 where Python's raise
         w4, w6 = (complex(np.complex128(lat.omega1) ** k) for k in (4, 6))
     g2, g3 = (g2n / w4, g3n / w6) if w6 else (math.inf, math.inf)
-    if not (cmath.isfinite(g2) and cmath.isfinite(g3)):
+    # J = a^3 / (a^3 - 27 b^2) of both weight-normalized pairs (a, b) as
+    # points [a^3 : a^3 - 27 b^2] of the projective line, and their chordal
+    # distance multiplied out, which a NaN never passes
+    (p0, p1), (q0, q1) = ((a * a * a, a * a * a - 27.0 * b * b)
+                          for a, b in (_weight_normalized(g2, g3), _weight_normalized(g2n, g3n)))
+    if not (abs(p0 * q1 - p1 * q0)
+            <= CLASSIFY_TOL * math.hypot(abs(p0), abs(p1)) * math.hypot(abs(q0), abs(q1))):
         raise NonFiniteInvariantsError(f"g2, g3 out of double range at omega1 = {lat.omega1}")
     return g2, g3
 

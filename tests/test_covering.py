@@ -227,13 +227,32 @@ def test_branch_divisors_oracle_agreement(generic):
         assert all(used)
 
 
-def _same_branch_divisors(bd, bt, lat):
+def _same_branch_divisors(bd, bt, lat, tol=1e-6):
     unmatched = list(bd)
     for d1 in bt:
-        hits = [d2 for d2 in unmatched if match_divisors(d1, d2, lat, 1e-6)]
+        hits = [d2 for d2 in unmatched if match_divisors(d1, d2, lat, tol)]
         assert hits, "branch divisor multisets disagree"
         unmatched.remove(hits[0])
     assert not unmatched
+
+
+
+def test_branch_divisors_direct_agrees_with_tangents_to_rounding(generic):
+    # the multiple point of each direct fiber is its critical point, a
+    # simple zero of f', so the two algorithms agree to rounding: the README
+    # function, then 20 random functions
+    from elliptica import build_from_divisors, divisor
+
+    f = build_from_divisors(divisor([(0.2 + 0.3j, 1), (0.5 + 1.0j, 1), (-0.7 - 1.3j, 1)], generic),
+                            divisor([(0.1 + 0.1j, 1), (0.6 + 1.0j, 1), (-0.7 - 1.1j, 1)], generic),
+                            generic)
+    _same_branch_divisors(branch_divisors_direct(f, generic),
+                          branch_divisors_via_tangents(f, generic), generic, 1e-13)
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        f = random_abel_function(rng, generic)
+        _same_branch_divisors(branch_divisors_direct(f, generic),
+                              branch_divisors_via_tangents(f, generic), generic, 1e-12)
 
 
 def test_branch_divisors_direct_finds_critical_point_between_double_poles():

@@ -29,7 +29,13 @@ from elliptica import (
 from elliptica.covering import _tangent_duals
 from elliptica.cubic import IDENTITY, group_negate
 from elliptica.projective import row_distances, scaled_rows
-from elliptica.errors import NoPreimageError, PointOffCurveError, SingularCubicError, SingularPointError
+from elliptica.errors import (
+    FewerThanNineError,
+    NoPreimageError,
+    PointOffCurveError,
+    SingularCubicError,
+    SingularPointError,
+)
 
 
 def rand_points(rng, lat, n):
@@ -314,6 +320,32 @@ def test_inflections_far_from_unit_scale(tau, scale):
     d = row_distances(v * [scale ** 2, scale ** 3, 1.0], u[:, None])
     assert sorted(d.argmin(axis=0)) == list(range(9))
     assert d.min(axis=0).max() < 1e-12
+
+
+@pytest.mark.parametrize("tau, scale", [pytest.param(t, s, id=f"{name}-{s:g}")
+                                        for t, name in ((1j, "square"), (0.3 + 1.4j, "generic"))
+                                        for s in (1e-34, 1e-40, 1e-50)])
+def test_inflections_far_below_unit_scale_raise_no_overflow(tau, scale):
+    # max|Hess F| passes 1e103 here; the det-Hess gate is divided through by
+    # its cube, which would overflow (a RuntimeWarning fails the test)
+    lat = make_lattice(scale, scale * tau)
+    assert len(inflection_points(weierstrass_cubic(lat), lat)) == 9
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.4j])
+def test_inflections_refuse_a_candidate_off_the_hessian(tau, monkeypatch):
+    # a 4-torsion point lies on the cubic but not on its Hessian curve; the
+    # gate tells the two apart near unit scale only, where H is balanced
+    from elliptica import cubic as cubic_module
+    from elliptica.lattice import TorusPoint
+
+    lat = make_lattice(1.0, tau)
+    cubic = weierstrass_cubic(lat)
+    three = cubic_module.torsion_points
+    monkeypatch.setattr(cubic_module, "torsion_points", lambda lat, n: three(lat, n)[:-1]
+                        + [TorusPoint((lat.omega1 + lat.omega2) / 4, lat)])
+    with pytest.raises(FewerThanNineError, match="candidate 8"):
+        inflection_points(cubic, lat)
 
 
 @pytest.mark.parametrize("tau", [0.45 + 3j, 2j, 0.3 + 1.4j])

@@ -224,6 +224,16 @@ def test_locate_wp_divisors(generic):
     assert torus_distance(z1 + z2, 0.0, generic) < 1e-7
 
 
+
+def test_double_zero_of_wp_is_its_moment_seed(square):
+    # e2 = 0 on the square lattice: wp has a double zero at (1 + i)/2, where
+    # |wp| is at the evaluation noise up to about sqrt(eps) away; the moment
+    # seed is within rounding of it and no Newton step lowers |wp| there
+    zeros = locate_zeros(wp_evaluable(square), square)
+    assert [m for _, m in zeros.points] == [2]
+    assert abs(zeros.points[0][0].rep - (0.5 + 0.5j)) <= 1e-15
+
+
 def test_locate_round_trip_multiplicity(generic):
     a = 0.31 + 0.41j
     zeros = divisor([(a, 2), (-2 * a, 1)], generic)
@@ -515,3 +525,25 @@ def test_signed_polish_is_the_polish_of_the_reciprocal(generic):
             z, r = _newton_polish(h, complex(seed), -m)
             assert (z, r) == _newton_polish(_reciprocal(h), complex(seed), m)
             assert torus_distance(z, pole, generic) < 1e-6
+
+
+def test_polish_returns_a_seed_at_the_noise_floor(generic):
+    # the critical points c of the README function are simple zeros of f',
+    # so f - f(c) has a double zero at c with |f - f(c)| at the evaluation
+    # noise; from the lift c + omega2 the first Newton step does not lower
+    # it, and the seed is returned after that one step
+    from elliptica.covering import _shifted_evaluable
+    from elliptica.elliptic import eval_elliptic
+
+    f = _abel_function([(0.2 + 0.3j, 1), (0.5 + 1.0j, 1), (-0.7 - 1.3j, 1)],
+                       [(0.1 + 0.1j, 1), (0.6 + 1.0j, 1), (-0.7 - 1.1j, 1)], generic)
+    crit = locate_zeros(Evaluable(f.derivative_pair, degree=6), generic)
+    assert len(crit.points) == 6
+    for c, _ in crit.points:
+        h = _shifted_evaluable(f, eval_elliptic(f, c.rep))
+        pair, calls = h.values_and_dlog, []
+        h.values_and_dlog = lambda z: calls.append(len(z)) or pair(z)
+        seed = c.rep + generic.omega2
+        z, r = _newton_polish(h, seed, 2)
+        assert z == seed and len(calls) <= 2
+        assert r <= 1e-14

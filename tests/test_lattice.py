@@ -14,7 +14,7 @@ from elliptica import (
     torus_distance,
     weierstrass_invariants,
 )
-from elliptica.errors import DegenerateGeneratorsError, InvalidOrderError
+from elliptica.errors import DegenerateGeneratorsError, InvalidOrderError, NonFiniteInvariantsError
 
 
 def lattice_point_set(w1, w2, radius):
@@ -138,6 +138,31 @@ def test_invariants_scaling(generic):
         g2s, g3s = weierstrass_invariants(scaled)
         assert abs(g2s - g2 / alpha ** 4) < 1e-10 * abs(g2)
         assert abs(g3s - g3 / alpha ** 6) < 1e-10 * abs(g3)
+
+
+HEX_TAU = complex(0.5, 0.8660254037844386)
+
+
+@pytest.mark.parametrize("scale", [1e52, 1e54, 1e56, 1e57])
+def test_invariants_refused_where_g3_underflows(scale):
+    # omega1^6 overflows, so g3 of a hexagonal lattice rounds to 0 while g2
+    # is its rounding: that pair is the square lattice's curve, J = 1 for 0
+    with pytest.raises(NonFiniteInvariantsError):
+        weierstrass_invariants(make_lattice(scale, scale * HEX_TAU))
+
+
+@pytest.mark.parametrize("tau, scale", [(HEX_TAU, 1e51)] + [(1j, 10.0 ** k) for k in range(50, 55)])
+def test_invariants_answered_where_only_rounding_is_lost(tau, scale):
+    # the hexagonal g3 is still a normal double at 1e51; the square g3 is
+    # rounding at every scale, so its underflow does not change J
+    g2u, g3u = weierstrass_invariants(make_lattice(1.0, tau))
+    g2, g3 = weierstrass_invariants(make_lattice(scale, scale * tau))
+    if tau == 1j:
+        assert abs(g2 - g2u / scale ** 4) <= 1e-15 * abs(g2)
+        assert abs(g3) <= 1e-12 * abs(g2) ** 1.5
+    else:
+        assert abs(g3 - g3u / scale ** 3 / scale ** 3) <= 1e-15 * abs(g3)
+        assert abs(g2) <= 1e-12 * abs(g3) ** (2.0 / 3.0)
 
 
 def test_invariants_match_raw_sums(generic):
