@@ -217,9 +217,11 @@ def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice) -> TorusPoint:
     series w = -2x/y = z (1 + g2 z^4 / 10 + 3 g3 z^6 / 28 + ...) is
     inverted; there |z/y| is about |z|^3 / 2 < r^3, also for a point that
     rounding moved off [0:1:0], unlike at the zeros of wp, where x = 0 too
-    but |z/y| = |g3|^(-1/2), of the order of |omega1|^3.  Elsewhere
-    wp_inverse runs at its default tolerance 1e-12, which wp meets for any
-    |x/z| (about 2e-13 relative near its pole)."""
+    but |z/y| = |g3|^(-1/2), of the order of |omega1|^3.  Elsewhere z is
+    wp_inverse(x), which x fixes to eps (|omega1|^-2 + |x|) / |wp'|, only
+    about sqrt(eps) |omega1| at a half period; where y fixes it better,
+    |wp'|^2 < (|omega1|^-2 + |x|) |wp''|, one Newton step on wp' - y
+    follows, with wp'' = 6 wp^2 - g2 / 2."""
     if cubic.family != "weierstrass":
         raise PointOffCurveError("unembed requires a weierstrass-family cubic")
     if not cubic.on_curve(p, 1e-6):
@@ -235,15 +237,15 @@ def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice) -> TorusPoint:
     try:
         z = wp_inverse(x, lat)
     except ReconstructionFailureError as exc:
-        raise NoPreimageError(f"wp inversion failed from all grid seeds: {exc}")
-    _, ppv = wp_values(z.rep, lat)
+        raise NoPreimageError(f"wp inversion failed: {exc}")
+    pv, ppv = wp_values(z.rep, lat)
     if abs(ppv - y) > abs(-ppv - y):
-        z = -z
-        ppv = -ppv
+        z, ppv = -z, -ppv
     if abs(ppv - y) > 1e-5 * (abs(lat.omega1) ** -3 + abs(y)):
-        raise NoPreimageError(
-            f"wp' mismatch {abs(ppv - y):.2e} at recovered preimage"
-        )
+        raise NoPreimageError(f"wp' mismatch {abs(ppv - y):.2e} at recovered preimage")
+    wpp = 6.0 * pv * pv - cubic.g2 / 2.0
+    if abs(ppv) ** 2 < (abs(lat.omega1) ** -2 + abs(x)) * abs(wpp):
+        z = reduce_mod_lattice(z.rep - (ppv - y) / wpp, lat)
     return z
 
 

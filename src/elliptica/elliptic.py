@@ -9,12 +9,13 @@ under band reduction and accurate to near machine precision everywhere.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .divisors import Divisor, Evaluable, _newton_polish, abel_defect, divisor, divisor_from_json
+from .divisors import Divisor, Evaluable, abel_defect, divisor, divisor_from_json
 from .errors import (
     AbelViolationError,
     DegreeMismatchError,
@@ -22,6 +23,7 @@ from .errors import (
     NotDegree2Error,
     OverlappingDivisorsError,
     ReconstructionFailureError,
+    WpInverseError,
 )
 from .lattice import (
     Lattice,
@@ -99,30 +101,32 @@ def half_period_values(lat: Lattice) -> tuple[complex, complex, complex]:
 def wp_inverse(v: complex, lat: Lattice, tol: float = 1e-12) -> TorusPoint:
     """One solution z of wp(z) = v (the other is -z); INF maps to 0.
 
-    Newton's method on wp - v (divisors._newton_polish) from the seeds
-    closest in |wp - v|: a 17 x 17 grid over the cell and omega1 asin(pi /
-    sqrt(v omega1^2 + pi^2/3)) / pi, the inverse on the degenerate lattice
-    q = 0, which is finite at v = 0, near v^(-1/2) for large v, and near a
-    solution at large Im tau.  The first seed whose polished residual is
-    below tol (|omega1|^-2 + |v|) gives the answer; wp scales as
-    omega1^-2.
+    z is the elliptic logarithm R_F(v - e1, v - e2, v - e3) (DLMF 19.25.35)
+    by Carlson's duplication (Numer. Algorithms 10, 1995), 16 steps.  For
+    |v| > 4 max|e_i|, where each v - e_i is within 15 degrees of v, they are
+    turned by the phase of v (R_F is homogeneous of degree -1/2): near the
+    negative axis they straddle the principal cut and their roots cancel.
+    z is accepted when |wp(z) - v| < tol (|omega1|^-2 + |v|).  A half
+    period is a double zero of wp - e_i, so v fixes it only to about
+    sqrt(eps) |omega1|; `unembed` takes it to full precision through y.
     """
     if is_infinite(v):
         return TorusPoint(0.0, lat)
-    gs = np.linspace(0.04, 0.96, 17)
-    aa, bb = np.meshgrid(gs, gs)
-    w1 = lat.omega1
-    # at v = -pi^2 / (3 omega1^2) the seed is NaN, whose distance sorts last
-    with np.errstate(divide="ignore", invalid="ignore"):
-        seed = w1 / np.pi * np.arcsin(np.pi / np.sqrt(np.complex128(v) * w1 * w1 + np.pi ** 2 / 3))
-        zz = np.append(aa.ravel() * w1 + bb.ravel() * lat.omega2, seed)
-        p, _ = wp_values(zz, lat)
-    f = wp_evaluable(lat, v)
-    for idx in np.argsort(np.abs(p - v))[:8]:
-        z, resid = _newton_polish(f, complex(zz[idx]), 1)
-        if resid < tol * (abs(w1) ** -2 + abs(v)):
-            return reduce_mod_lattice(z, lat)
-    raise ReconstructionFailureError(f"wp_inverse failed for value {v}")
+    v = complex(v)
+    es = half_period_values(lat)
+    c = v.conjugate() / abs(v) if abs(v) > 4.0 * max(map(abs, es)) else 1.0
+    x, y, w = (c * (v - e) for e in es)
+    for _ in range(16):
+        sx, sy, sw = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(w)
+        lam = sx * sy + sy * sw + sw * sx
+        x, y, w = (x + lam) / 4.0, (y + lam) / 4.0, (w + lam) / 4.0
+    a = (x + y + w) / 3.0
+    dx, dy = 1.0 - x / a, 1.0 - y / a
+    e2, e3 = dx * dy - (dx + dy) ** 2, -dx * dy * (dx + dy)
+    z = cmath.sqrt(c) * (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / cmath.sqrt(a)
+    if abs(wp_values(z, lat)[0] - v) < tol * (abs(lat.omega1) ** -2 + abs(v)):
+        return reduce_mod_lattice(z, lat)
+    raise WpInverseError(f"wp_inverse failed for value {v}")
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,10 @@ class ReconstructionFailureError(EllipticaError):
     operation = "decompose_degree2"
 
 
+class WpInverseError(ReconstructionFailureError):
+    operation = "wp_inverse"
+
+
 class EmptyDivisorError(EllipticaError):
     operation = "jacobi_sum"
 

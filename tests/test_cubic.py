@@ -2,6 +2,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import GENERIC, GENERIC2, HEXAGONAL, SQUARE, mp_wp
 from elliptica import (
@@ -10,6 +12,7 @@ from elliptica import (
     ProjLine,
     embed_point,
     group_add,
+    half_periods,
     hesse_cubic,
     inflection_points,
     line_intersect_cubic,
@@ -114,6 +117,57 @@ def test_unembed_near_the_identity(lat):
     # within the on-curve tolerance but beyond the series' range
     with pytest.raises(NoPreimageError):
         unembed(proj_point(0.004, 1.0, 0.0), cubic, lat)
+
+
+ROUND_TRIP_LATTICES = [make_lattice(w, w * tau)
+                       for tau in (0.3 + 1.4j, 1j, cmath.exp(1j * cmath.pi / 3), 2j, 0.45 + 3j, 0.1 + 4.5j)
+                       for w in (1e-8, 1e-3, 1.0, 1e4, 2.5 * cmath.exp(0.7j))]
+# no shrink phase: a failing list of 40 points takes minutes to shrink, and
+# the assertion names the point
+_round_trip = settings(derandomize=True, database=None, deadline=None, phases=(Phase.explicit, Phase.generate))
+
+
+def _offsets(lo, hi):
+    """Four offsets r e^(i theta), r from 10^lo to 10^hi, in units of |omega1|."""
+    return st.lists(st.tuples(st.floats(lo, hi), st.floats(0.0, 2.0 * np.pi)), min_size=4, max_size=4)
+
+
+def _assert_round_trips(lat, zs):
+    cubic = weierstrass_cubic(lat)
+    for z in zs:
+        back = unembed(embed_point(z, lat), cubic, lat)
+        assert torus_distance(back.rep, z, lat) <= 1e-12 * abs(lat.omega1), z
+
+
+@pytest.mark.parametrize("lat", ROUND_TRIP_LATTICES)
+@settings(_round_trip, max_examples=5)
+@given(st.lists(st.tuples(st.floats(1e-8, 1.0 - 1e-8), st.floats(1e-8, 1.0 - 1e-8)), min_size=40, max_size=40))
+def test_unembed_round_trip_over_the_cell(lat, coords):
+    # the coordinates keep 1e-8 |omega1| from the lattice, as the identity
+    # property does: embed_point sends a point within POLE_THRESHOLD of it
+    # to [0:1:0]; at Im tau 4.5 wp is flat across the middle of the cell,
+    # where y fixes z better than x does
+    _assert_round_trips(lat, [lat.from_coords(a, b) for a, b in coords])
+
+
+@pytest.mark.parametrize("lat", ROUND_TRIP_LATTICES)
+@settings(_round_trip, max_examples=2)
+@given(_offsets(-9.0, -4.0))
+@example([(-9.0, 0.3), (-7.5, 5.2), (-6.5, 2.0), (-4.0, 4.1)])
+def test_unembed_round_trip_near_the_half_periods(lat, offsets):
+    # wp - e_i has a double zero at a half period, so x alone fixes z only
+    # to about sqrt(eps) |omega1| there; y fixes the rest
+    w1 = abs(lat.omega1)
+    _assert_round_trips(lat, [h.rep + 10.0 ** r * w1 * cmath.exp(1j * t)
+                              for h in half_periods(lat) for r, t in offsets])
+
+
+@pytest.mark.parametrize("lat", ROUND_TRIP_LATTICES)
+@settings(_round_trip, max_examples=3)
+@given(_offsets(-8.0, -1.0))
+def test_unembed_round_trip_near_the_identity(lat, offsets):
+    w1 = abs(lat.omega1)
+    _assert_round_trips(lat, [10.0 ** r * w1 * cmath.exp(1j * t) for r, t in offsets])
 
 
 def test_unembed_rejects_off_curve(generic):

@@ -15,6 +15,7 @@ from elliptica import (
     wp_values,
 )
 from elliptica.elliptic import wp_function
+from elliptica.errors import ReconstructionFailureError
 
 LATTICES = [
     make_lattice(1.0, 1j),
@@ -139,7 +140,8 @@ def test_periodicity(generic):
 @pytest.mark.parametrize("lat", LATTICES)
 @pytest.mark.parametrize("modulus, tol", [(310.0, 1e-13), (1600.0, 1e-13), (1e4, 1e-13), (1e5, 1e-12)])
 def test_wp_inverse_large_values(lat, modulus, tol):
-    # near the pole wp ~ 1/z^2; a grid of seeds alone misses these values
+    # near the pole wp ~ 1/z^2; there the arguments of R_F are turned by the
+    # phase of v, so that they do not straddle the cut of the square root
     for k in range(8):
         v = modulus * np.exp(2j * np.pi * k / 8)
         z = wp_inverse(v, lat, tol=tol)
@@ -164,9 +166,10 @@ def test_wp_against_mpmath_jtheta():
 
 @pytest.mark.parametrize("re_tau", [0.0, 0.2, -0.45, 0.5])
 def test_wp_inverse_over_the_im_tau_sweep(re_tau):
-    # at large Im tau no row of the seed grid comes near the zeros of wp, at
-    # Im z about +-0.36; the inverse on the degenerate lattice does.  Each z
-    # is also checked against the mpmath wp (mp_wp) within 2e-12 (1 + |v|):
+    # at large Im tau wp is exponentially close to e2 = e3 away from the real
+    # axis, so two arguments of R_F are far smaller than the third, and the
+    # zeros of wp lie at Im z about +-0.36.  Each z is also checked against
+    # the mpmath wp (mp_wp) within 2e-12 (1 + |v|):
     # wp_inverse accepts a float residual below 1e-12 (1 + |v|), and float
     # wp is within 1e-12 relative of mp_wp (test_wp_against_mpmath_jtheta);
     # the worst seen is about 7e-15
@@ -180,6 +183,29 @@ def test_wp_inverse_over_the_im_tau_sweep(re_tau):
             assert abs(wp_values(z, lat)[0] - v) <= 1e-11 * (1 + abs(v)), (lat.tau, v)
         err = np.abs(mp_wp(got, lat.tau)[:, 0] - vs) / (1 + np.abs(vs))
         assert err.max() <= 2e-12, (lat.tau, err.max())
+
+
+@pytest.mark.parametrize("v", [complex("nan"), -1e300, 1e300 + 1e300j])
+def test_wp_inverse_refuses_as_itself(v):
+    # NaN, and values whose z (about 1e-150) lies far inside wp's resolution
+    # near its pole, are refused by wp_inverse itself, with no warning
+    lat = make_lattice(1.0, 0.3 + 1.4j)
+    with pytest.raises(ReconstructionFailureError) as info:
+        wp_inverse(v, lat)
+    assert info.value.to_json()["operation"] == "wp_inverse"
+
+
+@pytest.mark.parametrize("tau", [1j, 2j])
+def test_wp_inverse_on_the_branch_cut(tau):
+    # every e_i is real, so some v - e_i lie on the negative real axis, the
+    # cut of the principal square root: either signed zero of Im v must give
+    # a preimage, checked in mpmath (mp_wp)
+    lat = make_lattice(1.0, tau)
+    lo, mid, hi = sorted(e.real for e in half_period_values(lat))
+    for x in (lo - 1.3, (lo + mid) / 2.0, (mid + hi) / 2.0, -1e6):
+        for v in (complex(x, 0.0), complex(x, -0.0)):
+            z = wp_inverse(v, lat).rep
+            assert abs(mp_wp([z], tau)[0, 0] - v) <= 1e-12 * (1.0 + abs(v)), (v, z)
 
 
 def test_wp_function_at_large_im_tau():
