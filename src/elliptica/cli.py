@@ -17,6 +17,8 @@ divisor point.
 Reports are byte-reproducible.  Only monodromy draws at random, its
 basepoint and loop line from its --seed; the subdivision re-shifts of zero
 location come from one fixed stream, and the fiber solve makes no choice.
+monodromy lists twelve lasso transpositions in angular order with their
+kinds (a tangent index or "cubic"), certified by their product.
 """
 from __future__ import annotations
 
@@ -412,13 +414,13 @@ def _cmd_monodromy(args):
                 onc, _ = covering.critical_locus_check(cubic, q0, lat, tol=1e-2)
                 if not onc:
                     break
-    loops = covering.tangent_loop_library(
+    loops, kinds, perms, transitive, order = covering.covering_monodromy(
         cubic, q0, lat, seed=args.seed, circle_samples=args.circle_samples
     )
-    perms, transitive, order = covering.monodromy_group(cubic, q0, loops)
     doc = {
         "basepoint": q0.to_json(),
         "generators": [list(p.images) for p in perms],
+        "kinds": kinds,
         "transitive": transitive,
         "group_order": order,
     }

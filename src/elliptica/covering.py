@@ -16,6 +16,7 @@ the rows of one (n, 3) array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import (
     DerivativeLocationError,
     HalvingLimitError,
     LoopDirectionError,
+    MonodromyCertificateError,
     NotDegree3Error,
     PointOnCurveError,
     SolveFailureError,
@@ -442,48 +444,42 @@ def _match_permutation(start_pts: list[ProjPoint], end_pts: list[ProjPoint]) -> 
 
 
 def monodromy_group(cubic: Cubic, basepoint: ProjPoint, loops: list[LoopPath]):
-    """Permutations of the labeled 6-point fiber induced by the loops, the
-    order of the group they generate and whether it acts transitively."""
+    """Permutations of the labeled 6-point fiber induced by the loops, each
+    a transposition (else MonodromyCertificateError names the loop), and
+    the order and transitivity of the group they generate: the product of
+    the symmetric groups on the components of their graph on the sheets."""
     fiber0 = lambda_fiber(cubic, basepoint)
     if len(fiber0.entries) != 6:
         raise SolveFailureError("basepoint fiber is not simple")
     start_pts = [p for p, _ in fiber0.entries]
-    perms = []
-    for lp in loops:
-        end = continue_fiber(cubic, lp, fiber0)
-        perms.append(_match_permutation(start_pts, end.points()))
-    # the group, enumerated from the identity; at most 6! = 720 elements
-    group = {tuple(range(6))}
-    frontier = list(group)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for p in perms:
-                comp = tuple(p.images[j] for j in g)
-                if comp not in group:
-                    group.add(comp)
-                    nxt.append(comp)
-        frontier = nxt
-    # transitive when sheet 0 reaches every sheet
-    return perms, len({g[0] for g in group}) == 6, len(group)
+    perms, component = [], list(range(6))
+    for i, lp in enumerate(loops):
+        p = _match_permutation(start_pts, continue_fiber(cubic, lp, fiber0).points())
+        moved = [j for j, k in enumerate(p.images) if j != k]
+        if len(moved) != 2:
+            raise MonodromyCertificateError(
+                f"loop {i} is not a lasso: {list(p.images)} is not a transposition",
+                loop=i, images=list(p.images))
+        perms.append(p)
+        merged = component[moved[1]]
+        component = [component[moved[0]] if c == merged else c for c in component]
+    sizes = [component.count(c) for c in set(component)]
+    return perms, len(sizes) == 1, math.prod(map(math.factorial, sizes))
 
 
-def tangent_loop_library(cubic: Cubic, basepoint: ProjPoint,
-                         lat: Lattice | None = None, seed: int = 0,
-                         circle_samples: int = 48):
-    """One loop around each of the 9 inflectional tangents: circles in a
-    seeded random affine line through the basepoint, with straight tails
-    from the basepoint; all samples keep a margin from the cubic and from
-    the other tangents.  circle_samples must be at least 3: a polygon with
-    fewer vertices does not wind around the tangent."""
+def _lassos(cubic: Cubic, basepoint: ProjPoint, lat: Lattice | None, seed: int,
+            circle_samples: int, count: int):
+    """(s, loops): the twelve branch points of a seeded random line s ->
+    basepoint + s d (nine tangent crossings, then three points of the cubic)
+    and lassos around the first count, on the first d where those keep clear."""
     if circle_samples < 3:
         raise ValueError(f"circle_samples must be at least 3, got {circle_samples}")
     rng = np.random.default_rng(seed)
     duals = _tangent_duals(cubic, lat)
     bvec = basepoint.vec
     turns = 2.0 * np.pi * np.arange(circle_samples + 1) / circle_samples
-    # row i of a (9, 12) array without its entry i
-    without_self = ~np.eye(9, 12, dtype=bool)
+    # row i of a (12, 12) array without its entry i
+    without_self = ~np.eye(12, dtype=bool)
     for _ in range(40):
         drawn = rng.standard_normal(6).view(np.complex128)
         d = drawn - (drawn @ bvec.conjugate()) * bvec / (bvec @ bvec.conjugate())
@@ -491,33 +487,61 @@ def tangent_loop_library(cubic: Cubic, basepoint: ProjPoint,
         if not np.isfinite(d).all() or np.linalg.norm(d) < 1e-8 * np.linalg.norm(drawn):
             continue
         d = d / np.abs(d).max()
-        # the twelve branch points of the line s -> bvec + s d: its nine
-        # tangent crossings, then the roots of F restricted to it
         den = duals @ d
         coeffs = cubic.restriction([bvec, d])
         if (np.abs(den) < 1e-6).any() or abs(coeffs[0]) <= 1e-12:
             continue
         s = np.concatenate([-(duals @ bvec) / den, np.roots(coeffs)])
-        si = s[:9]
-        others = np.broadcast_to(s, (9, 12))[without_self].reshape(9, 11)
-        radius = np.minimum(0.35 * np.abs(si[:, None] - others).min(axis=1), 0.45 * np.abs(si))
-        if (radius < 1e-6).any():
-            continue
+        others = np.broadcast_to(s, (12, 12))[without_self].reshape(12, 11)
+        radius = np.minimum(0.35 * np.abs(s[:, None] - others).min(axis=1), 0.45 * np.abs(s))
         # tail from 0 to the circle start (nearest point toward base);
         # passing near other features is fine (step halving absorbs it),
         # passing through them is not: the clearance of [0, start] from o
-        # is |t start - o|, t = Re(o / start) clipped to [0, 1]
-        start = si * (1.0 - radius / np.abs(si))
-        t = np.clip((others / start[:, None]).real, 0.0, 1.0)
+        # is |t start - o|, t = Re(o / start) clipped to [0, 1] (NaN at s = 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            start = s * (1.0 - radius / np.abs(s))
+            t = np.clip((others / start[:, None]).real, 0.0, 1.0)
         clear = np.abs(t * start[:, None] - others).min(axis=1)
-        if (clear < 5e-4 * (1.0 + np.abs(start))).any():
+        if not ((radius >= 1e-6) & (clear >= 5e-4 * (1.0 + np.abs(start))))[:count].all():
             continue
-        ntail = np.maximum(6, (3.0 * np.abs(start) / np.maximum(clear, radius)).astype(int))
         loops = []
-        for c, r, a, n in zip(si, radius, start, ntail):
+        for c, r, a, e in zip(s[:count], radius, start, clear):
+            n = max(6, int(3.0 * abs(a) / max(e, r)))
             tail = a * np.arange(n) / n
             circle = c + r * np.exp(1j * (np.angle(a - c) + turns))
             sweep = np.concatenate([tail, circle, tail[::-1], [0.0]])
             loops.append(LoopPath(bvec + sweep[:, None] * d))
-        return loops
+        return s, loops
     raise LoopDirectionError("no admissible loop direction found")
+
+
+def tangent_loop_library(cubic: Cubic, basepoint: ProjPoint,
+                         lat: Lattice | None = None, seed: int = 0,
+                         circle_samples: int = 48):
+    """Lassos around the 9 inflectional tangents in a seeded random line
+    through the basepoint: circles with straight tails, clear of the cubic
+    and of the other tangents.  circle_samples must be at least 3: a
+    polygon with fewer vertices does not wind around the tangent."""
+    return _lassos(cubic, basepoint, lat, seed, circle_samples, 9)[1]
+
+
+def covering_monodromy(cubic: Cubic, basepoint: ProjPoint, lat: Lattice | None = None,
+                       seed: int = 0, circle_samples: int = 48):
+    """(loops, kinds, perms, transitive, order) of lassos around all twelve
+    branch points of a line drawn as in tangent_loop_library but kept only
+    when all twelve keep clear, in angular order; kinds[i] is a tangent
+    index or "cubic".  Certified, else MonodromyCertificateError: the perms
+    are transpositions whose product is the identity, since together the
+    lassos go around the line's point at infinity, which does not branch."""
+    s, loops = _lassos(cubic, basepoint, lat, seed, circle_samples, 12)
+    turn = np.argsort(np.angle(s), kind="stable")
+    loops = [loops[i] for i in turn]
+    perms, transitive, order = monodromy_group(cubic, basepoint, loops)
+    product = Permutation(tuple(range(6)))
+    for p in perms:
+        product = p.compose(product)
+    if not product.is_identity():
+        raise MonodromyCertificateError(
+            f"the {len(perms)} lassos multiply to {list(product.images)}, not the identity",
+            loops=len(perms), images=list(product.images))
+    return loops, [int(i) if i < 9 else "cubic" for i in turn], perms, transitive, order

@@ -175,3 +175,7 @@ class InternalError(EllipticaError):
     CLI subcommand: a fault of the library, not of the input."""
 
     operation = "internal"
+
+
+class MonodromyCertificateError(EllipticaError):
+    operation = "monodromy_group"

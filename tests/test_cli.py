@@ -492,6 +492,23 @@ def test_monodromy_seed_2_draws_a_loop_direction_off_its_basepoint():
     assert doc["transitive"] is True
 
 
+def test_monodromy_reports_the_certified_covering_group():
+    # tau = i seed 4: the nine tangent lassos alone generate a group of
+    # order 48; with the three lassos around the loop line's points of the
+    # cubic the twelve are transpositions whose product in the reported
+    # (angular) order is the identity, and they generate S_6
+    doc = run_json(["monodromy", "--tau", "0,1", "--seed", "4"])
+    assert len(doc["generators"]) == 12
+    assert sorted(doc["kinds"], key=str) == list(range(9)) + ["cubic"] * 3
+    product = list(range(6))
+    for images in doc["generators"]:
+        assert sum(i != j for i, j in enumerate(images)) == 2
+        product = [images[j] for j in product]
+    assert product == list(range(6))
+    assert doc["group_order"] == 720
+    assert doc["transitive"] is True
+
+
 def test_zeros_of_wp_at_huge_im_tau_are_refused():
     # at Im tau = 1000 the grids that resolve find 0 zeros and 0 poles,
     # which agree with each other but not with wp's degree 2, and the other

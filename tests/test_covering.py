@@ -10,6 +10,7 @@ from elliptica import (
     branch_divisors_direct,
     branch_divisors_via_tangents,
     continue_fiber,
+    covering_monodromy,
     critical_locus_check,
     embed_point,
     hesse_cubic,
@@ -27,13 +28,15 @@ from elliptica import (
     unembed,
     weierstrass_cubic,
 )
-from elliptica.covering import _match_permutation, _newton_rows
+from elliptica import covering
+from elliptica.covering import Fiber, _match_permutation, _newton_rows
 from elliptica.cubic import IDENTITY
 from elliptica.divisors import match_divisors
 from elliptica.elliptic import wp_function
 from elliptica.errors import (
     CollisionUnresolvedError,
     DerivativeLocationError,
+    MonodromyCertificateError,
     NotDegree3Error,
     PointOnCurveError,
 )
@@ -693,3 +696,112 @@ def test_each_tangent_loop_is_a_lasso_around_its_own_tangent(cubic, lat):
                 if k != j:
                     assert _winding(lin[k] / lin[j]) == pytest.approx(float(k == i), abs=1e-9), (seed, i, k)
             assert _winding(cubic.F(v.T) / lin[j] ** 3) == pytest.approx(0.0, abs=1e-9), (seed, i)
+
+
+def _product(perms):
+    """The permutation of the loops traversed in order: the last after the rest."""
+    out = Permutation(tuple(range(6)))
+    for p in perms:
+        out = p.compose(out)
+    return out
+
+
+def test_covering_monodromy_certificate_on_the_readme_basepoint(monkeypatch):
+    # the README's basepoint: twelve lassos, nine around the inflectional
+    # tangents and three around the loop line's points of the cubic.  Then
+    # two mutations, each refused: a loop that concatenates two lassos
+    # (its permutation is a product of two transpositions, never one), and
+    # the run with one lasso dropped, whose product is no longer the
+    # identity.  Continuation is a pure function, so it is memoized
+    tracked = {}
+    track = covering.continue_fiber
+
+    def memoized(cubic, path, start):
+        key = path.samples.tobytes()
+        if key not in tracked:
+            tracked[key] = track(cubic, path, start)
+        return tracked[key]
+
+    monkeypatch.setattr(covering, "continue_fiber", memoized)
+    cubic = weierstrass_cubic(GENERIC)
+    q = proj_point(1.0, 0.3 + 0.2j, 0.1 - 0.05j)
+    loops, kinds, perms, transitive, order = covering_monodromy(cubic, q, GENERIC)
+    assert len(loops) == len(perms) == 12
+    assert sorted(kinds, key=str) == list(range(9)) + ["cubic"] * 3
+    assert all(p.cycle_type() == (2, 1, 1, 1, 1) for p in perms)
+    assert _product(perms).is_identity()
+    assert transitive and order == 720
+
+    cat = LoopPath(np.concatenate([loops[0].samples, loops[1].samples[1:]]))
+    with pytest.raises(MonodromyCertificateError) as exc:
+        monodromy_group(cubic, q, [loops[0], cat])
+    err = exc.value.to_json()
+    assert err["operation"] == "monodromy_group"
+    assert err["details"]["loop"] == 1
+
+    lassos = covering._lassos
+
+    def one_dropped(*args):
+        s, loops = lassos(*args)
+        return np.delete(s, 4), loops[:4] + loops[5:]
+
+    monkeypatch.setattr(covering, "_lassos", one_dropped)
+    with pytest.raises(MonodromyCertificateError) as exc:
+        covering_monodromy(cubic, q, GENERIC)
+    assert exc.value.details["loops"] == 11
+    assert len(tracked) == 13  # the twelve lassos and the concatenation
+
+
+def _enumerated_group(perms):
+    """The group the permutations generate, enumerated from the identity."""
+    group = {tuple(range(6))}
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for p in perms:
+                comp = tuple(p.images[j] for j in g)
+                if comp not in group:
+                    group.add(comp)
+                    nxt.append(comp)
+        frontier = nxt
+    return group
+
+
+class _KnownLasso:
+    """A stand-in loop whose permutation is given: continuation returns it
+    unchanged and matching reads its permutation off it."""
+
+    def __init__(self, perm):
+        self.perm = perm
+
+    def points(self):
+        return self.perm
+
+
+def test_monodromy_group_closed_form_matches_enumeration(monkeypatch):
+    q = proj_point(1, 0, 0)
+    monkeypatch.setattr(covering, "lambda_fiber", lambda cubic, base: Fiber(base, ((q, 1),) * 6))
+    monkeypatch.setattr(covering, "continue_fiber", lambda cubic, path, start: path)
+    monkeypatch.setattr(covering, "_match_permutation", lambda start, end: end)
+
+    def swap(a, b):
+        images = list(range(6))
+        images[a], images[b] = b, a
+        return Permutation(tuple(images))
+
+    rng = np.random.default_rng(31)
+    cases = [[], [swap(0, 3)], [swap(0, 1), swap(1, 2), swap(2, 3), swap(4, 5)],
+             [swap(0, 1), swap(0, 2), swap(0, 3), swap(0, 4)],
+             [swap(i, i + 1) for i in range(5)]]
+    for _ in range(60):
+        cases.append([swap(*rng.choice(6, 2, replace=False)) for _ in range(rng.integers(1, 8))])
+    orders = set()
+    for perms in cases:
+        got, transitive, order = monodromy_group(None, q, [_KnownLasso(p) for p in perms])
+        group = _enumerated_group(perms)
+        assert got == perms
+        assert order == len(group)
+        assert transitive == (len({g[0] for g in group}) == 6)
+        orders.add(order)
+    assert {1, 2, 48, 120, 720} <= orders
