@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("monodromy", _cmd_monodromy, "monodromy of the 6-sheeted tangency covering",
         ("--q", dict(type=_parse_complex, nargs=3, help="base point (default: seeded generic point)")),
         ("--circle-samples", dict(type=int, default=48,
-                                  help="samples on each circle around a tangent, at least 3")),
+                                  help="vertices of each lasso's circle around a branch point, at least 3")),
         ("--seed", dict(type=int, default=0, help="seed of the basepoint and the loop line")))
     return p
 

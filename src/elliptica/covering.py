@@ -10,9 +10,9 @@ polynomial curves read off its Takagi factorization, with no random choice,
 on which the cubic is a polynomial with exact coefficients.
 
 Monodromy tracks the six fiber points as one (6, 3) array along the
-projective geodesics between loop samples, halving or doubling its own
-steps, so the spacing of the samples is not capped.  A loop's samples are
-the rows of one (n, 3) array.
+projective geodesics between a loop's vertices, halving or doubling its own
+steps, so a loop is its vertices alone, the rows of one (n, 3) array: a
+lasso is the basepoint, a polygon around one branch point, the basepoint.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ from .projective import (
 )
 
 COLLISION_THRESHOLD = 1e-5
-HALVING_LIMIT = 12
+HALVING_LIMIT = 24
 FIBER_CLUSTER = 1e-5
 OFF_CURVE_MIN = 1e-6
 CRITICAL_INCIDENCE_TOL = 1e-8
@@ -79,9 +79,9 @@ class Fiber:
 
 @dataclass(frozen=True, eq=False)
 class LoopPath:
-    """Closed sampled path in the cubic complement (first sample = last).
-    Consecutive samples are joined by the projective geodesic; their
-    spacing is free, since the tracker refines its own steps.
+    """Closed path in the cubic complement given by its vertices (first
+    sample = last), consecutive ones joined by the projective geodesic; no
+    intermediate samples are needed, since the tracker sets its own steps.
 
     samples is an (n, 3) complex array, scaled row by row like ProjPoint's
     coordinates, or a sequence of ProjPoints, taken as they are; it is
@@ -392,13 +392,14 @@ def continue_fiber(cubic: Cubic, path: LoopPath, start: Fiber) -> Fiber:
 
     Between samples a and b the base point follows the projective geodesic
     (1 - t) a + t b', with a and b scaled to unit length and b' = b
-    exp(i arg <b, a>) phase-aligned to a; the sample spacing is not capped.
-    Each segment is tried whole; a failed step is halved, an accepted one
-    doubles the next, and a step below 2^-HALVING_LIMIT of the segment
-    raises HalvingLimitError.  A step is one batched Newton solve from the
-    previous positions (its own first-order predictor), accepted when every
-    residual is <= 1e-9, no sheet moves more than 0.4 times the smallest
-    separation and no two end within COLLISION_THRESHOLD.
+    exp(i arg <b, a>) phase-aligned to a.  Each segment is tried whole; a
+    failed step is halved, an accepted one doubles the next, and a step
+    below 2^-HALVING_LIMIT of the segment raises HalvingLimitError: a floor
+    deep enough for a whole lasso tail, up to about a radian, that ends near
+    a branch point.  A step is one batched Newton solve from the previous
+    positions (its own first-order predictor), accepted when every residual
+    is <= 1e-9, no sheet moves more than 0.4 times the smallest separation
+    and no two end within COLLISION_THRESHOLD.
     """
     if start.total != 6 or len(start.entries) != 6:
         raise CollisionUnresolvedError("continuation needs 6 simple starting points")
@@ -505,11 +506,9 @@ def _lassos(cubic: Cubic, basepoint: ProjPoint, lat: Lattice | None, seed: int,
         if not ((radius >= 1e-6) & (clear >= 5e-4 * (1.0 + np.abs(start))))[:count].all():
             continue
         loops = []
-        for c, r, a, e in zip(s[:count], radius, start, clear):
-            n = max(6, int(3.0 * abs(a) / max(e, r)))
-            tail = a * np.arange(n) / n
+        for c, r, a in zip(s[:count], radius, start):
             circle = c + r * np.exp(1j * (np.angle(a - c) + turns))
-            sweep = np.concatenate([tail, circle, tail[::-1], [0.0]])
+            sweep = np.concatenate([[0.0], circle, [0.0]])
             loops.append(LoopPath(bvec + sweep[:, None] * d))
         return s, loops
     raise LoopDirectionError("no admissible loop direction found")
@@ -519,9 +518,10 @@ def tangent_loop_library(cubic: Cubic, basepoint: ProjPoint,
                          lat: Lattice | None = None, seed: int = 0,
                          circle_samples: int = 48):
     """Lassos around the 9 inflectional tangents in a seeded random line
-    through the basepoint: circles with straight tails, clear of the cubic
-    and of the other tangents.  circle_samples must be at least 3: a
-    polygon with fewer vertices does not wind around the tangent."""
+    through the basepoint, clear of the cubic and of the other tangents:
+    the basepoint, circle_samples + 1 vertices of a circle around the
+    crossing, the basepoint; each tail is one geodesic, a straight segment.
+    circle_samples >= 3: fewer vertices do not wind around the tangent."""
     return _lassos(cubic, basepoint, lat, seed, circle_samples, 9)[1]
 
 

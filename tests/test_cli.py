@@ -509,6 +509,20 @@ def test_monodromy_reports_the_certified_covering_group():
     assert doc["transitive"] is True
 
 
+def test_monodromy_tails_keep_a_deep_halving_floor():
+    # tau = i seed 12: a one-segment lasso tail ends near the branch point
+    # its circle goes around, where the tracker halves its step below
+    # 2^-14 of the segment; the generators and kinds are the ones that
+    # uniformly sampled tails give
+    doc = run_json(["monodromy", "--tau", "0,1", "--seed", "12"])
+    assert doc["generators"] == [
+        [0, 1, 2, 5, 4, 3], [2, 1, 0, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 3, 2, 1, 4, 5],
+        [0, 4, 2, 3, 1, 5], [0, 2, 1, 3, 4, 5], [0, 5, 2, 3, 4, 1], [1, 0, 2, 3, 4, 5],
+        [4, 1, 2, 3, 0, 5], [0, 3, 2, 1, 4, 5], [0, 1, 4, 3, 2, 5], [0, 1, 3, 2, 4, 5]]
+    assert doc["kinds"] == [8, 4, "cubic", 3, 0, 6, 2, "cubic", 1, 5, 7, "cubic"]
+    assert doc["group_order"] == 720 and doc["transitive"] is True
+
+
 def test_zeros_of_wp_at_huge_im_tau_are_refused():
     # at Im tau = 1000 the grids that resolve find 0 zeros and 0 poles,
     # which agree with each other but not with wp's degree 2, and the other

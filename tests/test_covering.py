@@ -618,24 +618,71 @@ def test_loop_library_with_far_apart_tail_samples():
     assert order == 720
 
 
+def _dense_tail(s, i, basepoint, start_row):
+    """The former uniform tail of lasso i: the segment from the basepoint
+    to the circle start in n = max(6, 3 |a| / max(clear, radius)) equal
+    steps, a the start and clear the tail's distance from the other
+    branch points s of the loop line, as (n, 3) rows from the basepoint."""
+    c, others = s[i], np.delete(s, i)
+    r = min(0.35 * np.abs(c - others).min(), 0.45 * abs(c))
+    a = c * (1.0 - r / abs(c))
+    t = np.clip((others / a).real, 0.0, 1.0)
+    n = max(6, int(3.0 * abs(a) / max(np.abs(t * a - others).min(), r)))
+    # the start row scaled so that its component along the basepoint is the
+    # basepoint: the loop line's direction is orthogonal to the basepoint,
+    # so the row is then basepoint + a d
+    b = start_row * np.vdot(basepoint, basepoint) / np.vdot(basepoint, start_row)
+    return basepoint + (np.arange(n) / n)[:, None] * (b - basepoint)
+
+
 def test_thinned_tails_follow_the_geodesic():
     # a tail is a straight segment in the loop's affine line, which is the
-    # projective geodesic between its end samples: tracking each tail as one
-    # segment must give the permutation of the densely sampled tail.  Loop 2's
-    # tail spans a near-right angle, where an uneven pace in the segment
-    # parameter would exhaust the halving floor.
+    # projective geodesic between its end vertices: the library's one-segment
+    # tail must give the permutation of the uniformly sampled tail it
+    # replaced.  Loop 2's tail spans a near-right angle, where an uneven
+    # pace in the segment parameter would exhaust the halving floor.
     cubic = weierstrass_cubic(REPRO_LATTICE)
-    loops = tangent_loop_library(cubic, REPRO_BASE, REPRO_LATTICE, seed=REPRO_SEED)
+    s, loops = covering._lassos(cubic, REPRO_BASE, REPRO_LATTICE, REPRO_SEED, 48, 9)
+    assert all(np.array_equal(a.samples, b.samples) for a, b in zip(
+        loops, tangent_loop_library(cubic, REPRO_BASE, REPRO_LATTICE, seed=REPRO_SEED)))
     fib = lambda_fiber(cubic, REPRO_BASE)
-    for loop in (loops[0], loops[2]):
-        s = loop.samples
-        ntail = (len(s) - 50) // 2  # tail, 49 circle samples, reversed tail, basepoint
-        thin = LoopPath(np.concatenate([s[:1], s[ntail:ntail + 49], s[-1:]]))
-        assert point_from_vec(s[0]).distance(point_from_vec(s[ntail])) > 0.9
-        dense = _match_permutation(fib.points(), continue_fiber(cubic, loop, fib).points())
-        sparse = _match_permutation(fib.points(), continue_fiber(cubic, thin, fib).points())
-        assert dense.cycle_type() == (2, 1, 1, 1, 1)
-        assert sparse.images == dense.images
+    for i in (0, 2):
+        thin = loops[i].samples
+        tail = _dense_tail(s, i, REPRO_BASE.vec, thin[1])
+        assert len(tail) > 6
+        assert point_from_vec(thin[0]).distance(point_from_vec(thin[1])) > 0.9
+        dense = LoopPath(np.concatenate([tail, thin[1:-1], tail[::-1], thin[-1:]]))
+        assert len(dense.samples) == 2 * len(tail) + 50
+        dense_perm = _match_permutation(fib.points(), continue_fiber(cubic, dense, fib).points())
+        thin_perm = _match_permutation(fib.points(), continue_fiber(cubic, loops[i], fib).points())
+        assert dense_perm.cycle_type() == (2, 1, 1, 1, 1)
+        assert thin_perm.images == dense_perm.images
+
+
+def _assert_lasso_vertices(loop, q, circle_samples):
+    """The lasso is the basepoint q, a closed circle of circle_samples + 1
+    vertices and q again: each tail is one geodesic segment."""
+    rows = loop.samples
+    assert rows.shape == (circle_samples + 3, 3)
+    assert point_from_vec(rows[0]).distance(q) <= 1e-15
+    assert point_from_vec(rows[-1]).distance(q) <= 1e-15
+    assert point_from_vec(rows[1]).distance(point_from_vec(rows[-2])) <= 1e-15
+
+
+def test_lassos_are_their_vertices():
+    cubic = weierstrass_cubic(GENERIC)
+    q = proj_point(1.0, 0.3 + 0.2j, 0.1 - 0.05j)
+    for n in (3, 48):
+        loops = tangent_loop_library(cubic, q, GENERIC, circle_samples=n)
+        assert len(loops) == 9
+        for loop in loops:
+            _assert_lasso_vertices(loop, q, n)
+    # the fewest vertices still certify the covering group
+    loops, _, perms, transitive, order = covering_monodromy(cubic, q, GENERIC, circle_samples=3)
+    assert len(loops) == 12 and transitive and order == 720
+    assert _product(perms).is_identity()
+    for loop in loops:
+        _assert_lasso_vertices(loop, q, 3)
 
 
 def test_group_of_one_transposition_has_order_two(generic):
@@ -731,6 +778,8 @@ def test_covering_monodromy_certificate_on_the_readme_basepoint(monkeypatch):
     assert all(p.cycle_type() == (2, 1, 1, 1, 1) for p in perms)
     assert _product(perms).is_identity()
     assert transitive and order == 720
+    for loop in loops:
+        _assert_lasso_vertices(loop, q, 48)
 
     cat = LoopPath(np.concatenate([loops[0].samples, loops[1].samples[1:]]))
     with pytest.raises(MonodromyCertificateError) as exc:
