@@ -39,7 +39,8 @@ from .errors import (
 from .lattice import (
     Lattice,
     TorusPoint,
-    _weight_normalized,
+    _j_pair,
+    _power,
     reduce_mod_lattice,
     torsion_points,
     torus_distance,
@@ -167,13 +168,20 @@ class Cubic:
     def on_curve(self, p: ProjPoint, tol: float = ON_CURVE_TOL) -> bool:
         return self.residual(p.vec) <= tol
 
+    def _pencil_terms(self) -> tuple[complex, float]:
+        """(t'^3, c) = (t^3, 27) / s^3, s = max(1, |t|): no power of t overflows."""
+        s = max(1.0, abs(self.t))
+        t = self.t / s
+        return t * t * t, 27.0 / s / s / s
+
     def is_smooth(self) -> bool:
+        """Whether the discriminant, D of the J pair [a^3 : D = a^3 - 27 b^2]
+        or t'^3 + c of _pencil_terms, exceeds 1e-12 of its two terms."""
         if self.family == "weierstrass":
-            g2, g3 = _weight_normalized(self.g2, self.g3)
-            return abs(g2 ** 3 - 27.0 * g3 ** 2) > 1e-12 * (abs(g2) ** 3 + 27.0 * abs(g3) ** 2)
-        s = max(1.0, abs(self.t))  # |t / s| <= 1: no power overflows
-        t, c = self.t / s, 27.0 / s / s / s
-        return abs(t ** 3 + c) > 1e-12 * (abs(t) ** 3 + c)
+            a3, d = _j_pair(self.g2, self.g3)
+            return abs(d) > 1e-12 * (abs(a3) + abs(a3 - d))
+        t3, c = self._pencil_terms()
+        return abs(t3 + c) > 1e-12 * (abs(t3) + c)
 
     def to_json(self) -> dict:
         params = {name: getattr(self, name) for name in _FORMS[self.family][1]}
@@ -228,9 +236,10 @@ def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice) -> TorusPoint:
         raise PointOffCurveError(f"point {p.coords} not on the cubic")
     x0, y0, z0 = p.coords
     r = 1e-3 * abs(lat.omega1)
-    if abs(2.0 * x0) < r * abs(y0) and abs(z0) <= r ** 3 * abs(y0):
+    if abs(2.0 * x0) < r * abs(y0) and abs(z0) <= r * r * r * abs(y0):
         w = -2.0 * x0 / y0
-        return reduce_mod_lattice(w * (1.0 - cubic.g2 * w ** 4 / 10.0 - 3.0 * cubic.g3 * w ** 6 / 28.0), lat)
+        w2 = w * w  # left to right, g2 and g3 meet w^2 before a power of w can overflow
+        return reduce_mod_lattice(w * (1.0 - cubic.g2 * w2 * w2 / 10.0 - 3.0 * cubic.g3 * w2 * w2 * w2 / 28.0), lat)
     if z0 == 0:
         raise NoPreimageError(f"point {p.coords} at infinity is not the identity")
     x, y = x0 / z0, y0 / z0
@@ -241,10 +250,10 @@ def unembed(p: ProjPoint, cubic: Cubic, lat: Lattice) -> TorusPoint:
     pv, ppv = wp_values(z.rep, lat)
     if abs(ppv - y) > abs(-ppv - y):
         z, ppv = -z, -ppv
-    if abs(ppv - y) > 1e-5 * (abs(lat.omega1) ** -3 + abs(y)):
+    if abs(ppv - y) > 1e-5 * (_power(abs(lat.omega1), -3) + abs(y)):
         raise NoPreimageError(f"wp' mismatch {abs(ppv - y):.2e} at recovered preimage")
     wpp = 6.0 * pv * pv - cubic.g2 / 2.0
-    if abs(ppv) ** 2 < (abs(lat.omega1) ** -2 + abs(x)) * abs(wpp):
+    if abs(ppv) * abs(ppv) < (_power(abs(lat.omega1), -2) + abs(x)) * abs(wpp):
         z = reduce_mod_lattice(z.rep - (ppv - y) / wpp, lat)
     return z
 

@@ -28,6 +28,7 @@ from .errors import (
 from .lattice import (
     Lattice,
     TorusPoint,
+    _power,
     half_periods,
     lattice_from_json,
     lattice_to_json,
@@ -73,9 +74,9 @@ def wp_values(z, lat: Lattice, trunc: int | None = None):
         r1 = np.multiply(s1, inv, pp)
         r2, r3 = np.multiply(s2, inv, s0), np.multiply(s3, inv, s1)
         r11 = np.multiply(r1, r1, s2)
-        np.multiply(np.add(np.subtract(r11, r2, p), _wp_constant(lat, trunc), s3), lat.omega1 ** -2, p)
+        np.multiply(np.add(np.subtract(r11, r2, p), _wp_constant(lat, trunc), s3), _power(lat.omega1, -2), p)
         t = np.subtract(np.multiply(3.0, r2, s3), np.multiply(2.0, r11, s0), s2)
-        np.multiply(np.subtract(np.multiply(r1, t, s0), r3, s2), lat.omega1 ** -3, pp)
+        np.multiply(np.subtract(np.multiply(r1, t, s0), r3, s2), _power(lat.omega1, -3), pp)
     if z.ndim == 0:
         return complex(p[0]), complex(pp[0])
     return p.reshape(z.shape), pp.reshape(z.shape)
@@ -124,7 +125,7 @@ def wp_inverse(v: complex, lat: Lattice, tol: float = 1e-12) -> TorusPoint:
     dx, dy = 1.0 - x / a, 1.0 - y / a
     e2, e3 = dx * dy - (dx + dy) ** 2, -dx * dy * (dx + dy)
     z = cmath.sqrt(c) * (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / cmath.sqrt(a)
-    if abs(wp_values(z, lat)[0] - v) < tol * (abs(lat.omega1) ** -2 + abs(v)):
+    if abs(wp_values(z, lat)[0] - v) < tol * (_power(abs(lat.omega1), -2) + abs(v)):
         return reduce_mod_lattice(z, lat)
     raise WpInverseError(f"wp_inverse failed for value {v}")
 
@@ -430,11 +431,7 @@ def decompose_degree2(f: EllipticFunction) -> tuple[MobiusTransform, TorusPoint]
                 eval_elliptic(f, t.rep + b1.rep),
                 eval_elliptic(f, t.rep + b2.rep),
             )
-            if (
-                chordal(dst[0], dst[1]) < 1e-9
-                or chordal(dst[0], dst[2]) < 1e-9
-                or chordal(dst[1], dst[2]) < 1e-9
-            ):
+            if any(chordal(dst[i], dst[k]) < 1e-9 for i, k in ((0, 1), (0, 2), (1, 2))):
                 continue
             g = mobius_through((INF, e1, e2), dst)
         except (ValueError, IndeterminatePointError):

@@ -22,9 +22,9 @@ import numpy as np
 
 from .cubic import EPS, Cubic, hesse_cubic, _hesse_inflection_table
 from .errors import SingularInputError
-from .lattice import Lattice, LatticeKind, classify_lattice
+from .lattice import CLASSIFY_TOL, Lattice, LatticeKind, _j_pair, classify_lattice
 from .projective import ProjPoint, point_from_vec
-from .sphere import INF, chordal, is_infinite, sphere_from_pair
+from .sphere import chordal, sphere_from_pair
 
 CONCURRENCY_TOL = 1e-9
 
@@ -170,32 +170,26 @@ def concurrency_scan_exact(t: QEps) -> list[tuple[int, int, int]]:
 
 
 def hesse_j(t: complex) -> complex:
-    """The pencil's classification map
-    t -> [8 t^3 (1 - t^3/216)^3 : 27 (1 + t^3/27)^3] as a sphere value."""
-    t = complex(t)
-    t3 = t ** 3
-    num = 8.0 * t3 * (1.0 - t3 / 216.0) ** 3
-    den = 27.0 * (1.0 + t3 / 27.0) ** 3
-    if abs(den) <= 1e-12 * (abs(num) + abs(den)):
-        return INF
-    return sphere_from_pair(num, den)
+    """J = j / 1728 of the pencil's cubic, t -> 8 t^3 (1 - t^3/216)^3 /
+    (27 (1 + t^3/27)^3), as a sphere value: divided by 27 (s^3/27)^4 the pair
+    is [8 t'^3 (c - t'^3/8)^3 : c (c + t'^3)^3] in the terms of
+    `Cubic._pencil_terms`, where no power of t overflows.  INF at t^3 = -27."""
+    t3, c = hesse_cubic(t)._pencil_terms()
+    m, d = c - t3 / 8.0, c + t3
+    return sphere_from_pair(8.0 * t3 * m * m * m, c * d * d * d)
 
 
 def is_equianharmonic(obj) -> bool:
     """Whether a lattice or cubic is the equianharmonic one (hexagonal
     lattice, j = 0, the unique smooth cubic with three concurrent
-    inflectional tangents), for a cubic to 1e-9 relative."""
+    inflectional tangents).  In both families a cubic's J is compared with 0
+    as `weierstrass_invariants` compares two J, chordal within 2 CLASSIFY_TOL,
+    and a cubic that `Cubic.is_smooth` calls singular is refused."""
     if isinstance(obj, Lattice):
         return classify_lattice(obj).kind is LatticeKind.HEXAGONAL
     if isinstance(obj, Cubic):
-        if obj.family == "weierstrass":
-            g2, g3 = obj.g2, obj.g3
-            return abs(g2) ** 3 <= 1e-9 * (abs(g2) ** 3 + 27.0 * abs(g3) ** 2)
-        t = obj.t
-        if abs(t ** 3 + 27.0) <= 1e-9 * (abs(t) ** 3 + 27.0):
-            raise SingularInputError(f"hesse cubic t={t} is singular")
-        jv = hesse_j(t)
-        if is_infinite(jv):
-            return False
-        return chordal(jv, 0j) <= 1e-9
+        if not obj.is_smooth():
+            raise SingularInputError(f"{obj.family} cubic {obj.to_json()} is singular")
+        j = sphere_from_pair(*_j_pair(obj.g2, obj.g3)) if obj.family == "weierstrass" else hesse_j(obj.t)
+        return chordal(j, 0.0) <= 2.0 * CLASSIFY_TOL
     raise TypeError(f"expected Lattice or Cubic, got {type(obj)!r}")

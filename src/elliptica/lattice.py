@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateGeneratorsError, InvalidOrderError, NonFiniteInvariantsError
+from .sphere import _pair_chordal
 
 DEGENERACY_TOL = 1e-12
 CLASSIFY_TOL = 1e-9
@@ -34,12 +35,12 @@ class Lattice:
         return self.omega2 / self.omega1
 
     def coords(self, z: complex) -> tuple[float, float]:
-        """Real coordinates (a, b) with z = a*omega1 + b*omega2."""
-        w1, w2 = self.omega1, self.omega2
-        den = (w1.conjugate() * w2).imag
-        a = (z * w2.conjugate()).imag / (w1 * w2.conjugate()).imag
-        b = (z * w1.conjugate()).imag / den
-        return a, b
+        """Real coordinates (a, b) with z = a*omega1 + b*omega2, from u =
+        z/omega1 = a + b*tau, the frame of theta and wp: b = Im u / Im tau,
+        a = Re u - b Re tau; no product of generators overflows."""
+        u, tau = z / self.omega1, self.tau
+        b = u.imag / tau.imag
+        return u.real - b * tau.real, b
 
     def from_coords(self, a: float, b: float) -> complex:
         return a * self.omega1 + b * self.omega2
@@ -179,12 +180,20 @@ def _normalized_invariants(tau: complex) -> tuple[complex, complex]:
     return g2, g3
 
 
-def _weight_normalized(g2: complex, g3: complex) -> tuple[complex, complex]:
-    """(g2 / s^2, g3 / s^3) with s = max(|g2|^(1/2), |g3|^(1/3)): the same
-    curve, both of modulus <= 1, so no power of them overflows; NaN when g2
-    and g3 both vanish or one is not finite."""
-    s = max(abs(g2) ** 0.5, abs(g3) ** (1.0 / 3.0)) or math.nan
-    return g2 / s / s, g3 / s / s / s
+def _power(x, k: int):
+    """x ** k through numpy: inf or 0 past double range, where Python's ** raises."""
+    with np.errstate(all="ignore"):
+        return type(x)(np.asarray(x) ** k)
+
+
+def _j_pair(g2: complex, g3: complex) -> tuple[complex, complex]:
+    """J = g2^3 / (g2^3 - 27 g3^2) = j / 1728 as the point [a^3 : a^3 - 27 b^2]
+    of the projective line, with the weight-normalized (a, b) = (g2 / s^2,
+    g3 / s^3), s = max(|g2|^(1/2), |g3|^(1/3)): the same curve, |a|, |b| <= 1,
+    so no power overflows; NaN when g2 and g3 both vanish or one is infinite."""
+    s = max(math.sqrt(abs(g2)), float(np.cbrt(abs(g3)))) or math.nan
+    a, b = g2 / s / s, g3 / s / s / s
+    return a * a * a, a * a * a - 27.0 * b * b
 
 
 def weierstrass_invariants(lat: Lattice) -> tuple[complex, complex]:
@@ -195,21 +204,15 @@ def weierstrass_invariants(lat: Lattice) -> tuple[complex, complex]:
     too coarse for the 1e-8 residual targets downstream.  eisenstein_series
     remains available as the independent cross-check.  Raises
     NonFiniteInvariantsError when g2 or g3 leaves double range: when the
-    pair's J is not the normalized pair's within CLASSIFY_TOL in chordal
-    distance, which also catches a g2 or g3 that rounds or underflows to
-    another curve (g3 = 0 on a hexagonal lattice far above unit scale).
+    pair's J is not the normalized pair's within chordal 2 CLASSIFY_TOL,
+    which a NaN never passes and which also catches a g2 or g3 that rounds or
+    underflows to another curve (g3 = 0 on a hexagonal lattice far above
+    unit scale).
     """
     g2n, g3n = _normalized_invariants(lat.tau)
-    with np.errstate(all="ignore"):  # numpy's powers give inf and 0 where Python's raise
-        w4, w6 = (complex(np.complex128(lat.omega1) ** k) for k in (4, 6))
+    w4, w6 = _power(lat.omega1, 4), _power(lat.omega1, 6)
     g2, g3 = (g2n / w4, g3n / w6) if w6 else (math.inf, math.inf)
-    # J = a^3 / (a^3 - 27 b^2) of both weight-normalized pairs (a, b) as
-    # points [a^3 : a^3 - 27 b^2] of the projective line, and their chordal
-    # distance multiplied out, which a NaN never passes
-    (p0, p1), (q0, q1) = ((a * a * a, a * a * a - 27.0 * b * b)
-                          for a, b in (_weight_normalized(g2, g3), _weight_normalized(g2n, g3n)))
-    if not (abs(p0 * q1 - p1 * q0)
-            <= CLASSIFY_TOL * math.hypot(abs(p0), abs(p1)) * math.hypot(abs(q0), abs(q1))):
+    if not _pair_chordal(_j_pair(g2, g3), _j_pair(g2n, g3n)) <= 2.0 * CLASSIFY_TOL:
         raise NonFiniteInvariantsError(f"g2, g3 out of double range at omega1 = {lat.omega1}")
     return g2, g3
 
@@ -217,28 +220,20 @@ def weierstrass_invariants(lat: Lattice) -> tuple[complex, complex]:
 def reduce_mod_lattice(z: complex, lat: Lattice) -> TorusPoint:
     """Canonical representative of z in the half-open fundamental
     parallelogram; z - rep is an exact integer combination of generators."""
-    a, b = lat.coords(complex(z))
-    m, n = math.floor(a), math.floor(b)
-    rep = z - (m * lat.omega1 + n * lat.omega2)
-    # guard against floor landing one cell off through rounding at the edges
-    for _ in range(2):
-        aa, bb = lat.coords(rep)
-        sm, sn = math.floor(aa), math.floor(bb)
-        if sm == 0 and sn == 0:
+    rep = z
+    for _ in range(3):  # floor may land a cell off through rounding at an edge
+        m, n = map(math.floor, lat.coords(complex(rep)))
+        if m == 0 and n == 0:
             break
-        rep = rep - (sm * lat.omega1 + sn * lat.omega2)
+        rep = rep - (m * lat.omega1 + n * lat.omega2)
     return TorusPoint(rep, lat)
 
 
 def torus_distance(x: complex, y: complex, lat: Lattice) -> float:
     """Distance between two torus points: min over lattice translates."""
     d = x - y
-    a, b = lat.coords(d)
-    best = math.inf
-    for da in (math.floor(a), math.floor(a) + 1):
-        for db in (math.floor(b), math.floor(b) + 1):
-            best = min(best, abs(d - da * lat.omega1 - db * lat.omega2))
-    return best
+    m, n = map(math.floor, lat.coords(d))
+    return min(abs(d - (m + i) * lat.omega1 - (n + k) * lat.omega2) for i in (0, 1) for k in (0, 1))
 
 
 def torsion_points(lat: Lattice, n: int) -> list[TorusPoint]:

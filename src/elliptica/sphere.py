@@ -1,11 +1,13 @@
 """Riemann-sphere values and Moebius transformations.
 
 A sphere value is an ordinary complex number or the point at infinity,
-represented by the constant INF (a complex with an infinite part).  All
-comparisons between sphere values go through the chordal metric, which is
-bounded and treats infinity like any other point.  A NaN is neither: it is
-not infinite, and its chordal distance to anything is NaN, so no
-"distance < tol" test can match it.
+represented by the constant INF (a complex with an infinite part).  Its unit
+pair is its homogeneous pair of largest modulus 1: [v : 1] for |v| <= 1,
+[1 : 1/v] beyond and [1 : 0] for INF.  Sphere values and the cubics' J pairs
+are compared by one metric, the chordal distance of their pairs, which is
+bounded, treats infinity like any other point and overflows at no modulus.
+A NaN is neither finite nor infinite: its chordal distance to anything is
+NaN, so no "distance < tol" test can match it.
 """
 from __future__ import annotations
 
@@ -21,19 +23,24 @@ def is_infinite(v: complex) -> bool:
     return not cmath.isnan(v) and cmath.isinf(v)
 
 
+def _unit_pair(v: complex) -> tuple[complex, complex]:
+    """The unit pair of a sphere value; a NaN gives a NaN entry."""
+    if is_infinite(v):
+        return 1.0, 0.0
+    return (v, 1.0) if abs(v) <= 1.0 else (1.0, 1.0 / v)
+
+
+def _pair_chordal(p, q) -> float:
+    """Chordal distance 2 |p0 q1 - p1 q0| / (|p| |q|) of the points [p0 : p1]
+    and [q0 : q1], for entries of moderate modulus: unit pairs and J pairs."""
+    (p0, p1), (q0, q1) = p, q
+    return 2.0 * abs(p0 * q1 - p1 * q0) / (math.hypot(abs(p0), abs(p1)) * math.hypot(abs(q0), abs(q1)))
+
+
 def chordal(a: complex, b: complex) -> float:
-    """Chordal distance on the Riemann sphere, in [0, 2]; NaN if either
-    value has a NaN part."""
-    if cmath.isnan(a) or cmath.isnan(b):
-        return math.nan
-    ainf, binf = is_infinite(a), is_infinite(b)
-    if ainf and binf:
-        return 0.0
-    if ainf:
-        return 2.0 / math.sqrt(1.0 + abs(b) ** 2)
-    if binf:
-        return 2.0 / math.sqrt(1.0 + abs(a) ** 2)
-    return 2.0 * abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
+    """Chordal distance on the Riemann sphere, in [0, 2], on the unit pairs
+    of a and b; NaN if either value has a NaN part."""
+    return _pair_chordal(_unit_pair(a), _unit_pair(b))
 
 
 @dataclass(frozen=True)
@@ -54,13 +61,11 @@ class MobiusTransform:
         return self.a * self.d - self.b * self.c
 
     def __call__(self, z: complex) -> complex:
-        if is_infinite(z):
-            return INF if self.c == 0 else self.a / self.c
-        num = self.a * z + self.b
-        den = self.c * z + self.d
-        if den == 0:
-            return INF
-        return num / den
+        """The image of z, taken on z's unit pair, at any |z|; NaN maps to NaN."""
+        if cmath.isnan(z):
+            return z
+        z0, z1 = _unit_pair(z)
+        return sphere_from_pair(self.a * z0 + self.b * z1, self.c * z0 + self.d * z1)
 
     def compose(self, other: "MobiusTransform") -> "MobiusTransform":
         """self after other: (self.compose(other))(z) = self(other(z))."""

@@ -285,6 +285,12 @@ def test_monodromy_json_solves_the_basepoint_fiber_once(monkeypatch):
         (["inflections", "--t", "nan,0"], "parse_arguments"),
         (["cubic", "--t", "nan,0"], "parse_arguments"),
         (["hesse-scan", "--t", "inf,0"], "parse_arguments"),
+        # omega1 = 1e-160: wp is past double range (its scale factor
+        # omega1^-2 overflows), and no grid of wp's zeros resolves; at 1e160
+        # omega1^-2 is below double range; none raises an overflow
+        (["wp", "--omega1", "1e-160,0", "--omega2", "0,1e-160", "--z", "3e-161,2e-161"], "render_report"),
+        (["zeros", "--omega1", "1e-160,0", "--omega2", "0,1e-160", "--wp"], "locate_zeros"),
+        (["wp", "--omega1", "1e160,0", "--omega2", "0,1e160", "--z", "3e159,2e159"], "render_report"),
     ],
 )
 def test_bad_input_or_nonfinite_result_is_domain_error(argv, operation, tmp_path):

@@ -1,20 +1,29 @@
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from elliptica import (
     EPS,
+    Cubic,
+    LatticeKind,
     QEps,
+    chordal,
+    classify_lattice,
     concurrency_scan,
     concurrency_scan_exact,
     hesse_cubic,
     hesse_data,
     hesse_j,
     is_equianharmonic,
+    make_lattice,
     weierstrass_cubic,
 )
-from elliptica.errors import SingularInputError
+from elliptica.errors import NonFiniteInvariantsError, SingularCubicError, SingularInputError
 from elliptica.hesse import (
     _ROWS_A,
     _ROWS_B,
@@ -209,6 +218,48 @@ def test_equianharmonic_singular_input():
         is_equianharmonic(hesse_cubic(-3.0))
     with pytest.raises(SingularInputError):
         is_equianharmonic(hesse_cubic(-3.0 * EPS))
+
+
+def test_equianharmonic_refuses_what_is_smooth_calls_singular():
+    # t^3 + 27 is 1.5e-10 of its terms at t = -3 (1 + 1e-10): smooth by
+    # is_smooth's 1e-12, and once refused by a band of 1e-9 of its own
+    for t in (-3.0 * (1.0 + 1e-10), -3.0 * EPS * (1.0 + 1e-10)):
+        assert hesse_cubic(t).is_smooth() and not is_equianharmonic(hesse_cubic(t))
+    for cubic in (hesse_cubic(-3.0 * (1.0 + 1e-13)), Cubic("weierstrass", g2=3.0, g3=1.0)):
+        assert not cubic.is_smooth()
+        with pytest.raises(SingularInputError):
+            is_equianharmonic(cubic)
+
+
+_derandomized = settings(derandomize=True, database=None, deadline=None)
+
+
+@settings(_derandomized, max_examples=60)
+@given(st.floats(-300.0, 300.0), st.floats(0.0, 2.0 * math.pi))
+@example(300.0, 1.0)
+@example(60.0, 0.0)
+def test_hesse_j_is_invariant_under_eps_at_every_modulus(e, theta):
+    # J depends on t^3 alone; t^3 once overflowed from |t| = 1e103
+    t = 10.0 ** e * cmath.exp(1j * theta)
+    assert chordal(hesse_j(EPS * t), hesse_j(t)) <= 1e-12
+
+
+_TAUS = (1j, cmath.exp(1j * math.pi / 3.0), cmath.exp(2j * math.pi / 3.0), 0.3 + 1.4j, 2j, 0.45 + 3j)
+
+
+@settings(_derandomized, max_examples=40)
+@given(st.sampled_from(_TAUS), st.integers(-80, 80))
+@example(cmath.exp(1j * math.pi / 3.0), -40)
+@example(1j, -27)
+def test_cubic_is_equianharmonic_exactly_when_its_lattice_is_hexagonal(tau, k):
+    # J is compared on its normalized pair, so the answer does not depend on
+    # the scale omega1 = 10^k wherever weierstrass_cubic answers
+    lat = make_lattice(10.0 ** k, 10.0 ** k * tau)
+    try:
+        cubic = weierstrass_cubic(lat)
+    except (NonFiniteInvariantsError, SingularCubicError):
+        assume(False)
+    assert is_equianharmonic(cubic) == (classify_lattice(lat).kind is LatticeKind.HEXAGONAL)
 
 
 def test_qeps_arithmetic():

@@ -194,6 +194,19 @@ def test_reduce_exact_periodicity():
             assert shifted == base
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_torus_coordinates_at_every_finite_scale(scale):
+    # coords reads u = z / omega1; the products of generators it once formed
+    # overflowed to NaN at 1e160 and were subnormal at 1e-160
+    lat = make_lattice(scale, scale * (0.3 + 1.4j))
+    z = 2.3 * lat.omega1 - 1.6 * lat.omega2
+    a, b = lat.coords(z)
+    assert abs(a - 2.3) <= 1e-15 and abs(b + 1.6) <= 1e-15
+    rep = reduce_mod_lattice(z, lat).rep
+    assert abs(rep / lat.omega1 - (0.42 + 0.56j)) <= 1e-15
+    assert torus_distance(rep, z, lat) <= 1e-15 * scale
+
+
 def test_torsion_points(generic):
     assert [t.rep for t in torsion_points(generic, 1)] == [0.0]
     t2 = torsion_points(generic, 2)

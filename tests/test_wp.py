@@ -9,13 +9,14 @@ from elliptica import (
     is_infinite,
     make_lattice,
     reduce_mod_lattice,
+    torus_distance,
     weierstrass_invariants,
     wp_inverse,
     wp_pair,
     wp_values,
 )
 from elliptica.elliptic import wp_function
-from elliptica.errors import ReconstructionFailureError
+from elliptica.errors import ReconstructionFailureError, WpInverseError
 
 LATTICES = [
     make_lattice(1.0, 1j),
@@ -215,3 +216,17 @@ def test_wp_function_at_large_im_tau():
         assert abs(wp_values(y.rep, lat)[0]) <= 1e-11
     z = np.array([0.31 + 0.43j, 0.7 - 0.2j])
     assert np.abs(f.values(z) - wp_values(z, lat)[0]).max() <= 1e-10 * np.abs(wp_values(z, lat)[0]).max()
+
+
+def test_wp_inverse_and_wp_function_far_from_unit_scale():
+    # omega1^-3 overflows at omega1 = 1e-120, where Python's ** raised
+    # ZeroDivisionError; wp itself is about 1e240 there and answers
+    lat = make_lattice(1e-120, 1e-120 * (0.3 + 1.4j))
+    z = 0.31 * lat.omega1 + 0.43 * lat.omega2
+    v = wp_values(z, lat)[0]
+    w = wp_inverse(v, lat).rep
+    assert min(torus_distance(w, z, lat), torus_distance(w, -z, lat)) <= 1e-12 * abs(lat.omega1)
+    assert abs(wp_function(lat).values(z) / v - 1.0) <= 1e-12
+    # at 1e-160 omega1^-2 overflows too: wp_function's zeros are refused
+    with pytest.raises(WpInverseError):
+        wp_function(make_lattice(1e-160, 1e-160 * (0.3 + 1.4j)))
