@@ -17,8 +17,6 @@ Each point is Newton-polished at its multiplicity, on f for a zero and on
 inconsistent is replaced by its four quarters, and the whole grid is
 re-shifted when a cell past the depth limit still fails or the degrees
 disagree.
-contour_power_sums and Newton's identities (newton_elementary) give the
-power sums and the polynomial of the zeros inside one circle.
 """
 from __future__ import annotations
 
@@ -245,35 +243,6 @@ def contour_power_sums(
     _require_dlog(f)
     s = _moments(f, center, radius, kmax, nodes, MIN_MODULUS_REL)[0]
     return PowerSums(tuple(complex(v) for v in s * radius ** np.arange(kmax + 1)))
-
-
-def newton_elementary(sums: PowerSums) -> list[complex]:
-    """Elementary symmetric values s_1..s_k from power sums via Newton's
-    identities; the monic polynomial with coefficients (-1)^j s_j has the
-    enclosed zeros as roots."""
-    k = sums.count
-    if k < 0:
-        raise InsufficientSumsError(f"negative count {k}")
-    if len(sums.values) < k + 1:
-        raise InsufficientSumsError(
-            f"need power sums through p={k}, have {len(sums.values) - 1}"
-        )
-    p = sums.values
-    e = [1.0 + 0j]
-    for r in range(1, k + 1):
-        acc = 0j
-        for i in range(1, r + 1):
-            acc += (-1) ** (i - 1) * e[r - i] * p[i]
-        e.append(acc / r)
-    return e[1:]
-
-
-def monic_from_elementary(sym: list[complex]) -> np.ndarray:
-    """Coefficients [1, -s1, s2, ...] of prod (w - z_i)."""
-    coeffs = [1.0 + 0j]
-    for j, s in enumerate(sym, start=1):
-        coeffs.append((-1) ** j * s)
-    return np.array(coeffs)
 
 
 def _oriented(f, z: complex, weight: int):

@@ -95,7 +95,7 @@ class NonIntegerCountError(EllipticaError):
 
 
 class InsufficientSumsError(EllipticaError):
-    operation = "newton_elementary"
+    operation = "contour_power_sums"
 
 
 class SubdivisionFailureError(EllipticaError):

@@ -54,17 +54,8 @@ class TorusPoint:
     rep: complex
     lattice: Lattice
 
-    def __add__(self, other: "TorusPoint") -> "TorusPoint":
-        return reduce_mod_lattice(self.rep + other.rep, self.lattice)
-
     def __neg__(self) -> "TorusPoint":
         return reduce_mod_lattice(-self.rep, self.lattice)
-
-    def __sub__(self, other: "TorusPoint") -> "TorusPoint":
-        return reduce_mod_lattice(self.rep - other.rep, self.lattice)
-
-    def scaled(self, k: int) -> "TorusPoint":
-        return reduce_mod_lattice(k * self.rep, self.lattice)
 
 
 class LatticeKind(Enum):

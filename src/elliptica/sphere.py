@@ -98,14 +98,16 @@ class MobiusTransform:
 
 
 def _to_zero_one_inf(p: complex, q: complex, r: complex) -> MobiusTransform:
-    # unique Moebius sending (p, q, r) -> (0, 1, inf); any one of p,q,r may be INF
-    if is_infinite(p):
-        return MobiusTransform(0, q - r, 1, -r)
-    if is_infinite(q):
-        return MobiusTransform(1, -p, 1, -r)
-    if is_infinite(r):
-        return MobiusTransform(1, -p, 0, q - p)
-    return MobiusTransform(q - r, -p * (q - r), q - p, -r * (q - p))
+    """The Moebius map sending (p, q, r) to (0, 1, INF), z -> [z,p][q,r] /
+    ([z,r][q,p]) with [a,b] = a0 b1 - a1 b0 on unit pairs, both factors
+    divided by the larger of |[q,r]| and |[q,p]|: every coefficient is at
+    most 1 in modulus, and the largest is 1, whatever the moduli of p, q, r."""
+    p, q, r = _unit_pair(p), _unit_pair(q), _unit_pair(r)
+    qr = q[0] * r[1] - q[1] * r[0]
+    qp = q[0] * p[1] - q[1] * p[0]
+    s = max(abs(qr), abs(qp)) or 1.0  # 0 when p = q = r: refused as singular
+    qr, qp = qr / s, qp / s
+    return MobiusTransform(qr * p[1], -qr * p[0], qp * r[1], -qp * r[0])
 
 
 def mobius_through(src: tuple[complex, complex, complex],

@@ -529,6 +529,19 @@ def test_monodromy_tails_keep_a_deep_halving_floor():
     assert doc["group_order"] == 720 and doc["transitive"] is True
 
 
+def test_monodromy_svg_draws_twelve_loops_and_the_basepoint_fiber():
+    argv = ["monodromy", "--tau", "0.3,1.4", "--format", "svg"]
+    status, payload = dispatch(argv)
+    assert status == 0, payload
+    svg = payload.decode()
+    assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    # one orange polyline per lasso; circles for the basepoint and its six
+    # fiber points
+    assert svg.count('stroke="darkorange"') == 12
+    assert svg.count("<circle") == 7
+    assert dispatch(argv) == (0, payload)
+
+
 def test_zeros_of_wp_at_huge_im_tau_are_refused():
     # at Im tau = 1000 the grids that resolve find 0 zeros and 0 poles,
     # which agree with each other but not with wp's degree 2, and the other

@@ -13,7 +13,6 @@ from elliptica import (
     jacobi_sum,
     locate_zeros,
     make_lattice,
-    newton_elementary,
     torus_distance,
 )
 from elliptica import divisors
@@ -26,7 +25,6 @@ from elliptica.divisors import (
     _newton_polish,
     locate_divisor_pair,
     match_divisors,
-    monic_from_elementary,
 )
 from elliptica.elliptic import wp_evaluable, wp_pair
 from elliptica.errors import (
@@ -56,6 +54,21 @@ def test_divisor_order_ignores_rounding_level_moves(square):
     assert [m for _, m in d1.points] == [m for _, m in d2.points] == [2, 1]
     for (p, _), (q, _) in zip(d1.points, d2.points):
         assert abs(p.rep - q.rep) <= 2e-16
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+def test_divisor_merges_coincident_points(scale):
+    # lifts equal up to a lattice vector, or within 1e-12 |omega1| of each
+    # other, are one point whose multiplicity is the sum
+    lat = make_lattice(scale, scale * (0.3 + 1.4j))
+    w1, w2 = lat.omega1, lat.omega2
+    a, b = 0.2 * w1 + 0.3 * w2, 0.7 * w1 + 0.6 * w2
+    d = divisor([(a, 1), (b, 2), (a + w1 - 2 * w2, 2), (b + 4e-13 * w1, 1), (a - 3e-13 * w2, 1)], lat)
+    assert d.degree == 7 and len(d.points) == 2
+    mults = {round(lat.coords(p.rep)[0], 6): m for p, m in d.points}
+    assert mults == {0.2: 4, 0.7: 3}
+    # points 1e-9 |omega1| apart stay apart
+    assert len(divisor([(a, 1), (a + 1e-9 * w1, 1)], lat).points) == 2
 
 
 def test_jacobi_empty(generic):
@@ -179,37 +192,10 @@ def test_power_sums_match_the_direct_trapezoid(generic, shift, center, radius):
             assert abs(v - direct[p]) <= 1e-12 * (1 + abs(v))
 
 
-def test_newton_identities_frozen():
-    # roots {2, 3}: p1 = 5, p2 = 13 -> s1 = 5, s2 = 6
-    s = newton_elementary(PowerSums((2.0 + 0j, 5.0 + 0j, 13.0 + 0j)))
-    assert abs(s[0] - 5.0) < 1e-14
-    assert abs(s[1] - 6.0) < 1e-14
-    # single root r
-    s = newton_elementary(PowerSums((1.0 + 0j, 2.5 - 1j)))
-    assert abs(s[0] - (2.5 - 1j)) < 1e-14
-
-
-def test_newton_identities_round_trip():
-    rng = np.random.default_rng(1)
-    for degree in (3, 5, 8):
-        roots = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
-        sums = [complex(degree)] + [
-            complex(np.sum(roots ** p)) for p in range(1, degree + 1)
-        ]
-        sym = newton_elementary(PowerSums(tuple(sums)))
-        rec = np.roots(monic_from_elementary(sym))
-        assert match_roots(rec, roots, 1e-8)
-
-
-def match_roots(a, b, tol):
-    a = sorted(a, key=lambda z: (z.real, z.imag))
-    b = sorted(b, key=lambda z: (z.real, z.imag))
-    return all(abs(x - y) < tol for x, y in zip(a, b))
-
-
-def test_newton_insufficient(generic):
-    with pytest.raises(InsufficientSumsError):
-        newton_elementary(PowerSums((3.0 + 0j, 1.0 + 0j)))
+def test_power_sums_refuse_a_negative_order(generic):
+    with pytest.raises(InsufficientSumsError) as err:
+        contour_power_sums(wp_evaluable(generic), 0.3 + 0.9j, 0.17, -1)
+    assert err.value.to_json()["operation"] == "contour_power_sums"
 
 
 def test_locate_wp_divisors(generic):

@@ -100,10 +100,13 @@ def test_chordal_answers_where_the_product_of_moduli_overflows():
     assert chordal(a, b) == pytest.approx(3.7281962315091483e-05, rel=1e-14)
 
 
+def _polar(lo, hi):
+    """Values of modulus 10^e, e in [lo, hi], at any argument."""
+    return st.builds(lambda e, t: 10.0 ** e * cmath.exp(1j * t), st.floats(lo, hi), st.floats(0.0, 2.0 * math.pi))
+
+
 # sphere values with moduli from 1e-300 to 1e300, and 0 and INF
-_sphere_values = st.one_of(
-    st.just(0j), st.just(INF),
-    st.builds(lambda e, t: 10.0 ** e * cmath.exp(1j * t), st.floats(-300.0, 300.0), st.floats(0.0, 2.0 * math.pi)))
+_sphere_values = st.one_of(st.just(0j), st.just(INF), _polar(-300.0, 300.0))
 
 
 def _reciprocal(v):
@@ -121,3 +124,53 @@ def test_chordal_is_a_bounded_metric_at_every_modulus(a, b):
     assert chordal(a.conjugate(), b.conjugate()) == d
     # 1/z rounds once or twice per value, a few units of 2^-52 of the distance
     assert abs(chordal(_reciprocal(a), _reciprocal(b)) - d) <= 1e-15
+
+
+def _separated(triple):
+    return all(chordal(triple[i], triple[k]) >= 1e-3 for i, k in ((0, 1), (0, 2), (1, 2)))
+
+
+# triples of sphere values pairwise at least chordal 1e-3 apart, in any
+# order: at most one near 0 and one near INF, the rest of modulus 1e-2..1e2
+_small = st.one_of(st.just(0j), _polar(-300.0, -3.0))
+_moderate = _polar(-2.0, 2.0)
+_large = st.one_of(st.just(INF), _polar(3.0, 300.0))
+_triples = st.one_of(
+    st.tuples(_small, _moderate, _large), st.tuples(_small, _moderate, _moderate),
+    st.tuples(_moderate, _moderate, _large), st.tuples(_moderate, _moderate, _moderate),
+).flatmap(st.permutations).map(tuple).filter(_separated)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_triples, _triples)
+# coefficients formed from the values themselves overflowed to inf and NaN
+# here, and every point was sent to INF
+@example((1.0 + 0j, 1e160 + 0j, 2.0 + 0j), (1e200 + 0j, 1.0 + 0j, 2.0 + 0j))
+@example((0j, 2e40 + 0j, 1j), (1e280 + 0j, 0j, 1j))
+def test_mobius_through_hits_its_targets_at_every_modulus(src, dst):
+    m = mobius_through(src, dst)
+    for s, d in zip(src, dst):
+        assert chordal(m(s), d) <= 1e-12
+
+
+@pytest.mark.parametrize("src, dst", [
+    ((1e150, 2e150, 3e150), (1.0, 2.0, INF)),
+    ((1e160, 2e160, 3e160), (1.0, 2.0, INF)),   # once all sent to INF
+    ((1.0, 2.0, INF), (1e-200, 2e-200, 3e-200)),  # once refused as singular
+    ((1e-300, 2e-300, 3e-300), (1.0, 2.0, INF)),
+])
+def test_mobius_through_tells_apart_points_of_one_cluster(src, dst):
+    # three points within 1e-150 of each other on the sphere: the map and
+    # its inverse still send each point to its own target
+    m = mobius_through(src, dst)
+    for s, d in zip(src, dst):
+        assert chordal(m(s), d) <= 1e-12 and chordal(m.inverse()(d), s) <= 1e-12
+        if not is_infinite(d):
+            assert abs(m(s) - d) <= 1e-12 * abs(d)
+
+
+def test_mobius_through_refuses_coincident_points():
+    with pytest.raises(ValueError):
+        mobius_through((1.0, 1.0, 1.0), (0.0, 1.0, INF))
+    with pytest.raises(ValueError):
+        mobius_through((0.0, 1.0, INF), (2.0, 3.0, 2.0))

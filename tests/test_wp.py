@@ -1,5 +1,10 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ORACLE_IM_TAUS, mp_wp
 from elliptica import (
@@ -38,6 +43,24 @@ def test_weierstrass_equation(lat):
     zs = grid_points(rng, lat, 100)
     p, pp = wp_values(zs, lat)
     resid = np.abs(pp ** 2 - 4.0 * p ** 3 + g2 * p + g3) / (1.0 + np.abs(p) ** 3)
+    assert resid.max() <= 1e-8
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.floats(-0.5, 0.5), st.floats(math.sqrt(3.0) / 2.0, 5.0), st.floats(-3.0, 3.0),
+       st.floats(0.0, 2.0 * math.pi))
+def test_weierstrass_equation_at_every_scale(re_tau, im_tau, k, phase):
+    # wp'^2 = 4 wp^3 - g2 wp - g3 on omega1 = 10^k e^(i phase), Im tau up
+    # to 5; the residual is taken at unit scale, times |omega1|^6, so one
+    # bound holds at every omega1.  It catches a wrong power of omega1 in
+    # either factor of wp_values, e.g. omega1^-2 in place of omega1^-3 on wp'
+    w1 = 10.0 ** k * cmath.exp(1j * phase)
+    lat = make_lattice(w1, w1 * complex(re_tau, im_tau))
+    g2, g3 = weierstrass_invariants(lat)
+    a, b = np.meshgrid(np.linspace(0.07, 0.93, 5), np.linspace(0.07, 0.93, 5))
+    p, pp = wp_values((a * lat.omega1 + b * lat.omega2).ravel(), lat)
+    s = abs(lat.omega1)
+    resid = s ** 6 * np.abs(pp ** 2 - 4.0 * p ** 3 + g2 * p + g3) / (1.0 + (s ** 2 * np.abs(p)) ** 3)
     assert resid.max() <= 1e-8
 
 
