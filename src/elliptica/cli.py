@@ -513,7 +513,7 @@ def _run(argv: list[str]):
     except EllipticaError as exc:
         return 1, to_json_bytes({"error": exc.to_json()}), None
     # np.linalg.LinAlgError is a ValueError; ArithmeticError covers
-    # ZeroDivisionError and the OverflowError of math.floor(inf)
+    # ZeroDivisionError and OverflowError
     except (ValueError, ArithmeticError) as exc:
         err = InternalError(f"{args.command}: {exc}", exception=type(exc).__name__)
         return 1, to_json_bytes({"error": err.to_json()}), None

@@ -13,6 +13,8 @@ Monodromy tracks the six fiber points as one (6, 3) array along the
 projective geodesics between a loop's vertices, halving or doubling its own
 steps, so a loop is its vertices alone, the rows of one (n, 3) array: a
 lasso is the basepoint, a polygon around one branch point, the basepoint.
+Two tangency points coincide within COLLISION_THRESHOLD, one projective
+distance: a doubled fiber point, or a continuation step refused.
 """
 from __future__ import annotations
 
@@ -57,7 +59,6 @@ from .projective import (
 
 COLLISION_THRESHOLD = 1e-5
 HALVING_LIMIT = 24
-FIBER_CLUSTER = 1e-5
 OFF_CURVE_MIN = 1e-6
 CRITICAL_INCIDENCE_TOL = 1e-8
 
@@ -165,6 +166,14 @@ def _conic_residual(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.abs(_conic(m, v)[0]) / (float(np.abs(m).max()) * np.abs(v).max(axis=1) ** 2 + 1e-300)
 
 
+def _row_gaps(rows: np.ndarray) -> np.ndarray:
+    """The (n, n) projective distances between the rows of the (n, 3) array
+    rows, inf on the diagonal, so row k's minimum is k's nearest distance."""
+    d = row_distances(rows[:, None], rows[None])
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
 def _conic_curves(m: np.ndarray) -> list[np.ndarray]:
     """The polar conic as curves s -> sum_i rows[i] s^i, as (d + 1, 3) rows,
     read off the Takagi factorization M = U diag(sigma) U^T (U unitary,
@@ -216,47 +225,39 @@ def lambda_fiber(cubic: Cubic, q: ProjPoint) -> Fiber:
 def _assemble_fiber(cubic, m, q, pts) -> Fiber:
     """The fiber from the (6, 3) raw points pts on the polar conic m."""
     # polish every raw point first: companion-matrix jitter for a tangential
-    # (double) intersection far exceeds the cluster radius, but the Newton
+    # (double) intersection far exceeds COLLISION_THRESHOLD, but the Newton
     # iterates contract into the touching point
     rows, resid = _newton_rows(cubic, m, pts)
     if not np.isfinite(rows).all():
         raise SolveFailureError("fiber point failed to polish: non-finite coordinates")
-    polished = [point_from_vec(v) for v in rows]
-    near = row_distances(rows[:, None], rows[None]) <= FIBER_CLUSTER
-    groups: list[list[int]] = []
-    for k in sorted(range(6), key=lambda k: (polished[k].coords[0].real,
-                                             polished[k].coords[0].imag,
-                                             polished[k].coords[1].real)):
-        for g in groups:
-            if near[g[0], k]:
-                g.append(k)
-                break
-        else:
-            groups.append([k])
-    # a smooth cubic has no hyperflex: over a point off the cubic no
-    # tangency point counts more than twice
-    largest = max(map(len, groups))
+    # points within COLLISION_THRESHOLD coincide; a smooth cubic has no
+    # hyperflex, so over a point off the cubic none is near two others
+    near = _row_gaps(rows) <= COLLISION_THRESHOLD
+    largest = 1 + int(near.sum(axis=1).max())
     if largest > 2:
         raise SolveFailureError(f"{largest} fiber points in one cluster")
-    single = [g[0] for g in groups if len(g) == 1]
-    doubled = [g for g in groups if len(g) > 1]
+    # a pair is polished from its member first in (Re x, Im x, Re y) order
+    s = scaled_rows(rows)
+    order = sorted(range(6), key=lambda k: (s[k, 0].real, s[k, 0].imag, s[k, 1].real))
+    single = [k for k in order if not near[k].any()]
+    doubled = [k for i, k in enumerate(order) if near[k, order[i + 1:]].any()]
     # the gates read "not <=", so that a NaN residual fails them
     if single and not resid[single].max() <= 1e-8:
         raise SolveFailureError(f"fiber point failed to polish: {resid[single].max():.2e}")
-    entries = [(polished[k], 1) for k in single]
+    entries = [(point_from_vec(rows[k]), 1) for k in single]
     if doubled:
         # a doubled tangency point is an inflection point of the cubic;
         # polishing on {F = 0, det Hess F = 0} restores full precision there;
         # it starts from one member, since two members scaled to a largest
         # coordinate of 1 may differ in sign ([1:0:-1] against [-1:0:1]) and
         # their centroid then cancels
-        rows = chart_newton(cubic, rows[[g[0] for g in doubled]], cubic.hessian_det_rows)
+        rows = chart_newton(cubic, rows[doubled], cubic.hessian_det_rows)
         # an inflection off the polar conic means two raw points were
         # polished onto one simple point, not a tangency
         off = _conic_residual(m, rows).max()
         if not off <= 1e-8:
             raise SolveFailureError(f"doubled fiber point off the polar conic: {off:.2e}")
-        entries += [(point_from_vec(u), len(g)) for u, g in zip(rows, doubled)]
+        entries += [(point_from_vec(u), 2) for u in rows]
     entries.sort(key=lambda e: (round(e[0].coords[0].real, 9),
                                 round(e[0].coords[0].imag, 9),
                                 round(e[0].coords[1].real, 9),
@@ -398,16 +399,15 @@ def continue_fiber(cubic: Cubic, path: LoopPath, start: Fiber) -> Fiber:
     deep enough for a whole lasso tail, up to about a radian, that ends near
     a branch point.  A step is one batched Newton solve from the previous
     positions (its own first-order predictor), accepted when every residual
-    is <= 1e-9, no sheet moves more than 0.4 times the smallest separation
-    and no two end within COLLISION_THRESHOLD.
+    is <= 1e-9, each sheet moves at most 0.4 times its own distance to its
+    nearest other sheet, and no two end within COLLISION_THRESHOLD.
     """
     if start.total != 6 or len(start.entries) != 6:
         raise CollisionUnresolvedError("continuation needs 6 simple starting points")
     if row_distances(start.base.vec, path.samples[0]) > 1e-9:
         raise StartFiberMismatchError("start fiber is not over the path's first sample")
     pts = np.array([p.vec for p, _ in start.entries])
-    i, j = np.triu_indices(6, 1)  # all 15 pairs of sheets
-    sep = row_distances(pts[i], pts[j]).min()
+    gap = _row_gaps(pts).min(axis=1)  # each sheet's distance to its nearest
     for qa, qb in zip(path.samples, path.samples[1:]):
         # unit length keeps the pace in t even on near-orthogonal samples
         a, b = qa / np.linalg.norm(qa), qb / np.linalg.norm(qb)
@@ -418,10 +418,10 @@ def continue_fiber(cubic: Cubic, path: LoopPath, start: Fiber) -> Fiber:
             h = min(h, 1.0 - t)
             m = polar_conic(cubic, point_from_vec((1.0 - t - h) * a + (t + h) * b))
             new, resid = _newton_rows(cubic, m, pts)
-            if resid.max() <= 1e-9 and row_distances(pts, new).max() <= 0.4 * sep:
-                new_sep = row_distances(new[i], new[j]).min()
-                if new_sep >= COLLISION_THRESHOLD:
-                    pts, sep, t, h = new, new_sep, t + h, 2.0 * h
+            if resid.max() <= 1e-9 and (row_distances(pts, new) <= 0.4 * gap).all():
+                new_gap = _row_gaps(new).min(axis=1)
+                if new_gap.min() >= COLLISION_THRESHOLD:
+                    pts, gap, t, h = new, new_gap, t + h, 2.0 * h
                     continue
             h *= 0.5
             if h < 2.0 ** -HALVING_LIMIT:

@@ -187,7 +187,8 @@ def _moments(f, center: complex, radius: float, kmax: int, nodes: int, min_modul
     the samples g of f'/f, and s^half = radius ifft(g[::2])[p + 1] is the
     coarser trapezoid.  N doubles from `nodes` up to 16 * nodes until s_0 is
     within 0.1 of an integer on both N and N/2 and noise <= _NOISE_TOL;
-    NonIntegerCountError when none does.
+    NonIntegerCountError when none does, or at once when a moment is not
+    finite.
     """
     k = np.arange(1, kmax + 2)
     n = nodes
@@ -196,6 +197,9 @@ def _moments(f, center: complex, radius: float, kmax: int, nodes: int, min_modul
         # indices mod N: the trapezoid aliases w^(p+1) for p + 1 >= N
         s = radius * np.fft.ifft(g)[k % n]
         half = radius * np.fft.ifft(g[::2])[k % (n // 2)]
+        # f'/f past double range gives NaN moments, which have no count
+        if not (np.isfinite(s).all() and np.isfinite(half).all()):
+            raise NonIntegerCountError(f"non-finite moments at {n} nodes", center=center, radius=radius)
         count = round(s[0].real)
         noise = float(np.abs(s - half).max())
         if max(abs(s[0] - count), abs(half[0] - count)) > 0.1:

@@ -42,6 +42,10 @@ class DegenerateGeneratorsError(EllipticaError):
     operation = "make_lattice"
 
 
+class NonFiniteCoordinatesError(EllipticaError):
+    operation = "lattice_coords"
+
+
 class InvalidOrderError(EllipticaError):
     operation = "eisenstein_series"
 
@@ -76,6 +80,13 @@ class NotDegree2Error(EllipticaError):
 
 class ReconstructionFailureError(EllipticaError):
     operation = "decompose_degree2"
+
+
+class SingularMobiusError(EllipticaError, ValueError):
+    """ad - bc is 0 even on the coefficients over their largest modulus; a
+    ValueError too, as such coefficients are a bad argument."""
+
+    operation = "mobius_transform"
 
 
 class WpInverseError(ReconstructionFailureError):

@@ -15,7 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateGeneratorsError, InvalidOrderError, NonFiniteInvariantsError
+from .errors import (
+    DegenerateGeneratorsError,
+    InvalidOrderError,
+    NonFiniteCoordinatesError,
+    NonFiniteInvariantsError,
+)
 from .sphere import _pair_chordal
 
 DEGENERACY_TOL = 1e-12
@@ -74,8 +79,8 @@ def make_lattice(w1: complex, w2: complex) -> Lattice:
     """Build the lattice generated by w1, w2 with a reduced canonical basis.
 
     The returned generators span the same point set.  Raises
-    DegenerateGeneratorsError when a generator is zero or not finite, or the
-    generators are numerically parallel.
+    DegenerateGeneratorsError when a generator is zero or not finite, their
+    ratio is not finite, or the generators are numerically parallel.
     """
     w1, w2 = complex(w1), complex(w2)
     if w1 == 0 or w2 == 0:
@@ -92,6 +97,8 @@ def make_lattice(w1: complex, w2: complex) -> Lattice:
     # Gauss reduction: shear w2 by integer multiples of w1, swap when shorter.
     for _ in range(64):
         t = w2 / w1
+        if not cmath.isfinite(t):  # a ratio past double range has no shear
+            raise DegenerateGeneratorsError("generator ratio not finite", w1=w1, w2=w2)
         n = round(t.real)
         w2 = w2 - n * w1
         if abs(w2) < abs(w1):
@@ -208,12 +215,21 @@ def weierstrass_invariants(lat: Lattice) -> tuple[complex, complex]:
     return g2, g3
 
 
+def _cell(z: complex, lat: Lattice) -> tuple[int, int]:
+    """The floors of z's lattice coordinates; NonFiniteCoordinatesError
+    when they are not finite (z NaN, or z / omega1 past double range)."""
+    a, b = lat.coords(z)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteCoordinatesError(f"the lattice coordinates of {z} are not finite", z=z)
+    return math.floor(a), math.floor(b)
+
+
 def reduce_mod_lattice(z: complex, lat: Lattice) -> TorusPoint:
     """Canonical representative of z in the half-open fundamental
     parallelogram; z - rep is an exact integer combination of generators."""
     rep = z
     for _ in range(3):  # floor may land a cell off through rounding at an edge
-        m, n = map(math.floor, lat.coords(complex(rep)))
+        m, n = _cell(complex(rep), lat)
         if m == 0 and n == 0:
             break
         rep = rep - (m * lat.omega1 + n * lat.omega2)
@@ -223,7 +239,7 @@ def reduce_mod_lattice(z: complex, lat: Lattice) -> TorusPoint:
 def torus_distance(x: complex, y: complex, lat: Lattice) -> float:
     """Distance between two torus points: min over lattice translates."""
     d = x - y
-    m, n = map(math.floor, lat.coords(d))
+    m, n = _cell(d, lat)
     return min(abs(d - (m + i) * lat.omega1 - (n + k) * lat.omega2) for i in (0, 1) for k in (0, 1))
 
 

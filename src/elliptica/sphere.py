@@ -15,6 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .errors import SingularMobiusError
+
 INF = complex(math.inf, math.inf)
 
 
@@ -53,8 +55,13 @@ class MobiusTransform:
     d: complex
 
     def __post_init__(self):
-        if self.det == 0:
-            raise ValueError("singular Moebius coefficients")
+        # judged on the coefficients over their largest modulus, since ad - bc
+        # itself underflows for a regular map with coefficients near 1e-200
+        coeffs = (self.a, self.b, self.c, self.d)
+        top = max(map(abs, coeffs))
+        a, b, c, d = (x / top for x in coeffs) if top else coeffs
+        if a * d - b * c == 0:
+            raise SingularMobiusError("singular Moebius coefficients")
 
     @property
     def det(self) -> complex:

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import elliptica
 from elliptica.cli import dispatch
@@ -583,7 +585,7 @@ FIBER_Q = ["--q", "1,0", "0.3,0.2", "0.1,-0.05"]
 
 @pytest.mark.parametrize("argv", [
     # far from unit scale the fiber points crowd toward [0:1:0] or [0:0:1],
-    # inside the cluster radius: a smooth cubic has no hyperflex, so a
+    # within COLLISION_THRESHOLD: a smooth cubic has no hyperflex, so a
     # cluster of three or more is refused, not reported as one tangency
     *(["fiber", "--omega1", f"{s},0", "--omega2", f"0,{s}", *FIBER_Q]
       for s in ("1e-27", "1e-10", "1e10")),
@@ -600,3 +602,80 @@ def test_cubic_at_a_huge_hesse_parameter_is_smooth():
     assert run_json(["cubic", "--t", "1e200,0"])["smooth"] is True
     status, payload = dispatch(["cubic", "--t", "1e200,0", "--format", "svg"])
     assert status == 0 and payload.startswith(b"<svg"), payload
+
+
+# nan, +-inf, 0, a moderate float, or +-m 10^k with |k| <= 300
+_float = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
+    st.floats(-3.0, 3.0),
+    st.builds(lambda m, k: m * 10.0 ** k, st.floats(-9.99, 9.99), st.integers(-300, 300)),
+)
+_pair = st.builds(lambda a, b: f"{a!r},{b!r}", _float, _float)
+
+
+@st.composite
+def _lattice(draw):
+    """--tau, raw generators, or omega1 = 10^k e^(i theta) and omega2 =
+    omega1 tau: a rotated lattice at any scale, parallel when Im tau = 0."""
+    form = draw(st.sampled_from(["tau", "raw", "scaled"]))
+    if form == "tau":
+        return [f"--tau={draw(_pair)}"]
+    if form == "raw":
+        return [f"--omega1={draw(_pair)}", f"--omega2={draw(_pair)}"]
+    w1 = 10.0 ** draw(st.integers(-300, 300)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    w2 = w1 * complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-3.0, 3.0)))
+    return [f"--omega1={w1.real!r},{w1.imag!r}", f"--omega2={w2.real!r},{w2.imag!r}"]
+
+
+@st.composite
+def _divisors(draw, degree):
+    """--zeros and --poles of the given degree, the last pole closing the
+    zero sum, so that finite moderate points pass the Abel test."""
+    zeros = [draw(st.builds(complex, _float, _float)) for _ in range(degree)]
+    poles = [draw(st.builds(complex, _float, _float)) for _ in range(degree - 1)]
+    poles.append(sum(zeros) - sum(poles))
+    return ([f"--zeros={z.real!r},{z.imag!r},1" for z in zeros]
+            + [f"--poles={p.real!r},{p.imag!r},1" for p in poles])
+
+
+# argparse reads a token such as "-inf,0" as an option, so the three
+# values of --q, which cannot take "=", never start with "-inf"
+_q_value = _pair.filter(lambda s: not s.startswith("-inf"))
+_cubic_source = st.one_of(_lattice(), _pair.map(lambda t: [f"--t={t}"]))
+_fuzz_argv = st.one_of(
+    _lattice().map(lambda lat: ["lattice", *lat]),
+    st.builds(lambda cmd, lat, z: [cmd, *lat, f"--z={z}"], st.sampled_from(["theta", "wp"]), _lattice(), _pair),
+    st.builds(lambda cmd, src: [cmd, *src], st.sampled_from(["cubic", "inflections"]), _cubic_source),
+    st.builds(lambda src, q: ["fiber", *src, "--q", *q], _cubic_source, st.lists(_q_value, min_size=3, max_size=3)),
+    _lattice().map(lambda lat: ["zeros", *lat, "--wp"]),
+    st.builds(lambda lat, d: ["build-fn", *lat, *d], _lattice(), st.integers(1, 3).flatmap(_divisors)),
+    st.builds(lambda lat, d: ["decompose2", *lat, *d], _lattice(), _divisors(2)),
+    _pair.map(lambda t: ["hesse-scan", f"--t={t}"]),
+)
+
+
+def _finite_float(text):
+    value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-finite number {name} in a report")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_fuzz_argv)
+# contour moments of wp are NaN on this rotated lattice: a NaN count was rounded
+@example(["zeros", "--omega1=1e104,1e103", "--omega2=-1e103,1e104", "--wp"])
+# |omega2 / omega1| overflows: an infinite tau was rounded
+@example(["lattice", "--omega1=4.948250808406389e-114,6.8440747461889164e+283",
+          "--omega2=1.0368362845775685e-277,-9.330225752308354e-208"])
+def test_every_argv_ends_in_a_finite_report_or_a_named_refusal(argv):
+    # monodromy and branch-divisors are left out: a run takes up to seconds
+    status, payload = dispatch(argv)
+    doc = json.loads(payload, parse_float=_finite_float, parse_constant=_no_constant)
+    assert status in (0, 1), (argv, doc)
+    if status == 1:
+        assert doc["error"]["operation"] != "internal", (argv, doc)

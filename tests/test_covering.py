@@ -532,6 +532,34 @@ def test_loop_concatenation_composes(generic):
     assert pc.images == pb.compose(pa).images
 
 
+def test_continuation_refuses_a_forced_sheet_jump(monkeypatch):
+    # the basepoint of acceptance criterion 9 and its first seed-0 lasso;
+    # one Newton solve hands back sheets 0 and 1 swapped, a step that meets
+    # every residual and collision test: only the bound on each sheet's
+    # move, 0.4 times its own nearest distance, refuses it (without the
+    # bound the lasso gives (5, 0, 2, 3, 4, 1) instead of (0, 5, 2, 3, 4, 1))
+    cubic = weierstrass_cubic(GENERIC)
+    rng = np.random.default_rng(9)
+    while True:
+        q0 = point_from_vec(rng.standard_normal(6).view(np.complex128))
+        if not cubic.on_curve(q0, 1e-4) and not critical_locus_check(cubic, q0, GENERIC, tol=1e-2)[0]:
+            break
+    loop = tangent_loop_library(cubic, q0, GENERIC, seed=0)[0]
+    fib = lambda_fiber(cubic, q0)
+    want = _match_permutation(fib.points(), continue_fiber(cubic, loop, fib).points())
+    solve, calls = covering._newton_rows, []
+
+    def swapped_once(cubic, m, v):
+        rows, resid = solve(cubic, m, v)
+        calls.append(None)
+        return (rows[[1, 0, 2, 3, 4, 5]], resid[[1, 0, 2, 3, 4, 5]]) if len(calls) == 5 else (rows, resid)
+
+    monkeypatch.setattr(covering, "_newton_rows", swapped_once)
+    got = _match_permutation(fib.points(), continue_fiber(cubic, loop, fib).points())
+    assert len(calls) > 5
+    assert got.images == want.images == (0, 5, 2, 3, 4, 1)
+
+
 def test_permutation_algebra():
     p = Permutation((1, 0, 2, 3, 4, 5))
     q = Permutation((0, 2, 1, 3, 4, 5))

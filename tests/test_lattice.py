@@ -14,7 +14,12 @@ from elliptica import (
     torus_distance,
     weierstrass_invariants,
 )
-from elliptica.errors import DegenerateGeneratorsError, InvalidOrderError, NonFiniteInvariantsError
+from elliptica.errors import (
+    DegenerateGeneratorsError,
+    InvalidOrderError,
+    NonFiniteCoordinatesError,
+    NonFiniteInvariantsError,
+)
 
 
 def lattice_point_set(w1, w2, radius):
@@ -54,6 +59,25 @@ def test_make_lattice_degenerate():
         make_lattice(1.0, 2.0 + 1e-15j)
     with pytest.raises(DegenerateGeneratorsError):
         make_lattice(0.0, 1j)
+
+
+def test_generators_whose_ratio_leaves_double_range_are_degenerate():
+    # omega2 / omega1 underflows to 0, so the reduction swaps them and its
+    # next ratio is infinite: once an OverflowError from round(inf)
+    with pytest.raises(DegenerateGeneratorsError):
+        make_lattice(4.948250808406389e-114 + 6.8440747461889164e283j,
+                     1.0368362845775685e-277 - 9.330225752308354e-208j)
+
+
+@pytest.mark.parametrize("z", [1e175j, complex(math.nan, 0.0)])
+def test_points_without_finite_lattice_coordinates_are_refused(z):
+    # at omega1 = 1e-134, z / omega1 = 1e309 overflows: floor(inf) once
+    # raised a bare OverflowError or ValueError
+    lat = make_lattice(1e-134, 1e-134j)
+    with pytest.raises(NonFiniteCoordinatesError):
+        reduce_mod_lattice(z, lat)
+    with pytest.raises(NonFiniteCoordinatesError):
+        torus_distance(z, 0.0, lat)
 
 
 def test_classification():

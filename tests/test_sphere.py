@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elliptica import INF, MobiusTransform, chordal, is_infinite
+from elliptica.errors import EllipticaError, SingularMobiusError
 from elliptica.sphere import mobius_through, sphere_from_pair
 
 
@@ -56,6 +57,23 @@ def test_mobius_infinity_handling():
 def test_mobius_rejects_singular():
     with pytest.raises(ValueError):
         MobiusTransform(1.0, 2.0, 2.0, 4.0)
+
+
+def test_mobius_with_tiny_coefficients_is_regular():
+    # ad - bc = 1e-400 underflows to 0, but over the largest modulus the
+    # coefficients are those of the identity
+    m = MobiusTransform(1e-200, 0, 0, 1e-200)
+    assert m.proportional_to(MobiusTransform.identity(), 1e-15)
+    assert abs(m(0.3 - 0.7j) - (0.3 - 0.7j)) <= 1e-15
+
+
+def test_mobius_through_refuses_a_map_past_double_range():
+    # the map is z -> 1e400 z, which has no double-precision coefficients:
+    # a domain error that is also the ValueError callers catch
+    with pytest.raises(SingularMobiusError) as exc:
+        mobius_through((1e-200, 2e-200, 3e-200), (1e200, 2e200, 3e200))
+    assert isinstance(exc.value, EllipticaError) and isinstance(exc.value, ValueError)
+    assert exc.value.to_json()["operation"] == "mobius_transform"
 
 
 def test_mobius_through_with_infinite_targets():
