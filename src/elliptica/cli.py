@@ -304,12 +304,6 @@ def _cmd_inflections(args):
     return doc, (header, rows), _cubic_svg(cubic, infl, tangents=True)
 
 
-def _float_hits(moduli: np.ndarray, tol: float):
-    """Triples whose determinant modulus is at most tol, and those moduli."""
-    idx = np.flatnonzero(moduli <= tol)
-    return [hesse.TRIPLES[i] for i in idx], moduli[idx].tolist()
-
-
 def _cmd_hesse_scan(args):
     if args.grid is not None and args.grid < 1:
         raise InvalidArgumentError(f"--grid must be at least 1, got {args.grid}")
@@ -333,7 +327,7 @@ def _cmd_hesse_scan(args):
         for re in axis:  # one kernel call per grid row
             moduli = hesse.concurrency_det_moduli(re + 1j * axis)
             for j in np.flatnonzero((moduli <= tol).any(axis=1)):
-                found.append((re, axis[j], *_float_hits(moduli[j], tol)))
+                found.append((re, axis[j], *hesse.concurrency_hits(moduli[j], tol)))
         hits = [{"t": [re, im], "triples": [list(tr) for tr in trs]} for re, im, trs, _ in found]
         doc = {"grid": args.grid, "radius": radius, "hits": hits}
     else:
@@ -341,17 +335,19 @@ def _cmd_hesse_scan(args):
             if args.exact:
                 a_s, b_s = args.t_raw.split(",")
                 tq = hesse.QEps(Fraction(a_s), Fraction(b_s))
+                t_c = tq.to_complex()  # the report prints t's double value
             else:
-                t_c = _finite("--t", _parse_complex(args.t_raw))
-        except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
+                t_c = _parse_complex(args.t_raw)
+        except (ValueError, ArithmeticError, argparse.ArgumentTypeError) as exc:
             raise InvalidArgumentError(f"--t {args.t_raw!r}: {exc}") from None
+        _finite("--t", t_c)
         if args.exact:
             # an exact zero is reported with modulus 0
-            t_c, triples = tq.to_complex(), hesse.concurrency_scan_exact(tq)
+            triples = hesse.concurrency_scan_exact(tq)
             dets = [0.0] * len(triples)
             doc = {"t_exact": [str(tq.a), str(tq.b)], "exact": True}
         else:
-            triples, dets = _float_hits(hesse.concurrency_det_moduli(t_c), tol)
+            triples, dets = hesse.concurrency_hits(hesse.concurrency_det_moduli(t_c), tol)
             doc = {"exact": False}
         doc.update(t=_pair(t_c), concurrent_triples=[list(tr) for tr in triples])
         found = [(t_c.real, t_c.imag, triples, dets)]

@@ -405,14 +405,17 @@ def chart_newton(cubic: Cubic, v: np.ndarray, g) -> np.ndarray:
 EPS = complex(math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0))  # exp(2 pi i / 3)
 
 
+# The Hesse pencil's nine flexes, the same for every t; the coordinate
+# (s, k) is s eps^k.
+_HESSE_FLEXES = (
+    ((0, 0), (1, 0), (-1, 0)), ((0, 0), (1, 0), (-1, 1)), ((0, 0), (1, 0), (-1, 2)),
+    ((1, 0), (0, 0), (-1, 0)), ((1, 0), (0, 0), (-1, 2)), ((1, 0), (0, 0), (-1, 1)),
+    ((1, 0), (-1, 0), (0, 0)), ((1, 0), (-1, 1), (0, 0)), ((1, 0), (-1, 2), (0, 0)),
+)
+
+
 def _hesse_inflection_table() -> list[ProjPoint]:
-    e = EPS
-    rows = [
-        (0, 1, -1), (0, 1, -e), (0, 1, -e * e),
-        (1, 0, -1), (1, 0, -e * e), (1, 0, -e),
-        (1, -1, 0), (1, -e, 0), (1, -e * e, 0),
-    ]
-    return [proj_point(*r) for r in rows]
+    return [proj_point(*(s * EPS ** k for s, k in flex)) for flex in _HESSE_FLEXES]
 
 
 def inflection_points(cubic: Cubic, lat: Lattice | None = None) -> list[ProjPoint]:

@@ -1,13 +1,15 @@
-"""The Hesse pencil x^3 + y^3 + z^3 + t x y z: inflection and dual-tangent
-tables, the 84-case concurrency scan, the pencil's j-map and the
-equianharmonic predicate.
+"""The Hesse pencil x^3 + y^3 + z^3 + t x y z: its dual tangents, the
+84-case concurrency scan, the pencil's j-map and the equianharmonic
+predicate.
 
-One table, `_dual_rows_exact` over Z[eps] (eps = exp(2 pi i / 3)), holds
-the nine dual tangents; each entry is linear in t. The float rows A + t B
-are read off it once at import (A = rows(0), B = rows(1) - A), and one
-batched kernel, `concurrency_det_moduli`, takes all 84 determinants for a
-scalar or an array of t. The exact mode reads t = a + b*eps with rational
-a, b, clears denominators and takes the determinants in integer Z[eps]
+The nine flexes are one fixed table in `cubic`, with coordinates in
+Z[eps] (eps = exp(2 pi i / 3)), and `_dual_rows_exact` takes the pencil's
+gradient at them exactly, so each dual tangent is linear in t. The float
+rows A + t B are read off it once at import (A = rows(0), B = rows(1) -
+A), and one batched kernel, `concurrency_det_moduli`, takes all 84
+determinants for a scalar or an array of t; `concurrency_hits` is the one
+float rule on them. The exact mode reads t = a + b*eps with rational a, b,
+clears denominators and takes the determinants in integer Z[eps]
 arithmetic, so the classification of special t values carries no
 floating-point tolerance at all.
 """
@@ -20,17 +22,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .cubic import EPS, Cubic, hesse_cubic, _hesse_inflection_table
+from .cubic import EPS, Cubic, hesse_cubic, _HESSE_FLEXES, _hesse_inflection_table
 from .errors import SingularInputError
 from .lattice import CLASSIFY_TOL, Lattice, LatticeKind, _j_pair, classify_lattice
 from .projective import ProjPoint, point_from_vec
 from .sphere import chordal, sphere_from_pair
 
 CONCURRENCY_TOL = 1e-9
-
-# the four smooth and three singular parameters with concurrent tangents
-SPECIAL_SMOOTH = (0.0 + 0j, 6.0 + 0j, 6.0 * EPS, 6.0 * EPS * EPS)
-SPECIAL_SINGULAR = (-3.0 + 0j, -3.0 * EPS, -3.0 * EPS * EPS)
 
 
 def hesse_data(t: complex) -> tuple[Cubic, list[ProjPoint], list[ProjPoint]]:
@@ -62,7 +60,13 @@ def concurrency_scan(t: complex) -> list[tuple[int, int, int]]:
     All 84 triples are scanned; a nonempty result at a smooth parameter
     happens exactly on the equianharmonic orbit t in {0, 6, 6 eps, 6 eps^2}.
     """
-    return [TRIPLES[i] for i in np.flatnonzero(concurrency_det_moduli(complex(t)) <= CONCURRENCY_TOL)]
+    return concurrency_hits(concurrency_det_moduli(complex(t)), CONCURRENCY_TOL)[0]
+
+
+def concurrency_hits(moduli: np.ndarray, tol: float):
+    """The triples whose determinant modulus is at most tol, and those moduli."""
+    idx = np.flatnonzero(moduli <= tol)
+    return [TRIPLES[i] for i in idx], moduli[idx].tolist()
 
 
 def concurrency_dets(t: complex) -> dict[tuple[int, int, int], float]:
@@ -107,6 +111,7 @@ _Q3 = QEps(3, 0)
 _QE = QEps(0, 1)  # eps
 _QE2 = QEps(-1, -1)  # eps^2 = -1 - eps
 
+# the four smooth and three singular parameters with concurrent tangents
 EXACT_SPECIAL_SMOOTH = (
     QEps.of(0),
     QEps.of(6),
@@ -118,25 +123,19 @@ EXACT_SPECIAL_SINGULAR = (
     QEps.of(-3) * _QE,
     QEps.of(-3) * _QE2,
 )
+SPECIAL_SMOOTH = tuple(q.to_complex() for q in EXACT_SPECIAL_SMOOTH)
+SPECIAL_SINGULAR = tuple(q.to_complex() for q in EXACT_SPECIAL_SINGULAR)
 
 
 def _dual_rows_exact(t: QEps, three: QEps = _Q3) -> list[list[QEps]]:
-    """The pencil's dual-tangent table; every entry is linear in t."""
-    nt = -t
-    # ordered so row k is the tangent at inflection k of the fixed table
-    # (the classical tables list the two grids transposed to one another;
-    # the gradient check pins this pairing down)
-    return [
-        [nt, three, three],
-        [nt * _QE, three, three * _QE2],
-        [nt * _QE2, three, three * _QE],
-        [three, nt, three],
-        [three, nt * _QE2, three * _QE],
-        [three, nt * _QE, three * _QE2],
-        [three, three, nt],
-        [three, three * _QE2, nt * _QE],
-        [three, three * _QE, nt * _QE2],
-    ]
+    """Row k is the tangent at the k-th flex of the fixed table: the
+    pencil's gradient (3 x^2 + t y z, 3 y^2 + t x z, 3 z^2 + t x y) there,
+    with 3 read as `three`."""
+    rows = []
+    for flex in _HESSE_FLEXES:
+        x, y, z = (QEps(s, 0) * (QEps(1, 0), _QE, _QE2)[k] for s, k in flex)
+        rows.append([three * x * x + t * y * z, three * y * y + t * x * z, three * z * z + t * x * y])
+    return rows
 
 
 def _complex_rows(t: QEps) -> np.ndarray:

@@ -80,25 +80,25 @@ def make_lattice(w1: complex, w2: complex) -> Lattice:
 
     The returned generators span the same point set.  Raises
     DegenerateGeneratorsError when a generator is zero or not finite, their
-    ratio is not finite, or the generators are numerically parallel.
+    ratio is not finite, or the generators are numerically parallel; its
+    details name the generators as given.
     """
     w1, w2 = complex(w1), complex(w2)
+    given = {"w1": w1, "w2": w2}
     if w1 == 0 or w2 == 0:
-        raise DegenerateGeneratorsError("zero generator", w1=w1, w2=w2)
+        raise DegenerateGeneratorsError("zero generator", **given)
     if not (cmath.isfinite(w1) and cmath.isfinite(w2)):
-        raise DegenerateGeneratorsError("non-finite generator", w1=w1, w2=w2)
+        raise DegenerateGeneratorsError("non-finite generator", **given)
     ratio = w2 / w1
     if abs(ratio.imag) < DEGENERACY_TOL * abs(ratio):
-        raise DegenerateGeneratorsError(
-            "generators numerically parallel", w1=w1, w2=w2
-        )
+        raise DegenerateGeneratorsError("generators numerically parallel", **given)
     if ratio.imag < 0:
         w2 = -w2
     # Gauss reduction: shear w2 by integer multiples of w1, swap when shorter.
     for _ in range(64):
         t = w2 / w1
         if not cmath.isfinite(t):  # a ratio past double range has no shear
-            raise DegenerateGeneratorsError("generator ratio not finite", w1=w1, w2=w2)
+            raise DegenerateGeneratorsError("generator ratio not finite", **given)
         n = round(t.real)
         w2 = w2 - n * w1
         if abs(w2) < abs(w1):

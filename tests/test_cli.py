@@ -293,6 +293,10 @@ def test_monodromy_json_solves_the_basepoint_fiber_once(monkeypatch):
         (["wp", "--omega1", "1e-160,0", "--omega2", "0,1e-160", "--z", "3e-161,2e-161"], "render_report"),
         (["zeros", "--omega1", "1e-160,0", "--omega2", "0,1e-160", "--wp"], "locate_zeros"),
         (["wp", "--omega1", "1e160,0", "--omega2", "0,1e160", "--z", "3e159,2e159"], "render_report"),
+        # an exact t whose double value, which the report prints, is past
+        # double range: once an OverflowError (operation "internal")
+        (["hesse-scan", "--t=1e400,0", "--exact"], "parse_arguments"),
+        (["hesse-scan", "--t=1.7e308,-1e308", "--exact"], "parse_arguments"),
     ],
 )
 def test_bad_input_or_nonfinite_result_is_domain_error(argv, operation, tmp_path):
@@ -611,6 +615,13 @@ _float = st.one_of(
     st.builds(lambda m, k: m * 10.0 ** k, st.floats(-9.99, 9.99), st.integers(-300, 300)),
 )
 _pair = st.builds(lambda a, b: f"{a!r},{b!r}", _float, _float)
+# an exact --t part: an integer, a fraction or a decimal with an exponent
+# up to +-400
+_rational = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)),
+    st.builds(lambda m, f, k: f"{m}.{f}e{k}", st.integers(-9, 9), st.integers(0, 99), st.integers(-400, 400)),
+)
 
 
 @st.composite
@@ -651,6 +662,9 @@ _fuzz_argv = st.one_of(
     st.builds(lambda lat, d: ["build-fn", *lat, *d], _lattice(), st.integers(1, 3).flatmap(_divisors)),
     st.builds(lambda lat, d: ["decompose2", *lat, *d], _lattice(), _divisors(2)),
     _pair.map(lambda t: ["hesse-scan", f"--t={t}"]),
+    st.builds(lambda a, b: ["hesse-scan", f"--t={a},{b}", "--exact"], _rational, _rational),
+    st.builds(lambda n, r, tol: ["hesse-scan", f"--grid={n}", f"--radius={r!r}", *tol],
+              st.integers(0, 8), _float, st.one_of(st.just([]), _float.map(lambda x: [f"--tol={x!r}"]))),
 )
 
 
@@ -672,6 +686,8 @@ def _no_constant(name):
 # |omega2 / omega1| overflows: an infinite tau was rounded
 @example(["lattice", "--omega1=4.948250808406389e-114,6.8440747461889164e+283",
           "--omega2=1.0368362845775685e-277,-9.330225752308354e-208"])
+# the double value of an exact t overflows: an OverflowError from to_complex
+@example(["hesse-scan", "--t=1e400,0", "--exact"])
 def test_every_argv_ends_in_a_finite_report_or_a_named_refusal(argv):
     # monodromy and branch-divisors are left out: a run takes up to seconds
     status, payload = dispatch(argv)

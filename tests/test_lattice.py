@@ -67,6 +67,11 @@ def test_generators_whose_ratio_leaves_double_range_are_degenerate():
     with pytest.raises(DegenerateGeneratorsError):
         make_lattice(4.948250808406389e-114 + 6.8440747461889164e283j,
                      1.0368362845775685e-277 - 9.330225752308354e-208j)
+    # the reduction swaps 1 and 5e-324i before the ratio 1 / 5e-324i leaves
+    # double range; the error names the generators given, not that basis
+    with pytest.raises(DegenerateGeneratorsError) as exc:
+        make_lattice(1.0, 5e-324j)
+    assert exc.value.details == {"w1": 1 + 0j, "w2": 5e-324j}
 
 
 @pytest.mark.parametrize("z", [1e175j, complex(math.nan, 0.0)])
